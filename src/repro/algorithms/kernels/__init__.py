@@ -30,13 +30,25 @@ suite (``tests/test_policy_kernels.py``) enforces the declared level:
     * Draws that are *not* single-uniform (``Generator.choice`` without
       probabilities uses rejection sampling of bounded integers, e.g. Smart
       EXP3's exploration pick) are delegated verbatim to the device's private
-      generator inside scalar mask construction, so the stream position still
-      matches exactly.
+      generator, one call per row, so the stream position still matches
+      exactly.
+    * Generators are private to their rows, so a batched pass may order
+      generator calls freely *across* rows, but never *within* a row: each
+      row's calls follow the scalar policy's order (Smart EXP3 draws every
+      row's greedy coin before any row's distribution sample).
     * Python left-to-right ``sum()`` reductions are replicated with
       sequential column accumulation
-      (:func:`~repro.algorithms.kernels.base.sequential_row_sum`) rather than
-      NumPy's pairwise summation, which re-associates additions for longer
-      rows.
+      (:func:`~repro.algorithms.kernels.base.sequential_row_sum`, or a
+      ``cumsum``) rather than NumPy's pairwise summation, which
+      re-associates additions for longer rows.
+    * Powers the scalar policy evaluates with Python ``**`` (Smart EXP3's
+      ``b ** -exponent`` and ``ceil((1 + β) ** x)``) are looked up in
+      per-kernel tables whose entries are computed by that same Python
+      expression on Python ints — never ``np.power``, whose vectorised
+      loops may round differently, and never a module-level cache.  A table
+      is not row state: the kernel lists it in
+      :attr:`~repro.algorithms.kernels.base.BatchKernel.SHARED_ARRAY_ATTRS`
+      so that membership edits never slice or extend it.
 
     All built-in kernels (EXP3, Full-Information EXP3, Greedy, Smart EXP3 and
     its Table-III variants) are bit-exact.

@@ -28,7 +28,8 @@ membership instead of tearing the group down):
 Row state is discovered structurally: every ``ndarray`` attribute whose
 leading axis has length ``size`` is treated as one-row-per-device (plus the
 ``policies`` / ``runtimes`` / ``rngs`` lists and any Python-list state the
-kernel declares in :attr:`BatchKernel.ROW_LIST_ATTRS`).  Kernels with
+kernel declares in :attr:`BatchKernel.ROW_LIST_ATTRS`), unless the kernel
+names it in :attr:`BatchKernel.SHARED_ARRAY_ATTRS`.  Kernels with
 derived, index-valued caches rebuild them in :meth:`BatchKernel._refresh_derived`.
 
 The RNG-equivalence contract is documented in
@@ -132,8 +133,10 @@ def sample_rows(
     """
     if xp is None:
         xp = get_array_module()
-    probs = prob_matrix / xp.sum(prob_matrix, axis=1, keepdims=True)
-    cdf = xp.cumsum(probs, axis=1)
+    # Array methods rather than xp.sum / xp.cumsum: the same reductions
+    # without the function-level dispatch, which dominates on small groups.
+    probs = prob_matrix / prob_matrix.sum(axis=1, keepdims=True)
+    cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     if draws is None:
         draws = np.asarray([rng.random() for rng in rngs], dtype=float)
@@ -158,6 +161,11 @@ class BatchKernel(ABC):
     #: Python-list attributes holding one entry per row (parallel to
     #: ``policies``); membership edits slice/extend them alongside the arrays.
     ROW_LIST_ATTRS: tuple[str, ...] = ()
+
+    #: ``ndarray`` attributes that are *not* row state — column maps, draw
+    #: buffers, lookup tables — and must never be sliced or concatenated by
+    #: membership edits, even when their length happens to equal ``size``.
+    SHARED_ARRAY_ATTRS: tuple[str, ...] = ("cols", "_arange", "_window_draws")
 
     #: Whether ``begin_slot`` consumes exactly one uniform double per row per
     #: slot unconditionally (EXP3 / Full Information).  Only such kernels can
@@ -341,16 +349,14 @@ class BatchKernel(ABC):
     def _row_array_attrs(self) -> list[str]:
         """Names of the instance's row-major state arrays.
 
-        Any ``ndarray`` whose leading axis has length ``size`` is row state
-        (``cols`` / ``_arange`` are the only same-length arrays that are not,
-        and only when the group happens to have as many rows as networks).
+        Any ``ndarray`` whose leading axis has length ``size`` is row state,
+        except the attributes named in :attr:`SHARED_ARRAY_ATTRS`.
         """
-        skip = {"cols", "_arange", "_window_draws"}
         size = self.size
         return [
             name
             for name, value in vars(self).items()
-            if name not in skip
+            if name not in self.SHARED_ARRAY_ATTRS
             and isinstance(value, np.ndarray)
             and value.ndim >= 1
             and value.shape[0] == size

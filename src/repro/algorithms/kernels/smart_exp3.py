@@ -6,21 +6,39 @@ Every Smart EXP3 mechanism keeps its state as rows of ``(devices × networks)``
 * adaptive blocking — current-block network/length/elapsed/total-gain rows
   plus the per-network selection counters;
 * greedy choices — gain-sum/count matrices and the greedy-gate latch;
-* switch-back — a rolling tail of the current block's gains (the trailing
-  ``switchback_window`` slots) and the previous block's tail;
+* switch-back — the trailing ``switchback_window`` gains of the current
+  block and of the previous one;
 * minimal reset — per-device connection histories for the drop detector and
   the usage counters behind ``i_max``.
 
-Per slot, devices *inside* a block are pure array traffic (one fused gain
-accumulation, tracker scatter-add, mask evaluation for switch-back/drop, and
-one batched weight update + probability block write).  Only devices *starting
-a block* run scalar mask construction: the *only* RNG consumers of Smart EXP3
-live in block starts (the exploration draw, the greedy coin, the distribution
-sample), and block starts shrink geometrically with block growth, so the
-scalar residue amortises to nothing.  RNG draws use each device's private
-generator exactly as the scalar policy would (direct ``choice``/``random``
-calls for exploration and the coin, single-uniform CDF inversion for the
-distribution sample), keeping the kernel bit-exact.
+The per-slot cost follows block events, not rows × mechanisms.  Each row's
+γ and mixed strategy are cached row arrays, refreshed only where a block
+starts (the block index moves γ) or is finalised (the weight update moves
+the strategy), and ``end_slot`` writes the cached matrix to the recorder.
+A device inside a block costs a fixed handful of whole-array operations per
+slot: the gain accumulation, the tracker scatter-adds and one shift of the
+right-aligned switch-back and detector windows.  The switch-back rule and
+the drop detector's medians run in one pass over the rows they concern
+(:func:`switch_back_rows`, :func:`window_medians`).
+
+Block starts are not rare — about a quarter of all device-slots for
+``smart_exp3`` on setting 1 at 300 slots — so all of a slot's starts run as
+one array pass as well: switch-back targets, exploration, the greedy gate
+and its latch, the best tracked network, the block lengths and one
+:func:`~repro.algorithms.kernels.base.sample_rows` call.  Only each row's
+own generator calls stay in Python, in the scalar policy's per-row order:
+the exploration pick (``Generator.choice``, delegated verbatim), then the
+greedy coin, then the single-uniform distribution sample.  Generators are
+private to their rows, so drawing every row's coin before any row's sample
+leaves each stream exactly where the scalar policy leaves it.
+
+The powers the scalar policy evaluates in Python — ``b ** -exponent`` for γ
+and ``ceil((1 + β) ** x)`` for block lengths — come from per-kernel lookup
+tables whose entries are computed by that same Python expression, so every
+lookup is bit-equal to the scalar value.  Block lengths are float64: each
+``ceil((1 + β) ** x)`` is an integer-valued double, held exactly for every
+count the scalar expression can evaluate, where int64 would overflow from
+``x ≈ 440`` at ``β = 0.1``.
 
 State round-trips through the scalar policy at segment boundaries via the
 array-view accessors on the :mod:`repro.core` mechanism classes
@@ -55,11 +73,89 @@ _TYPE_LIST = (
 )
 _TYPE_CODE = {selection_type: code for code, selection_type in enumerate(_TYPE_LIST)}
 _EXPLORATION = _TYPE_CODE[SelectionType.EXPLORATION]
+_RANDOM = _TYPE_CODE[SelectionType.RANDOM]
+_RANDOM_AFTER_COIN = _TYPE_CODE[SelectionType.RANDOM_AFTER_COIN]
+_GREEDY = _TYPE_CODE[SelectionType.GREEDY]
 _SWITCH_BACK = _TYPE_CODE[SelectionType.SWITCH_BACK]
+
+#: Entries a lookup table starts with.  ``(1 + β) ** 63`` cannot overflow for
+#: any valid ``β`` (at most 1), so the initial fill never raises.
+_TABLE_START = 64
+
+
+def switch_back_rows(
+    history: np.ndarray, length: np.ndarray, gain: np.ndarray
+) -> np.ndarray:
+    """``SwitchBackRule.should_switch_back`` for many rows at once.
+
+    ``history`` holds each row's previous-block gains right-aligned (the last
+    ``length`` columns, oldest first) with zeros before them; ``gain`` is the
+    first-slot gain of each row's current block.  The rows passed in must
+    already satisfy the rule's structural conditions (a previous block with
+    data, on another network, neither block a switch-back).  The average is a
+    sequential accumulation, as Python's ``sum()`` computes it.
+    """
+    width = history.shape[1]
+    valid = np.arange(width) >= (width - length)[:, None]
+    average = np.cumsum(history, axis=1)[:, -1] / length
+    better = np.count_nonzero(valid & (history > (gain + 1e-12)[:, None]), axis=1)
+    return (
+        (gain < average - 1e-12)
+        | (gain < history[:, -1] - 1e-12)
+        | (better / length > 0.5)
+    )
+
+
+def window_medians(
+    history: np.ndarray, length: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The drop detector's reference and recent medians for many rows at once.
+
+    ``history`` holds each row's connection gains right-aligned (the last
+    ``length`` columns, oldest first); the recent window is the last
+    ``window`` columns and the reference is everything before it, as in
+    ``DropDetector.observe``.  Each median is what ``np.median`` returns:
+    the mean of the two middle order statistics (for an odd count, the
+    middle one added to itself and halved, which is exact).
+    """
+    width = history.shape[1] - window
+    split = length - window
+    reference = np.where(
+        np.arange(width) >= (width - split)[:, None], history[:, :width], np.inf
+    )
+    reference.sort(axis=1)
+    recent = np.sort(history[:, width:], axis=1)
+    return _middle(reference, split), _middle(recent, window)
+
+
+def _middle(sorted_rows: np.ndarray, count) -> np.ndarray:
+    """Median of the first ``count`` entries of each sorted row."""
+    rows = np.arange(sorted_rows.shape[0])
+    low = sorted_rows[rows, (count - 1) // 2]
+    high = sorted_rows[rows, count // 2]
+    return (low + high) / 2
+
+
+def _extended(table: np.ndarray, size: int, value) -> np.ndarray:
+    """``table`` grown to ``size`` entries, entry ``x`` being ``value(x)``.
+
+    ``x`` is a Python int, so ``value`` evaluates exactly the Python
+    expression the scalar policy evaluates (``np.power`` may round
+    differently).  Tables grow only to the largest key looked up, a key the
+    scalar policy evaluates too, so a table overflows exactly where the
+    scalar expression does.
+    """
+    new = [value(x) for x in range(table.size, size)]
+    return np.concatenate([table, np.asarray(new, dtype=float)])
 
 
 class SmartEXP3Kernel(BatchKernel):
     """Array-native Smart EXP3 (and its Table-III variants, via the config)."""
+
+    SHARED_ARRAY_ATTRS = BatchKernel.SHARED_ARRAY_ATTRS + (
+        "_gamma_table",
+        "_length_table",
+    )
 
     @classmethod
     def group_key(cls, policy):
@@ -78,6 +174,8 @@ class SmartEXP3Kernel(BatchKernel):
         self.min_conn = detector.min_connection_slots
         self.drop_fraction = detector.drop_fraction
         self.max_hist = detector.reference_window_slots + detector.window_slots
+        self._gamma_table = _extended(np.empty(0), _TABLE_START, self._gamma_value)
+        self._length_table = _extended(np.empty(0), _TABLE_START, self._length_value)
 
         size = self.size
         col_of = self.col_of
@@ -107,7 +205,7 @@ class SmartEXP3Kernel(BatchKernel):
                 else p._greedy_gate.latched_length
                 for p in policies
             ],
-            dtype=np.int64,
+            dtype=float,
         )
         self.block_index = np.asarray(
             [p._block_index for p in policies], dtype=np.int64
@@ -122,20 +220,26 @@ class SmartEXP3Kernel(BatchKernel):
             ],
             dtype=float,
         )
+        # Cached γ and mixed strategy (see the module docstring).
+        self.gamma = self._gammas(self.block_index)
+        self.probs = np.empty((size, self.num_networks), dtype=float)
+        self._refresh_strategy(self._arange)
 
-        # Current block rows.
+        # Current block rows; ``tail`` holds the trailing window right-aligned
+        # and zero before it.
         self.blk_net = np.full(size, _NONE, dtype=np.intp)
-        self.blk_len = np.ones(size, dtype=np.int64)
+        self.blk_len = np.ones(size, dtype=float)
         self.blk_elapsed = np.zeros(size, dtype=np.int64)
         self.blk_total = np.zeros(size, dtype=float)
         self.blk_prob = np.ones(size, dtype=float)
         self.blk_type = np.zeros(size, dtype=np.int8)
         self.blk_trunc = np.zeros(size, dtype=bool)
         self.tail = np.zeros((size, self.sb_window), dtype=float)
-        self.tail_len = np.zeros(size, dtype=np.int64)
         self.pre_tail_sum = np.zeros(size, dtype=float)
+        #: Blocks whose first slot the switch-back rule still has to check.
+        self.sb_armed = np.zeros(size, dtype=bool)
 
-        # Previous-block history (switch-back window).
+        # Previous-block history (switch-back window), laid out like ``tail``.
         self.prev_net = np.full(size, _NONE, dtype=np.intp)
         self.prev_gains = np.zeros((size, self.sb_window), dtype=float)
         self.prev_len = np.zeros(size, dtype=np.int64)
@@ -158,7 +262,7 @@ class SmartEXP3Kernel(BatchKernel):
             [p._drop_reset_pending for p in policies], dtype=bool
         )
 
-        # Drop-detector connection histories.
+        # Drop-detector connection histories, right-aligned like ``tail``.
         self.det_net = np.full(size, _NONE, dtype=np.intp)
         self.det_buf = np.zeros((size, self.max_hist), dtype=float)
         self.det_len = np.zeros(size, dtype=np.int64)
@@ -172,12 +276,19 @@ class SmartEXP3Kernel(BatchKernel):
                 gains = history.gains[-self.sb_window :]
                 self.prev_net[j] = col_of[history.network_id]
                 self.prev_len[j] = len(gains)
-                self.prev_gains[j, : len(gains)] = gains
+                self.prev_gains[j, self.sb_window - len(gains) :] = gains
             det_net, det_gains = policy._reset_policy.drop_detector.export_state()
             if det_net is not None and det_net in col_of:
                 self.det_net[j] = col_of[det_net]
                 self.det_len[j] = len(det_gains)
-                self.det_buf[j, : len(det_gains)] = det_gains
+                self.det_buf[j, self.max_hist - len(det_gains) :] = det_gains
+
+        #: Rows that start a new block in the next ``begin_slot``.
+        self.blk_done = (
+            (self.blk_net == _NONE)
+            | self.blk_trunc
+            | (self.blk_elapsed >= self.blk_len)
+        )
 
     def _load_block(self, j: int, block: Block) -> None:
         self.blk_net[j] = self.col_of[block.network_id]
@@ -188,125 +299,194 @@ class SmartEXP3Kernel(BatchKernel):
         self.blk_type[j] = _TYPE_CODE[block.selection_type]
         self.blk_trunc[j] = block.truncated
         tail = block.slot_gains[-self.sb_window :]
-        self.tail_len[j] = len(tail)
-        self.tail[j, : len(tail)] = tail
+        self.tail[j, self.sb_window - len(tail) :] = tail
         self.pre_tail_sum[j] = float(sum(block.slot_gains[: -self.sb_window]))
 
-    # ----------------------------------------------------------------- gamma
-    def _gammas(self, block_indices: np.ndarray) -> np.ndarray:
+    # ---------------------------------------------------- tables and caches
+    def _gamma_value(self, block_index: int) -> float:
+        """``SmartEXP3Policy._gamma`` of one block index."""
         config = self.config
         if config.fixed_gamma is not None:
-            return np.full(block_indices.size, config.fixed_gamma)
-        gamma = np.empty(block_indices.size, dtype=float)
-        for value in np.unique(block_indices):
-            gamma[block_indices == value] = min(
-                1.0, max(int(value), 1) ** (-config.gamma_exponent)
+            return config.fixed_gamma
+        return min(1.0, max(block_index, 1) ** (-config.gamma_exponent))
+
+    def _length_value(self, count: int) -> int:
+        """``BlockScheduler.block_length`` after ``count`` selections."""
+        return math.ceil((1.0 + self.config.beta) ** count)
+
+    def _gammas(self, block_index: np.ndarray) -> np.ndarray:
+        """γ per block index, looked up in the kernel's table."""
+        try:
+            return self._gamma_table[block_index]
+        except IndexError:
+            self._gamma_table = _extended(
+                self._gamma_table, int(block_index.max()) + 1, self._gamma_value
             )
-        return gamma
+            return self._gamma_table[block_index]
 
-    def _probability_rows(self, indices: np.ndarray) -> np.ndarray:
-        # Smart-EXP3's block machinery is data-dependent per-device control
-        # flow and stays host-bound; only the dense mixed-strategy math
-        # routes through the array-module seam.
-        gamma = self._gammas(self.block_index[indices])
-        weights = self.weights[indices]
-        total = self.xp.sum(weights, axis=1)
-        k = self.num_networks
-        return (1.0 - gamma)[:, None] * weights / total[:, None] + (gamma / k)[
-            :, None
-        ]
+    def _lengths(self, counts: np.ndarray) -> np.ndarray:
+        """Block length per selection count, looked up in the kernel's table."""
+        try:
+            return self._length_table[counts]
+        except IndexError:
+            self._length_table = _extended(
+                self._length_table, int(counts.max()) + 1, self._length_value
+            )
+            return self._length_table[counts]
 
-    def _block_length(self, j: int, col: int) -> int:
-        return int(
-            math.ceil((1.0 + self.config.beta) ** int(self.sel_counts[j, col]))
-        )
+    def _refresh_strategy(self, rows: np.ndarray) -> np.ndarray:
+        """Recompute (and return) the cached mixed strategy of ``rows`` from
+        their weights and γ, operation for operation as
+        ``_compute_probabilities``."""
+        gamma = self.gamma[rows]
+        weights = self.weights.take(rows, axis=0)
+        total = weights.sum(axis=1)
+        probs = (1.0 - gamma)[:, None] * weights / total[:, None] + (
+            gamma / self.num_networks
+        )[:, None]
+        self.probs[rows] = probs
+        return probs
 
     # ----------------------------------------------------------- block starts
     def begin_slot(self, slot: int) -> np.ndarray:
-        need_new = (
-            (self.blk_net == _NONE)
-            | self.blk_trunc
-            | (self.blk_elapsed >= self.blk_len)
-        )
-        if need_new.any():
-            indices = np.nonzero(need_new)[0]
-            self.block_index[indices] += 1
-            prob_rows = self._probability_rows(indices)
-            for offset, j in enumerate(indices):
-                self._start_block(int(j), prob_rows[offset])
+        starting = self.blk_done.nonzero()[0]
+        if starting.size:
+            self._start_blocks(starting)
         return self.cols[self.blk_net]
 
-    def _start_block(self, j: int, probs: np.ndarray) -> None:
+    def _start_blocks(self, rows: np.ndarray) -> None:
+        """``SmartEXP3Policy._start_new_block`` for every row in ``rows``."""
         config = self.config
-        rng = self.rngs[j]
-        self.last_probs[j] = probs
-        if config.enable_switchback and self.sb_pending[j] and self.sb_target[j] >= 0:
-            net_col = int(self.sb_target[j])
-            probability = 1.0
-            selection = _SWITCH_BACK
-            self.sb_pending[j] = False
-            self.sb_target[j] = _NONE
-        elif config.enable_initial_exploration and self.explore[j].any():
-            candidates = [self.nets[c] for c in np.nonzero(self.explore[j])[0]]
-            probability = 1.0 / len(candidates)
-            net_col = self.col_of[int(rng.choice(candidates))]
-            self.explore[j, net_col] = False
-            selection = _EXPLORATION
-        else:
-            net_col, probability, selection = self._choose_learned(j, probs, rng)
-        length = self._block_length(j, net_col)
-        self.sel_counts[j, net_col] += 1
-        self.blk_net[j] = net_col
-        self.blk_len[j] = length
-        self.blk_elapsed[j] = 0
-        self.blk_total[j] = 0.0
+        block_index = self.block_index[rows] + 1
+        self.block_index[rows] = block_index
+        self.gamma[rows] = self._gammas(block_index)
+        probs = self._refresh_strategy(rows)
+        self.last_probs[rows] = probs
+
+        net = np.empty(rows.size, dtype=np.intp)
+        prob = np.empty(rows.size, dtype=float)
+        kind = np.empty(rows.size, dtype=np.int8)
+        # Rows that neither switch back nor explore choose from what they
+        # learned: the greedy coin or the distribution.
+        learned = np.ones(rows.size, dtype=bool)
+        if config.enable_switchback:
+            back = self.sb_pending[rows] & (self.sb_target[rows] != _NONE)
+            hit = rows[back]
+            if hit.size:
+                net[back] = self.sb_target[hit]
+                prob[back] = 1.0
+                kind[back] = _SWITCH_BACK
+                self.sb_pending[hit] = False
+                self.sb_target[hit] = _NONE
+                learned &= ~back
+        if config.enable_initial_exploration and self.explore.any():
+            exploring = learned & self.explore.take(rows, axis=0).any(axis=1)
+            for i in exploring.nonzero()[0]:
+                j = rows[i]
+                candidates = self.explore[j].nonzero()[0]
+                col = int(self.rngs[j].choice(candidates))
+                self.explore[j, col] = False
+                net[i] = col
+                prob[i] = 1.0 / candidates.size
+                kind[i] = _EXPLORATION
+                learned[i] = False
+        picks = learned.nonzero()[0]
+        if picks.size:
+            net[picks], prob[picks], kind[picks] = self._choose_learned(
+                rows[picks], probs[picks]
+            )
+
+        counts = self.sel_counts[rows, net]
+        self.sel_counts[rows, net] = counts + 1
+        self.blk_len[rows] = self._lengths(counts)
+        self.blk_net[rows] = net
+        self.blk_elapsed[rows] = 0
+        self.blk_total[rows] = 0.0
         # Same one-ulp clamp as SmartEXP3Policy._start_new_block (a
         # one-network strategy set can push the sampled probability to 1+ulp).
-        self.blk_prob[j] = min(probability, 1.0)
-        self.blk_type[j] = selection
-        self.blk_trunc[j] = False
-        self.tail_len[j] = 0
-        self.pre_tail_sum[j] = 0.0
+        self.blk_prob[rows] = np.minimum(prob, 1.0)
+        self.blk_type[rows] = kind
+        self.blk_trunc[rows] = False
+        self.blk_done[rows] = False
+        self.tail[rows] = 0.0
+        self.pre_tail_sum[rows] = 0.0
+        if config.enable_switchback:
+            # The rule's structural conditions: this block is neither a
+            # switch-back nor exploration, and the previous one has data, is
+            # on another network and was not a switch-back either.
+            self.sb_armed[rows] = (
+                learned
+                & (self.prev_len[rows] > 0)
+                & (self.prev_net[rows] != net)
+                & ~self.prev_was_sb[rows]
+            )
 
     def _choose_learned(
-        self, j: int, probs: np.ndarray, rng: np.random.Generator
-    ) -> tuple[int, float, int]:
+        self, rows: np.ndarray, probs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``SmartEXP3Policy._choose_learned`` for ``rows``: the greedy coin,
+        else one sample from the distribution."""
         config = self.config
-        greedy_considered = config.enable_greedy and self._allows_greedy(j, probs)
-        if greedy_considered and rng.random() < config.greedy_probability:
-            best = self._best_tracked(j)
-            if best is not None:
-                return best, config.greedy_probability, _TYPE_CODE[SelectionType.GREEDY]
-        net_col = int(sample_rows(probs[None, :], [rng])[0])
-        if greedy_considered:
-            probability = float(probs[net_col]) * (1.0 - config.greedy_probability)
-            return net_col, probability, _TYPE_CODE[SelectionType.RANDOM_AFTER_COIN]
-        return net_col, float(probs[net_col]), _TYPE_CODE[SelectionType.RANDOM]
+        rngs = self.rngs
+        greedy_probability = config.greedy_probability
+        if config.enable_greedy and self.num_networks > 1:
+            gated = self._greedy_gate(rows, probs)
+        else:
+            gated = np.zeros(rows.size, dtype=bool)
+        net = np.empty(rows.size, dtype=np.intp)
+        greedy = np.zeros(rows.size, dtype=bool)
+        flips = gated.nonzero()[0]
+        if flips.size:
+            coins = np.asarray([rngs[j].random() for j in rows[flips].tolist()])
+            heads = flips[coins < greedy_probability]
+            if heads.size:
+                best = self._best_tracked(rows[heads])
+                found = best != _NONE
+                net[heads[found]] = best[found]
+                greedy[heads[found]] = True
+        draws = (~greedy).nonzero()[0]
+        if draws.size:
+            net[draws] = sample_rows(
+                probs[draws], [rngs[j] for j in rows[draws].tolist()]
+            )
+        prob = probs[np.arange(rows.size), net]
+        prob = np.where(gated, prob * (1.0 - greedy_probability), prob)
+        prob[greedy] = greedy_probability
+        kind = np.where(gated, _RANDOM_AFTER_COIN, _RANDOM).astype(np.int8)
+        kind[greedy] = _GREEDY
+        return net, prob, kind
 
-    def _allows_greedy(self, j: int, probs: np.ndarray) -> bool:
-        k = probs.size
-        if k <= 1:
-            return False
-        spread = float(probs.max() - probs.min())
-        if spread <= 1.0 / (k - 1) + 1e-12:
-            return True
-        top_length = self._block_length(j, int(np.argmax(probs)))
-        if self.latched[j] == _NONE:
-            self.latched[j] = top_length
-        return top_length < self.latched[j]
+    def _greedy_gate(self, rows: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        """``GreedyGate.allows_greedy`` for ``rows``, latching ``y`` wherever
+        condition (a) fails for the first time."""
+        k = self.num_networks
+        gate = probs.max(axis=1) - probs.min(axis=1) <= 1.0 / (k - 1) + 1e-12
+        closed = (~gate).nonzero()[0]
+        if closed.size:
+            shut = rows[closed]
+            top_length = self._lengths(
+                self.sel_counts[shut, probs[closed].argmax(axis=1)]
+            )
+            latched = self.latched[shut]
+            latched = np.where(latched == _NONE, top_length, latched)
+            self.latched[shut] = latched
+            gate[closed] = top_length < latched
+        return gate
 
-    def _best_tracked(self, j: int) -> int | None:
-        best_col = None
-        best_gain = -1.0
+    def _best_tracked(self, rows: np.ndarray) -> np.ndarray:
+        """``GainTracker.best_network`` for ``rows`` (``_NONE`` if unobserved):
+        the scalar running-best scan over networks, each comparison
+        vectorised over rows so the epsilon semantics carry over exactly."""
+        counts = self.gain_cnt.take(rows, axis=0)
+        averages = self.gain_sum.take(rows, axis=0) / np.maximum(counts, 1)
+        best = np.full(rows.size, _NONE, dtype=np.intp)
+        best_gain = np.full(rows.size, -1.0)
         for col in range(self.num_networks):
-            count = self.gain_cnt[j, col]
-            if count == 0:
-                continue
-            gain = self.gain_sum[j, col] / count
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_col = col
-        return best_col
+            gain = averages[:, col]
+            better = (counts[:, col] > 0) & (gain > best_gain + 1e-12)
+            best[better] = col
+            best_gain[better] = gain[better]
+        return best
 
     # -------------------------------------------------------------- feedback
     def end_slot(
@@ -323,150 +503,100 @@ class SmartEXP3Kernel(BatchKernel):
 
         self.blk_elapsed += 1
         self.blk_total += gain
-        tail_full = self.tail_len >= self.sb_window
-        if tail_full.any():
-            rows = np.nonzero(tail_full)[0]
-            self.pre_tail_sum[rows] += self.tail[rows, 0]
-            self.tail[rows, :-1] = self.tail[rows, 1:]
-            self.tail[rows, -1] = gain[rows]
-        rows = np.nonzero(~tail_full)[0]
-        if rows.size:
-            self.tail[rows, self.tail_len[rows]] = gain[rows]
-            self.tail_len[rows] += 1
+        # The tail is zero before a block's first gains, so its first column
+        # is the gain leaving the window once the window is full, else 0.0.
+        self.pre_tail_sum += self.tail[:, 0]
+        self.tail[:, :-1] = self.tail[:, 1:]
+        self.tail[:, -1] = gain
 
         self.gain_sum[arange, net] += gain
         self.gain_cnt[arange, net] += 1
         self.usage[arange, net] += 1
 
         if config.enable_switchback:
-            self._apply_switch_back(gain)
+            armed = self.sb_armed.nonzero()[0]
+            if armed.size:
+                self._apply_switch_back(armed, gain)
         if config.enable_reset:
             self._apply_drop_detection(gain)
 
-        completed = self.blk_trunc | (self.blk_elapsed >= self.blk_len)
-        if completed.any():
-            self._finalize_blocks(np.nonzero(completed)[0])
+        self.blk_done = self.blk_trunc | (self.blk_elapsed >= self.blk_len)
+        ended = self.blk_done.nonzero()[0]
+        if ended.size:
+            self._finalize_blocks(ended)
 
-        # SmartEXP3Policy.probabilities recomputes the distribution from the
-        # (possibly just-updated) weights every slot; one batched evaluation
-        # replaces num_devices property calls + dict copies.
-        self.record_probability_block(
-            slot_index, self._probability_rows(arange)
-        )
+        self.record_probability_block(slot_index, self.probs)
 
-    def _apply_switch_back(self, gain: np.ndarray) -> None:
-        candidates = (
-            (self.blk_elapsed == 1)
-            & (self.blk_type != _EXPLORATION)
-            & (self.blk_type != _SWITCH_BACK)
-            & ~self.prev_was_sb
-            & (self.prev_net != _NONE)
-            & (self.prev_len > 0)
-            & (self.prev_net != self.blk_net)
+    def _apply_switch_back(self, rows: np.ndarray, gain: np.ndarray) -> None:
+        self.sb_armed[rows] = False
+        back = switch_back_rows(
+            self.prev_gains.take(rows, axis=0), self.prev_len[rows], gain[rows]
         )
-        if not candidates.any():
-            return
-        rows = np.nonzero(candidates)[0]
-        history = self.prev_gains[rows]
-        length = self.prev_len[rows]
-        current = gain[rows]
-        total = np.zeros(rows.size, dtype=float)
-        better = np.zeros(rows.size, dtype=np.int64)
-        for col in range(self.sb_window):
-            valid = col < length
-            values = history[:, col]
-            total = np.where(valid, total + values, total)
-            better += valid & (values > current + 1e-12)
-        average = total / length
-        last = history[np.arange(rows.size), length - 1]
-        fraction = better / length
-        switch_back = (
-            (current < average - 1e-12)
-            | (current < last - 1e-12)
-            | (fraction > 0.5)
-        )
-        hit = rows[switch_back]
+        hit = rows[back]
         self.blk_trunc[hit] = True
         self.sb_pending[hit] = True
         self.sb_target[hit] = self.prev_net[hit]
 
     def _apply_drop_detection(self, gain: np.ndarray) -> None:
         net = self.blk_net
-        # i_max: the network used for more than half of all connected slots.
-        totals = self.usage.sum(axis=1)
-        top = np.argmax(self.usage, axis=1)
-        top_counts = self.usage[self._arange, top]
-        is_most_used = (top_counts > 0.5 * totals) & (top == net) & (totals > 0)
-
         # Connection histories restart whenever the device changes network.
-        changed = self.det_net != net
-        if changed.any():
-            rows = np.nonzero(changed)[0]
-            self.det_net[rows] = net[rows]
-            self.det_len[rows] = 0
-        buffer_full = self.det_len >= self.max_hist
-        if buffer_full.any():
-            rows = np.nonzero(buffer_full)[0]
-            self.det_buf[rows, :-1] = self.det_buf[rows, 1:]
-            self.det_buf[rows, -1] = gain[rows]
-        rows = np.nonzero(~buffer_full)[0]
-        if rows.size:
-            self.det_buf[rows, self.det_len[rows]] = gain[rows]
-            self.det_len[rows] += 1
+        self.det_len[self.det_net != net] = 0
+        self.det_net[:] = net
+        self.det_buf[:, :-1] = self.det_buf[:, 1:]
+        self.det_buf[:, -1] = gain
+        np.minimum(self.det_len + 1, self.max_hist, out=self.det_len)
 
-        check = is_most_used & (self.det_len > self.min_conn + self.drop_window)
-        if not check.any():
+        rows = (self.det_len > self.min_conn + self.drop_window).nonzero()[0]
+        if not rows.size:
             return
-        dropped_rows: list[np.ndarray] = []
-        for length in np.unique(self.det_len[check]):
-            rows = np.nonzero(check & (self.det_len == length))[0]
-            split = int(length) - self.drop_window
-            reference = np.median(self.det_buf[rows, :split], axis=1)
-            recent = np.median(self.det_buf[rows, split : int(length)], axis=1)
-            dropped = (reference > 0) & (
-                recent <= (1.0 - self.drop_fraction) * reference
-            )
-            dropped_rows.append(rows[dropped])
-        hit = np.concatenate(dropped_rows) if dropped_rows else np.array([], int)
+        # i_max: the network used for more than half of all connected slots
+        # (a network with more than half the slots is the unique argmax).
+        usage = self.usage.take(rows, axis=0)
+        most_used = 2 * usage[np.arange(rows.size), net[rows]] > usage.sum(axis=1)
+        rows = rows[most_used]
+        if not rows.size:
+            return
+        reference, recent = window_medians(
+            self.det_buf.take(rows, axis=0), self.det_len[rows], self.drop_window
+        )
+        dropped = (reference > 0) & (
+            recent <= (1.0 - self.drop_fraction) * reference
+        )
+        hit = rows[dropped]
         self.drop_pending[hit] = True
         self.blk_trunc[hit] = True
 
-    def _finalize_blocks(self, indices: np.ndarray) -> None:
+    def _finalize_blocks(self, rows: np.ndarray) -> None:
         config = self.config
-        k = self.num_networks
-        net = self.blk_net[indices]
-        gamma = self._gammas(self.block_index[indices])
-        estimated = self.blk_total[indices] / np.maximum(
-            self.blk_prob[indices], 1e-12
+        net = self.blk_net[rows]
+        estimated = self.blk_total[rows] / np.maximum(self.blk_prob[rows], 1e-12)
+        self.weights[rows, net] *= np.exp(
+            self.gamma[rows] * estimated / self.num_networks
         )
-        self.weights[indices, net] *= np.exp(gamma * estimated / k)
-        row_max = self.weights[indices].max(axis=1)
+        row_max = self.weights.take(rows, axis=0).max(axis=1)
         needs_scaling = (row_max > 1e100) | (row_max < 1e-100)
-        if needs_scaling.any():
-            rows = indices[needs_scaling]
-            self.weights[rows] /= row_max[needs_scaling, None]
+        scaled = rows[needs_scaling]
+        if scaled.size:
+            self.weights[scaled] /= row_max[needs_scaling, None]
+        probs = self._refresh_strategy(rows)
 
-        self.prev_net[indices] = net
-        self.prev_gains[indices] = self.tail[indices]
-        self.prev_len[indices] = self.tail_len[indices]
-        self.prev_was_sb[indices] = self.blk_type[indices] == _SWITCH_BACK
+        self.prev_net[rows] = net
+        self.prev_gains[rows] = self.tail.take(rows, axis=0)
+        self.prev_len[rows] = np.minimum(self.blk_elapsed[rows], self.sb_window)
+        self.prev_was_sb[rows] = self.blk_type[rows] == _SWITCH_BACK
 
         if not config.enable_reset:
             return
-        probs = self._probability_rows(indices)
-        top = np.argmax(probs, axis=1)
-        periodic = (
-            probs[np.arange(indices.size), top]
-            >= config.reset_probability_threshold
-        )
-        if periodic.any():
-            for offset in np.nonzero(periodic)[0]:
-                j = int(indices[offset])
-                periodic[offset] = (
-                    self._block_length(j, int(top[offset]))
-                    >= config.reset_block_length_threshold
-                )
-        reset_rows = indices[periodic | self.drop_pending[indices]]
+        reset = self.drop_pending[rows]
+        locked = probs.max(axis=1) >= config.reset_probability_threshold
+        locked = locked.nonzero()[0]
+        if locked.size:
+            top = probs[locked].argmax(axis=1)
+            reset[locked] |= (
+                self._lengths(self.sel_counts[rows[locked], top])
+                >= config.reset_block_length_threshold
+            )
+        reset_rows = rows[reset]
         if reset_rows.size:
             self._do_reset(reset_rows)
 
@@ -493,6 +623,7 @@ class SmartEXP3Kernel(BatchKernel):
 
     def _flush_rows(self, indices) -> None:
         nets = self.nets
+        window = self.sb_window
         for j in indices:
             policy = self.policies[j]
             policy._weights = {
@@ -529,14 +660,14 @@ class SmartEXP3Kernel(BatchKernel):
                     network_id=nets[self.prev_net[j]],
                     gains=[
                         float(x)
-                        for x in self.prev_gains[j, : self.prev_len[j]]
+                        for x in self.prev_gains[j, window - self.prev_len[j] :]
                     ],
-                    window=self.sb_window,
+                    window=window,
                 )
             detector = policy._reset_policy.drop_detector
             detector.load_state(
                 None if self.det_net[j] == _NONE else nets[self.det_net[j]],
-                self.det_buf[j, : self.det_len[j]],
+                self.det_buf[j, self.max_hist - self.det_len[j] :],
             )
             policy._current_block = self._export_block(j)
 
@@ -544,8 +675,8 @@ class SmartEXP3Kernel(BatchKernel):
         if self.blk_net[j] == _NONE:
             return None
         elapsed = int(self.blk_elapsed[j])
-        tail_len = int(self.tail_len[j])
-        tail = [float(x) for x in self.tail[j, :tail_len]]
+        tail_len = min(elapsed, self.sb_window)
+        tail = [float(x) for x in self.tail[j, self.sb_window - tail_len :]]
         if elapsed <= tail_len:
             slot_gains = tail
         else:

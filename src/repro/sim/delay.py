@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from repro.game.network import Network, NetworkType
 
@@ -110,6 +110,11 @@ class EmpiricalDelayModel(DelayModel):
             raise ValueError("Student t parameters must be positive")
 
     def sample(self, network: Network, rng: np.random.Generator) -> float:
+        # scipy.stats is slow to import and only this scalar path needs it
+        # (the batched backends call sample_many, which needs only ndtri),
+        # so it is imported on first use.
+        from scipy import stats
+
         if network.network_type is NetworkType.CELLULAR:
             raw = stats.t.rvs(
                 df=self.cellular_df,
@@ -141,8 +146,6 @@ class EmpiricalDelayModel(DelayModel):
         whole batch.  The delay-model tests pin the bit-equivalence against
         ``scipy.stats.rvs``.
         """
-        from scipy.special import ndtri
-
         count = len(networks)
         cellular = np.asarray(
             [network.network_type is NetworkType.CELLULAR for network in networks],

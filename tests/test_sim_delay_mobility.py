@@ -1,5 +1,10 @@
 """Unit tests for the delay models and the coverage map."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +53,26 @@ class TestDelayModels:
         a = [model.sample(wifi_network, np.random.default_rng(5)) for _ in range(5)]
         b = [model.sample(wifi_network, np.random.default_rng(5)) for _ in range(5)]
         assert a == b
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats dominates cold-start time and only the scalar
+        # EmpiricalDelayModel.sample needs it, so importing the experiment
+        # drivers (a fresh interpreter: this suite has loaded it already)
+        # must not pull it in.
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.experiments; "
+                "print('scipy.stats' in sys.modules)",
+            ],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert probe.stdout.strip() == "False"
 
 
 class TestServiceAreaAndCoverage:
