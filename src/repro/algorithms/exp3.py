@@ -23,6 +23,16 @@ import numpy as np
 from repro.algorithms.base import Observation, Policy, PolicyContext
 
 
+def decayed_gamma(round_index: int) -> float:
+    """The default exploration rate ``min(1, t^{-1/3})`` of round ``t``.
+
+    Evaluated with Python ``**`` on a Python int; the batched kernel fills
+    its γ lookup table with this same function, so the two agree bit for
+    bit.
+    """
+    return float(min(1.0, max(round_index, 1) ** (-1.0 / 3.0)))
+
+
 class EXP3Policy(Policy):
     """Per-slot EXP3 — the paper's main baseline.
 
@@ -65,7 +75,7 @@ class EXP3Policy(Policy):
     def _gamma(self) -> float:
         if self._fixed_gamma is not None:
             return self._fixed_gamma
-        return float(min(1.0, max(self._round, 1) ** (-1.0 / 3.0)))
+        return decayed_gamma(self._round)
 
     def _compute_probability_values(self, gamma: float) -> np.ndarray:
         weights = self._weight_values

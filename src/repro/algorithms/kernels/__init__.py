@@ -41,14 +41,23 @@ suite (``tests/test_policy_kernels.py``) enforces the declared level:
       (:func:`~repro.algorithms.kernels.base.sequential_row_sum`, or a
       ``cumsum``) rather than NumPy's pairwise summation, which
       re-associates additions for longer rows.
-    * Powers the scalar policy evaluates with Python ``**`` (Smart EXP3's
-      ``b ** -exponent`` and ``ceil((1 + β) ** x)``) are looked up in
-      per-kernel tables whose entries are computed by that same Python
-      expression on Python ints — never ``np.power``, whose vectorised
-      loops may round differently, and never a module-level cache.  A table
-      is not row state: the kernel lists it in
+    * Powers the scalar policy evaluates with Python ``**`` (EXP3's decaying
+      ``t ** (-1/3)``, Smart EXP3's ``b ** -exponent`` and
+      ``ceil((1 + β) ** x)``) are looked up in per-kernel tables whose
+      entries are computed by that same Python expression on Python ints
+      (EXP3's table by the scalar policy's own
+      :func:`~repro.algorithms.exp3.decayed_gamma`) — never ``np.power``,
+      whose vectorised loops may round differently, and never a
+      module-level cache.  A table is not row state: the kernel lists it in
       :attr:`~repro.algorithms.kernels.base.BatchKernel.SHARED_ARRAY_ATTRS`
       so that membership edits never slice or extend it.
+    * Draw windows (:meth:`~repro.algorithms.kernels.base.BatchKernel.prepare_window`)
+      pre-draw a row's uniforms for a membership-stable span with one
+      ``Generator.random(out=row)`` call per row into a preallocated
+      ``(rows × slots)`` buffer — the same doubles, and the same final
+      stream position, as ``Generator.random(slots)`` or that many
+      sequential ``random()`` calls.  A window ends at every membership
+      edit, so no row leaves a kernel with draws it has not consumed.
 
     All built-in kernels (EXP3, Full-Information EXP3, Greedy, Smart EXP3 and
     its Table-III variants) are bit-exact.

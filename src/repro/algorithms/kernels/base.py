@@ -107,6 +107,25 @@ def sequential_row_sum(matrix: np.ndarray) -> np.ndarray:
     return total
 
 
+#: Entries a lookup table starts with (see :func:`_extended`).  The initial
+#: fill never raises: Smart EXP3's ``(1 + β) ** 63`` cannot overflow for any
+#: valid ``β`` (at most 1).
+_TABLE_START = 64
+
+
+def _extended(table: np.ndarray, size: int, value) -> np.ndarray:
+    """``table`` grown to ``size`` entries, entry ``x`` being ``value(x)``.
+
+    ``x`` is a Python int, so ``value`` evaluates exactly the Python
+    expression the scalar policy evaluates (``np.power`` may round
+    differently).  A caller whose expression can overflow grows its table
+    only to the largest key looked up, a key the scalar policy evaluates
+    too, so the table overflows exactly where the scalar expression does.
+    """
+    new = [value(x) for x in range(table.size, size)]
+    return np.concatenate([table, np.asarray(new, dtype=float)])
+
+
 def sample_rows(
     prob_matrix,
     rngs: Sequence[np.random.Generator],
@@ -159,7 +178,8 @@ class BatchKernel(ABC):
     needs_full_feedback: bool = False
 
     #: Python-list attributes holding one entry per row (parallel to
-    #: ``policies``); membership edits slice/extend them alongside the arrays.
+    #: ``policies``); membership edits delete and append their entries
+    #: alongside the arrays.
     ROW_LIST_ATTRS: tuple[str, ...] = ()
 
     #: ``ndarray`` attributes that are *not* row state — column maps, draw
@@ -237,6 +257,10 @@ class BatchKernel(ABC):
         ``Generator.random(n)`` yields the identical double stream as ``n``
         sequential ``.random()`` calls, so pre-drawing is bit-exact; it
         amortises the dominant per-row Python generator call over the window.
+        Each row's generator fills its row of one preallocated ``(size ×
+        n_slots)`` buffer in place (``random(out=row)``, the same stream as
+        ``random(n_slots)``), so a window costs one generator call per row
+        and no per-row arrays — per-slot churn ends a window every slot.
         The caller (executor/engine) must size ``n_slots`` so the buffer is
         exhausted before the next topology event, checkpoint or flush — a
         partially consumed buffer at a membership edit is a stream-contract
@@ -248,9 +272,10 @@ class BatchKernel(ABC):
         if not self.uses_slot_draws or n_slots < 1:
             return
         self._drop_window_buffer()
-        self._window_draws = np.stack(
-            [rng.random(n_slots) for rng in self.rngs]
-        ) if self.size else np.empty((0, n_slots))
+        draws = np.empty((self.size, n_slots))
+        for rng, row in zip(self.rngs, draws):
+            rng.random(out=row)
+        self._window_draws = draws
         self._window_pos = 0
 
     @property
@@ -387,12 +412,10 @@ class BatchKernel(ABC):
         keep[local] = False
         for name in self._row_array_attrs():
             setattr(self, name, getattr(self, name)[keep])
-        for name in self.ROW_LIST_ATTRS:
+        for name in ("policies", "runtimes", "rngs") + self.ROW_LIST_ATTRS:
             values = getattr(self, name)
-            setattr(self, name, [v for j, v in enumerate(values) if keep[j]])
-        self.policies = [p for j, p in enumerate(self.policies) if keep[j]]
-        self.runtimes = [r for j, r in enumerate(self.runtimes) if keep[j]]
-        self.rngs = [r for j, r in enumerate(self.rngs) if keep[j]]
+            for index in reversed(local):
+                del values[index]
         self.size = len(self.policies)
         self._arange = np.arange(self.size)
         self._refresh_derived()

@@ -5,7 +5,12 @@ probability computation, one uniform draw per device (CDF inversion, see
 :func:`repro.algorithms.kernels.base.sample_rows`), one fused importance-
 weighted update, one block write of the recorded strategies.  Every floating
 point expression mirrors :class:`repro.algorithms.exp3.EXP3Policy` operation
-for operation, so the kernel is bit-exact with the scalar policy.
+for operation, so the kernel is bit-exact with the scalar policy.  The
+decaying γ is one lookup per slot in a per-kernel table filled by the scalar
+policy's own :func:`~repro.algorithms.exp3.decayed_gamma`, whatever the
+number of distinct round counts among the rows (per-slot churn makes nearly
+every row's count distinct); ``end_slot`` reuses the row ``begin_slot``
+looked up.
 
 On membership-stable windows the kernel additionally supports the fused
 window path: the interpreted branch (the generic
@@ -21,10 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.exp3 import decayed_gamma
 from repro.algorithms.kernels.base import (
+    _TABLE_START,
     BatchKernel,
     SlotFeedback,
     WindowPlan,
+    _extended,
     sample_rows,
     sequential_row_sum,
 )
@@ -38,6 +46,7 @@ class EXP3Kernel(BatchKernel):
     """Array-native EXP3 over all devices of one group."""
 
     uses_slot_draws = True
+    SHARED_ARRAY_ATTRS = BatchKernel.SHARED_ARRAY_ATTRS + ("_gamma_table",)
 
     def __init__(self, entries, recorder) -> None:
         super().__init__(entries, recorder)
@@ -62,29 +71,35 @@ class EXP3Kernel(BatchKernel):
         self._probs: np.ndarray | None = None
         self._last_local = np.zeros(self.size, dtype=np.intp)
         self._last_probability = np.ones(self.size, dtype=float)
+        #: Decayed γ by round count (not row state: see SHARED_ARRAY_ATTRS).
+        #: Filled on the first lookup, so a kernel gathered for joining rows
+        #: and absorbed before its first slot never fills one.
+        self._gamma_table = np.empty(0)
+        #: This slot's γ per row, looked up by begin_slot for end_slot.
+        self._slot_gamma = self.fixed_gamma.copy()
 
     def _gammas(self) -> np.ndarray:
-        """Per-row exploration rate, replicating the scalar arithmetic.
+        """Per-row exploration rate: the fixed γ, else the table's decayed γ.
 
-        The decayed rate is computed with Python ``**`` per *distinct* round
-        count (device cohorts share rounds, so this loop is O(1) in practice),
-        matching ``EXP3Policy._gamma`` bit for bit.
+        γ never overflows, so the table grows geometrically (at least
+        doubling) rather than to exactly the largest round looked up.
         """
         xp = self.xp
-        gamma = self.fixed_gamma.copy()
-        decay = gamma == _NO_GAMMA
-        if decay.any():
-            rounds = asnumpy(self.rounds)[asnumpy(decay)]
-            values = np.empty(rounds.size, dtype=float)
-            for r in np.unique(rounds):
-                values[rounds == r] = min(1.0, max(int(r), 1) ** (-1.0 / 3.0))
-            gamma[decay] = xp.asarray(values)
-        return gamma
+        rounds = asnumpy(self.rounds)
+        try:
+            decayed = self._gamma_table[rounds]
+        except IndexError:
+            table = self._gamma_table
+            size = max(int(rounds.max()) + 1, 2 * table.size, _TABLE_START)
+            self._gamma_table = table = _extended(table, size, decayed_gamma)
+            decayed = table[rounds]
+        fixed = self.fixed_gamma
+        return xp.where(fixed == _NO_GAMMA, xp.asarray(decayed), fixed)
 
     def begin_slot(self, slot: int) -> np.ndarray:
         xp = self.xp
         self.rounds += 1
-        gamma = self._gammas()
+        self._slot_gamma = gamma = self._gammas()
         weights = self.weights
         total = xp.sum(weights, axis=1)
         k = self.num_networks
@@ -105,7 +120,7 @@ class EXP3Kernel(BatchKernel):
         feedback: SlotFeedback | None = None,
     ) -> None:
         xp = self.xp
-        gamma = self._gammas()
+        gamma = self._slot_gamma
         estimated = gains / xp.maximum(self._last_probability, 1e-12)
         k = self.num_networks
         self.weights[self._arange, self._last_local] *= xp.exp(

@@ -57,7 +57,13 @@ import math
 
 import numpy as np
 
-from repro.algorithms.kernels.base import BatchKernel, SlotFeedback, sample_rows
+from repro.algorithms.kernels.base import (
+    _TABLE_START,
+    BatchKernel,
+    SlotFeedback,
+    _extended,
+    sample_rows,
+)
 from repro.core.blocking import Block, SelectionType
 from repro.core.smart_exp3 import SmartEXP3Policy
 from repro.core.switchback import BlockHistory
@@ -77,10 +83,6 @@ _RANDOM = _TYPE_CODE[SelectionType.RANDOM]
 _RANDOM_AFTER_COIN = _TYPE_CODE[SelectionType.RANDOM_AFTER_COIN]
 _GREEDY = _TYPE_CODE[SelectionType.GREEDY]
 _SWITCH_BACK = _TYPE_CODE[SelectionType.SWITCH_BACK]
-
-#: Entries a lookup table starts with.  ``(1 + β) ** 63`` cannot overflow for
-#: any valid ``β`` (at most 1), so the initial fill never raises.
-_TABLE_START = 64
 
 
 def switch_back_rows(
@@ -134,19 +136,6 @@ def _middle(sorted_rows: np.ndarray, count) -> np.ndarray:
     low = sorted_rows[rows, (count - 1) // 2]
     high = sorted_rows[rows, count // 2]
     return (low + high) / 2
-
-
-def _extended(table: np.ndarray, size: int, value) -> np.ndarray:
-    """``table`` grown to ``size`` entries, entry ``x`` being ``value(x)``.
-
-    ``x`` is a Python int, so ``value`` evaluates exactly the Python
-    expression the scalar policy evaluates (``np.power`` may round
-    differently).  Tables grow only to the largest key looked up, a key the
-    scalar policy evaluates too, so a table overflows exactly where the
-    scalar expression does.
-    """
-    new = [value(x) for x in range(table.size, size)]
-    return np.concatenate([table, np.asarray(new, dtype=float)])
 
 
 class SmartEXP3Kernel(BatchKernel):

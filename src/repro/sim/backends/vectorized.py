@@ -170,7 +170,6 @@ class VectorizedSlotExecutor(SlotExecutor):
         category = membership.category
         active = membership.active
         kernels_by_key = membership.kernels_by_key
-        kernel_of = membership.kernel_of
         fallback_rows = membership.fallback_rows
         frozen_dirty = membership.frozen_dirty
         frozen_probs = membership.frozen_probs
@@ -219,23 +218,20 @@ class VectorizedSlotExecutor(SlotExecutor):
 
             live_rows = act_rows[category[act_rows] != _FROZEN]
             all_live = live_rows.size == act_rows.size
-            epoch_kernels = []
+            # Every kernel row is active and live (a kernel emptied by an
+            # edit is dropped), so the epoch's kernels are the membership's.
+            epoch_kernels = list(kernels_by_key.values())
             kernel_pos = {}
-            seen = set()
-            for row in live_rows:
-                kernel = kernel_of.get(int(row))
-                if kernel is not None and id(kernel) not in seen:
-                    seen.add(id(kernel))
-                    epoch_kernels.append(kernel)
-                    positions = np.searchsorted(act_rows, kernel.rows)
-                    # Identity mapping (one kernel covering every active row,
-                    # the static common case): hand the gains array over as is.
-                    kernel_pos[id(kernel)] = (
-                        None
-                        if positions.size == act_rows.size
-                        and np.array_equal(positions, np.arange(positions.size))
-                        else positions
-                    )
+            for kernel in epoch_kernels:
+                positions = np.searchsorted(act_rows, kernel.rows)
+                # Identity mapping (one kernel covering every active row, the
+                # static common case): hand the gains array over as is.
+                kernel_pos[id(kernel)] = (
+                    None
+                    if positions.size == act_rows.size
+                    and np.array_equal(positions, np.arange(positions.size))
+                    else positions
+                )
             fallback = [
                 (
                     row,

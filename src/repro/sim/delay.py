@@ -143,25 +143,26 @@ class EmpiricalDelayModel(DelayModel):
         ``Generator.standard_t`` — so the raw draws are consumed run-by-run
         in switch order (keeping the stream position identical to scalar
         sampling) while the transforms and the truncation vectorize over the
-        whole batch.  The delay-model tests pin the bit-equivalence against
+        whole batch.  The runs of same-type networks are found with one array
+        comparison; only the generator call per run stays in Python, because
+        a Student's t draw consumes a data-dependent number of stream values.
+        The delay-model tests pin the bit-equivalence against
         ``scipy.stats.rvs``.
         """
         count = len(networks)
+        if not count:
+            return []
         cellular = np.asarray(
             [network.network_type is NetworkType.CELLULAR for network in networks],
             dtype=bool,
         )
         raw = np.empty(count, dtype=float)
-        start = 0
-        while start < count:
-            stop = start + 1
-            while stop < count and cellular[stop] == cellular[start]:
-                stop += 1
+        edges = (np.flatnonzero(cellular[1:] != cellular[:-1]) + 1).tolist()
+        for start, stop in zip([0] + edges, edges + [count]):
             if cellular[start]:
                 raw[start:stop] = rng.standard_t(self.cellular_df, size=stop - start)
             else:
                 raw[start:stop] = rng.uniform(size=stop - start)
-            start = stop
         values = np.empty(count, dtype=float)
         wifi = ~cellular
         if wifi.any():
@@ -172,8 +173,7 @@ class EmpiricalDelayModel(DelayModel):
             )
         if cellular.any():
             values[cellular] = raw[cellular] * self.cellular_scale + self.cellular_loc
-        clipped = np.clip(values, self.min_delay_s, self.max_delay_s)
-        return [float(value) for value in clipped]
+        return np.clip(values, self.min_delay_s, self.max_delay_s).tolist()
 
     def mean_delay(self, network_type: NetworkType, samples: int = 4000, seed: int = 0) -> float:
         """Monte-Carlo estimate of the mean truncated delay (used by bounds)."""

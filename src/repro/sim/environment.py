@@ -72,12 +72,20 @@ class WirelessEnvironment:
         Bit-identical to calling :meth:`switching_delay` per device (the delay
         models' batched draws are stream-stable), but pays the sampler call
         overhead once per run of same-type networks instead of once per switch.
+        The clamp is one array expression written as Python's ``max``/``min``
+        compare (the first argument wins ties and NaNs), so ``-0.0`` and NaN
+        pass through exactly as the scalar clamp leaves them.
         """
-        delays = self.scenario.delay_model.sample_many(
-            [self.networks[network_id] for network_id in network_ids], self.rng
+        delays = np.asarray(
+            self.scenario.delay_model.sample_many(
+                [self.networks[network_id] for network_id in network_ids],
+                self.rng,
+            ),
+            dtype=float,
         )
         duration = self.scenario.slot_duration_s
-        return [float(min(max(delay, 0.0), duration)) for delay in delays]
+        delays = np.where(0.0 > delays, 0.0, delays)
+        return np.where(duration < delays, duration, delays).tolist()
 
     def scaled_gain(self, bit_rate_mbps: float) -> float:
         """Scale a bit rate into the [0, 1] bandit reward."""

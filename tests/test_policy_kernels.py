@@ -28,6 +28,9 @@ coverage).
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -47,7 +50,8 @@ from repro.algorithms.kernels import (
 )
 from repro.algorithms.registry import register_policy
 from repro.game.network import Network, NetworkType
-from repro.sim.delay import EmpiricalDelayModel
+from repro.sim.delay import DelayModel, EmpiricalDelayModel
+from repro.sim.environment import WirelessEnvironment
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import (
     DeviceSpec,
@@ -173,13 +177,67 @@ class TestReplicationPrimitives:
             )
             for i in range(40)
         ]
-        for seed in range(10):
+        wifi, cellular = (
+            Network(network_id=i, bandwidth_mbps=5.0, network_type=kind)
+            for i, kind in enumerate((NetworkType.WIFI, NetworkType.CELLULAR))
+        )
+        batches = [networks] * 10 + [
+            [],
+            [wifi],
+            [cellular],
+            [wifi] * 300,
+            [cellular] * 300,
+            [(wifi, cellular)[i % 2] for i in range(300)],
+            [(cellular, wifi)[i % 2] for i in range(299)],
+        ]
+        # Random type sequences from long same-type runs to near alternation.
+        shapes = np.random.default_rng(12)
+        for length in shapes.integers(0, 301, size=10):
+            flips = shapes.random(length) < shapes.random()
+            kinds = np.cumsum(flips) % 2
+            batches.append([(wifi, cellular)[kind] for kind in kinds])
+        for seed, batch in enumerate(batches):
             seq_rng = np.random.default_rng(seed)
             batch_rng = np.random.default_rng(seed)
-            sequential = [model.sample(n, seq_rng) for n in networks]
-            batched = model.sample_many(networks, batch_rng)
+            sequential = [model.sample(n, seq_rng) for n in batch]
+            batched = model.sample_many(batch, batch_rng)
             assert sequential == batched
             assert seq_rng.bit_generator.state == batch_rng.bit_generator.state
+
+    def test_switching_delays_clamp_like_scalar(self):
+        # A stochastic model whose raw delays need the clamp: signed zeros,
+        # negatives and values past the slot.  The batch must match the
+        # per-device clamp byte for byte (a plain np.maximum turns -0.0
+        # into 0.0).
+        class UnclampedDelayModel(DelayModel):
+            def sample(self, network, rng):
+                u = rng.random()
+                if u < 0.2:
+                    return -0.0
+                if u < 0.4:
+                    return -10.0 * u
+                if u < 0.6:
+                    return 15.0 + 10.0 * u
+                if u < 0.7:
+                    return 15.0
+                return 14.0 * u
+
+        scenario = dataclasses.replace(
+            setting1_scenario(num_devices=3, horizon_slots=10),
+            delay_model=UnclampedDelayModel(),
+        )
+        assert scenario.slot_duration_s == 15.0
+        network_ids = np.random.default_rng(0).integers(0, 3, size=200).tolist()
+        for seed in range(5):
+            single = WirelessEnvironment(scenario, np.random.default_rng(seed))
+            batch = WirelessEnvironment(scenario, np.random.default_rng(seed))
+            expected = [single.switching_delay(n) for n in network_ids]
+            got = batch.switching_delays(network_ids)
+            assert all(type(delay) is float for delay in got)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+            assert single.rng.bit_generator.state == batch.rng.bit_generator.state
+            assert {-0.0, 15.0} <= set(expected)
+            assert any(math.copysign(1.0, d) < 0 for d in expected)
 
 
 class TestBitExactKernels:
