@@ -37,15 +37,14 @@ Four suites, selected with ``--suite``:
     ``BENCH_churn_native.json``.
 
 ``compiled``
-    The fused-window / compiled-kernel path: a megascale-shaped uniform
-    population (default 100k devices, stream-free constant delays — the
-    precondition for window fusion) run single-process on the
-    ``vectorized`` backend (fused windows, numba-compiled when available)
-    against ``vectorized-nofuse`` (the per-slot baseline).  The suite
-    requests the compiled kernels itself (``REPRO_COMPILED=1``); the EXP3
-    headline must clear ``--floor`` (default 5x, target 10x) when numba is
-    active — without numba the interpreted fused path is measured and the
-    floor is marked not applicable.  Tracked as
+    The compiled-window path: a megascale-shaped uniform population
+    (default 100k devices, stream-free constant delays — the precondition
+    for compiled windows) run single-process on the ``vectorized`` backend
+    twice: with the compiled tier off (``REPRO_COMPILED=0``, the per-slot
+    baseline) and on (``REPRO_COMPILED=1``, numba-compiled windows when
+    available).  The EXP3 headline must clear ``--floor`` (default 5x,
+    target 10x) when numba is active — without numba both legs run the
+    per-slot path and the floor is marked not applicable.  Tracked as
     ``BENCH_compiled_kernels.json``.
 
 ``shard``
@@ -579,16 +578,18 @@ def run_churn_benchmark(
 COMPILED_POLICY = "exp3"
 COMPILED_NUM_DEVICES = 100_000
 COMPILED_HORIZON_SLOTS = 300
-#: Acceptance floor for the fused-window path vs. the per-slot vectorized
-#: baseline on the EXP3 headline (PR-8 acceptance: >= 5x in CI with numba
-#: installed; the paper target is 10x).  Only applicable when the compiled
-#: kernels are actually active — without numba the interpreted fused path
-#: is a documentation row, not the acceptance subject.
+#: Acceptance floor for compiled windows vs. the per-slot vectorized
+#: baseline on the EXP3 headline (>= 5x in CI with numba installed; the
+#: paper target is 10x).  Only applicable when the compiled kernels are
+#: actually active — without numba both legs are the per-slot path.
 COMPILED_SPEEDUP_FLOOR = 5.0
+
+#: The two legs of the compiled suite: leg name -> REPRO_COMPILED value.
+COMPILED_LEGS = {"per-slot": "0", "compiled": "1"}
 
 
 def bench_compiled_run(
-    policy: str, backend: str, num_devices: int, horizon: int, repeats: int
+    policy: str, leg: str, num_devices: int, horizon: int, repeats: int
 ) -> dict:
     from repro.sim.sharded import HomogeneousPopulation
 
@@ -599,15 +600,17 @@ def bench_compiled_run(
         name=f"compiled_bench_d{num_devices}",
     )
     scenario = population.build_shard(0, num_devices)
+    os.environ["REPRO_COMPILED"] = COMPILED_LEGS[leg]
     seconds = _best_seconds(
         lambda: run_simulation(
-            scenario, seed=0, backend=backend, record_probabilities=False
+            scenario, seed=0, backend="vectorized", record_probabilities=False
         ),
         repeats,
     )
     return {
         "policy": policy,
-        "backend": backend,
+        "backend": "vectorized",
+        "leg": leg,
         "mode": "single_run, record_probabilities=False",
         "seconds": seconds,
         "slots_per_second": horizon / seconds,
@@ -622,32 +625,37 @@ def run_compiled_benchmark(
     repeats: int = 1,
     floor: float = COMPILED_SPEEDUP_FLOOR,
 ) -> dict:
-    """Fused (and, with numba, compiled) windows vs. the per-slot baseline.
+    """Compiled windows vs. the per-slot baseline.
 
     Both legs run the same uniform population single-process on the
-    vectorized backend: ``vectorized-nofuse`` advances one slot at a time
-    (the pre-fusion baseline), ``vectorized`` fuses membership-stable
-    windows and, when numba is importable, runs them through the compiled
-    slot kernels.  Stream-free constant delays are a precondition for
-    fusion, which is why the workload is megascale-shaped rather than a
-    ``setting1`` scenario.  The suite opts into the compiled kernels
-    itself; without numba it measures the interpreted fused path and marks
-    the floor not applicable.
+    vectorized backend: with ``REPRO_COMPILED=0`` every slot runs the
+    engine's phases (the baseline), with ``REPRO_COMPILED=1`` whole draw
+    windows go through the compiled mega-loop when numba is importable.
+    Stream-free constant delays are a precondition for compiled windows,
+    which is why the workload is megascale-shaped rather than a
+    ``setting1`` scenario.  Without numba both legs measure the per-slot
+    path and the floor is marked not applicable.
     """
     from repro.algorithms.kernels.compiled import compiled_enabled
 
-    os.environ.setdefault("REPRO_COMPILED", "1")
+    saved = os.environ.get("REPRO_COMPILED")
     rows: list[dict] = []
     legs: dict[str, dict] = {}
-    for backend in ("vectorized-nofuse", "vectorized"):
-        row = bench_compiled_run(policy, backend, num_devices, horizon, repeats)
-        rows.append(row)
-        legs[backend] = row
+    try:
+        for leg in COMPILED_LEGS:
+            row = bench_compiled_run(policy, leg, num_devices, horizon, repeats)
+            rows.append(row)
+            legs[leg] = row
+        compiled = compiled_enabled()
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_COMPILED", None)
+        else:
+            os.environ["REPRO_COMPILED"] = saved
     speedup = (
-        legs["vectorized"]["slots_per_second"]
-        / legs["vectorized-nofuse"]["slots_per_second"]
+        legs["compiled"]["slots_per_second"]
+        / legs["per-slot"]["slots_per_second"]
     )
-    compiled = compiled_enabled()
     floor_applicable = compiled and _multicore()
     return {
         "suite": "compiled",
@@ -660,7 +668,7 @@ def run_compiled_benchmark(
         "rows": rows,
         "headline": {
             "policy": policy,
-            "fused_speedup": speedup,
+            "compiled_speedup": speedup,
             "compiled_kernels": compiled,
             "floor": floor,
             "floor_applicable": floor_applicable,
@@ -670,15 +678,17 @@ def run_compiled_benchmark(
 
 
 def format_compiled_report(payload: dict) -> str:
-    lines = [f"Fused-window throughput on {payload['scenario']}:"]
+    lines = [f"Compiled-window throughput on {payload['scenario']}:"]
     for row in payload["rows"]:
         lines.append(
-            f"  {row['backend']:<22} {row['seconds']:8.2f}s "
+            f"  {row['leg']:<22} {row['seconds']:8.2f}s "
             f"{row['device_slots_per_second']:>14,.0f} dev-slots/s"
         )
     headline = payload["headline"]
     mode = (
-        "compiled (numba)" if headline["compiled_kernels"] else "interpreted"
+        "compiled (numba) windows"
+        if headline["compiled_kernels"]
+        else "compiled tier off"
     )
     if headline["floor_applicable"]:
         floor_note = (
@@ -692,8 +702,8 @@ def format_compiled_report(payload: dict) -> str:
             f"(floor not applicable on {payload['cpu_count']} core(s))"
         )
     lines.append(
-        f"Headline ({headline['policy']}, {mode} windows): "
-        f"{headline['fused_speedup']:.2f}x vs per-slot {floor_note}"
+        f"Headline ({headline['policy']}, {mode}): "
+        f"{headline['compiled_speedup']:.2f}x vs per-slot {floor_note}"
     )
     return "\n".join(lines)
 
@@ -1545,7 +1555,7 @@ def main(argv=None) -> int:
             "backend: event vs vectorized; kernels: scalar vs batched kernels; "
             "results: columnar result path (streaming-reduction RSS + "
             "construction floors); churn: event vs vectorized on per-slot "
-            "topology churn; compiled: fused/numba window kernels vs the "
+            "topology churn; compiled: numba window kernels vs the "
             "per-slot vectorized baseline at 100k devices; shard: sharded "
             "population engine vs vectorized at 100k devices (plus "
             "checkpoint-overhead floor); faults: fault-injection smoke "
@@ -1593,7 +1603,7 @@ def main(argv=None) -> int:
             "kernels: minimum EXP3 speedup; results: minimum columnar "
             "construction speedup vs the dict scatter; churn: minimum EXP3 "
             "vectorized-vs-event speedup on per-slot churn; compiled: "
-            "minimum fused-window speedup vs the per-slot baseline (with "
+            "minimum compiled-window speedup vs the per-slot baseline (with "
             "numba active); shard: minimum sharded-vs-vectorized speedup "
             "(>= 4-core machines); telemetry: maximum enabled-vs-disabled "
             "overhead as a fraction (default 0.03)"

@@ -4,7 +4,7 @@ A :class:`~repro.algorithms.kernels.base.BatchKernel` executes every device
 sharing a policy family as array programs over ``(num_devices ×
 num_networks)`` NumPy state — weights, probabilities, block counters, greedy
 statistics — with one fused update per slot instead of ``2·N`` per-device
-Python calls.  The vectorized backend resolves kernels through
+Python calls.  The slot engine's membership layer resolves kernels through
 :func:`repro.algorithms.registry.kernel_for_policy`; policies without a
 kernel (or subclasses overriding per-slot behaviour) run on the per-device
 scalar fallback, which is bit-exact by construction.

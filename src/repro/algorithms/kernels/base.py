@@ -1,8 +1,8 @@
 """The :class:`BatchKernel` protocol and shared array helpers.
 
 A batch kernel executes *all* devices of one policy family as array programs
-over ``(num_devices × num_networks)`` NumPy state.  The vectorized backend
-groups the live (non-frozen) devices of a segment by
+over ``(num_devices × num_networks)`` NumPy state.  The slot engine
+(:mod:`repro.sim.sharded.engine`) groups the live (non-frozen) devices by
 ``(kernel class, group key)`` — devices in one group share the policy class,
 the visible-network set and any configuration the kernel declares relevant —
 builds one kernel per group, and replaces the ``2·N`` per-slot Python calls
@@ -48,7 +48,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.algorithms.base import Policy
-from repro.xp import asnumpy, get_array_module
+from repro.xp import get_array_module
 
 
 @dataclass
@@ -71,11 +71,11 @@ class SlotFeedback:
 class WindowPlan:
     """Everything a kernel needs to advance a membership-stable window.
 
-    Assembled by the executor when one kernel covers every active device on
+    Assembled by the engine when one kernel covers every active device on
     the closed-form equal-share physics with a stream-free delay model: slot
     range, recorder blocks, the per-network stream-free delay table and the
     previous-choice columns (``prev``, *global* network columns aligned with
-    the kernel's rows, -1 = never chose; mutated in place so the executor's
+    the kernel's rows, -1 = never chose; mutated in place so the engine's
     switch detection resumes seamlessly after the window).
     """
 
@@ -174,7 +174,7 @@ class BatchKernel(ABC):
     #: equivalence suite then applies statistical instead of bit tests).
     equivalence: str = "bit-exact"
     #: Mirrors :attr:`repro.algorithms.base.Policy.needs_full_feedback` for
-    #: the executor's counterfactual-gain gating.
+    #: the engine's counterfactual-gain gating.
     needs_full_feedback: bool = False
 
     #: Python-list attributes holding one entry per row (parallel to
@@ -211,7 +211,7 @@ class BatchKernel(ABC):
         recorder,
     ) -> None:
         """Gather ``entries`` (``(row, runtime, policy)`` as produced by the
-        vectorized backend) into array state.
+        membership layer) into array state.
         """
         self.rows = np.asarray([e[0] for e in entries], dtype=np.intp)
         self.runtimes = [e[1] for e in entries]
@@ -232,6 +232,7 @@ class BatchKernel(ABC):
         self.rngs = [p.rng for p in self.policies]
         self.size = len(self.policies)
         self._arange = np.arange(self.size)
+        self._block_index = None
         # Pre-drawn uniforms for a membership-stable window (see
         # prepare_window): a (size, n) block plus a consumption cursor.
         # Deliberately excluded from the structural row-state sweep via
@@ -261,7 +262,7 @@ class BatchKernel(ABC):
         n_slots)`` buffer in place (``random(out=row)``, the same stream as
         ``random(n_slots)``), so a window costs one generator call per row
         and no per-row arrays — per-slot churn ends a window every slot.
-        The caller (executor/engine) must size ``n_slots`` so the buffer is
+        The caller (the slot engine) must size ``n_slots`` so the buffer is
         exhausted before the next topology event, checkpoint or flush — a
         partially consumed buffer at a membership edit is a stream-contract
         violation and raises in :meth:`_drop_window_buffer`.
@@ -314,52 +315,33 @@ class BatchKernel(ABC):
         self._window_draws = None
         self._window_pos = 0
 
-    def advance_window(self, window: "WindowPlan") -> None:
-        """Advance the whole group through a membership-stable window.
+    def advance_window(self, window: WindowPlan) -> bool:
+        """Advance the whole group through ``window`` in one compiled call.
 
-        The generic implementation is the *interpreted* fused loop: it runs
-        the same ``begin_slot`` → equal-share physics → switch/delay →
-        ``end_slot`` sequence the executor's slot loop performs, with the
-        per-slot Python overhead (fallback/frozen branches, environment
-        calls, dict bookkeeping) eliminated and delays resolved from the
-        stream-free per-network table — bit-exact with the per-slot path by
-        construction.  Kernels may override it with a compiled mega-loop
-        (:class:`~repro.algorithms.kernels.exp3.EXP3Kernel` when numba is
-        enabled).
-
-        Preconditions (enforced by the executor): this kernel covers every
-        active device, physics is closed-form equal share, the delay model is
-        stream-free, and no full-feedback consumer is active.
+        Returns ``False`` without touching any state when the kernel has no
+        compiled window loop (the default) or cannot use it right now; the
+        engine then keeps advancing slot by slot.  Preconditions (enforced
+        by the engine): this kernel covers every active device of the run,
+        physics is closed-form equal share, the delay model is stream-free,
+        and the kernel's draw buffer holds ``window.n_slots`` draws.
         """
-        xp = self.xp
+        return False
+
+    def _index_block(self) -> tuple:
+        """Where the group's cells sit in a probability slot column.
+
+        One contiguous run of rows over every network is a pair of basic
+        slices, which spares the per-slot write its fancy indexing.
+        """
         rows = self.rows
-        net_ids = window.net_ids
-        bandwidths = window.bandwidths
-        scale_ref = window.scale_ref
-        num_networks = window.num_networks
-        delay_table = window.delay_table
-        prev = window.prev
-        choices2d = window.choices2d
-        rates2d = window.rates2d
-        delays2d = window.delays2d
-        switches2d = window.switches2d
-        for t in range(window.n_slots):
-            slot = window.start_slot + t
-            idx = window.idx_lo + t
-            cols = self.begin_slot(slot)
-            counts = xp.bincount(cols, minlength=num_networks)
-            rates = (bandwidths / xp.maximum(counts, 1))[cols]
-            host_cols = asnumpy(cols)
-            choices2d[rows, idx] = net_ids[host_cols]
-            rates2d[rows, idx] = asnumpy(rates)
-            switched = (prev != -1) & (prev != host_cols)
-            if switched.any():
-                switch_rows = rows[switched]
-                delays2d[switch_rows, idx] = delay_table[host_cols[switched]]
-                switches2d[switch_rows, idx] = True
-            prev[:] = host_cols
-            gains = xp.minimum(rates / scale_ref, 1.0)
-            self.end_slot(slot, idx, gains, None)
+        lo = int(rows[0]) if rows.size else 0
+        if (
+            self.cols.size == len(self.recorder.network_col)
+            and (not rows.size or rows[-1] - lo + 1 == rows.size)
+            and np.array_equal(rows, np.arange(lo, lo + rows.size))
+        ):
+            return slice(lo, lo + rows.size), slice(None)
+        return rows[:, None], self.cols[None, :]
 
     def record_probability_block(
         self, slot_index: int, values: np.ndarray
@@ -368,7 +350,10 @@ class BatchKernel(ABC):
         block = self.recorder.probabilities
         if block is None:  # probability recording disabled for this run
             return
-        block[self.rows[:, None], slot_index, self.cols[None, :]] = values
+        index = self._block_index
+        if index is None:  # first write since a membership edit
+            index = self._block_index = self._index_block()
+        block[index[0], slot_index, index[1]] = values
 
     # ------------------------------------------------------- membership edits
     def _row_array_attrs(self) -> list[str]:
@@ -402,7 +387,7 @@ class BatchKernel(ABC):
     def remove_rows(self, local_indices: Sequence[int]) -> None:
         """Flush ``local_indices`` to their scalar policies and drop the rows.
 
-        Used by the executor when devices leave or their visible-network set
+        Used by the engine when devices leave or their visible-network set
         changes (the device then re-enters another group via a fresh gather).
         """
         local = sorted({int(index) for index in local_indices})
@@ -418,6 +403,7 @@ class BatchKernel(ABC):
                 del values[index]
         self.size = len(self.policies)
         self._arange = np.arange(self.size)
+        self._block_index = None
         self._refresh_derived()
 
     def absorb(self, other: "BatchKernel") -> None:
@@ -451,6 +437,7 @@ class BatchKernel(ABC):
         self.rngs = self.rngs + other.rngs
         self.size = len(self.policies)
         self._arange = np.arange(self.size)
+        self._block_index = None
         self._refresh_derived()
 
     @abstractmethod

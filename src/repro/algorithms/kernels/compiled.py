@@ -2,11 +2,11 @@
 
 This module is the single gate between the repository and numba: it reports
 availability (:data:`NUMBA_AVAILABLE`, :func:`numba_version`), resolves the
-opt-in (``REPRO_COMPILED=1`` / ``REPRO_BENCH_COMPILED=1``; ``0`` forces the
-interpreted path even when numba is installed) and lazily compiles the window
+opt-in (``REPRO_COMPILED=1`` / ``REPRO_BENCH_COMPILED=1``; ``0`` keeps the
+per-slot path even when numba is installed) and lazily compiles the window
 mega-loops on first use.  Importing it never imports numba eagerly and never
 fails — on machines without numba every query degrades to "unavailable" and
-the executors stay on the interpreted (bit-exact) windowed path.
+the slot engine stays on its (bit-exact) per-slot path.
 
 The compiled contract is **distribution-exact**, not bit-exact: the uniform
 draws are precomputed on the NumPy generators (stream-identical to the
@@ -56,8 +56,8 @@ def compiled_requested() -> bool:
     """Whether the environment opts into the compiled path (default: no).
 
     The compiled tier is opt-in even when numba is installed, because its
-    contract is distribution-exact rather than bit-exact; the interpreted
-    windowed path (always on) keeps the bit-exactness guarantee.
+    contract is distribution-exact rather than bit-exact; the per-slot path
+    (always on) keeps the bit-exactness guarantee.
     """
     for name in COMPILED_ENV_VARS:
         value = os.environ.get(name)
@@ -70,7 +70,7 @@ def compiled_enabled() -> bool:
     """Whether compiled window kernels should actually engage.
 
     Requested *and* available.  A request without numba logs one warning and
-    gracefully degrades to the interpreted windowed path (the behaviour the
+    gracefully degrades to the per-slot path (the behaviour the
     graceful-skip test asserts), so `REPRO_BENCH_COMPILED=1` is always safe
     to export.
     """
@@ -81,7 +81,7 @@ def compiled_enabled() -> bool:
         if not _warned_unavailable:
             logger.warning(
                 "compiled kernels requested (%s) but numba is not installed; "
-                "falling back to the interpreted windowed path",
+                "falling back to the per-slot path",
                 "/".join(COMPILED_ENV_VARS),
             )
             _warned_unavailable = True
@@ -122,11 +122,11 @@ def exp3_window_impl(
     uniform ``draws``), the equal-share physics (occupancy counts → rates →
     gains), the importance-weighted update with overflow rescaling, the
     stream-free switching-delay charge and the recorder writes.  Mirrors
-    ``EXP3Kernel.begin_slot``/``end_slot`` plus the executor's slot body
+    ``EXP3Kernel.begin_slot``/``end_slot`` plus the engine's slot phases
     operation for operation; see the module docstring for the (only)
     tolerated deviation (libm transcendentals under numba).
 
-    Plain Python so it runs (slowly) without numba; the executors call the
+    Plain Python so it runs (slowly) without numba; the engine calls the
     :func:`exp3_window_kernel` jitted wrapper when compilation is enabled.
     ``prev`` holds *global* network columns (-1 = never chose); all output
     arrays are written in place.

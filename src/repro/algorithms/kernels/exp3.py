@@ -12,12 +12,10 @@ number of distinct round counts among the rows (per-slot churn makes nearly
 every row's count distinct); ``end_slot`` reuses the row ``begin_slot``
 looked up.
 
-On membership-stable windows the kernel additionally supports the fused
-window path: the interpreted branch (the generic
-:meth:`~repro.algorithms.kernels.base.BatchKernel.advance_window` loop,
-bit-exact), and — when numba is installed and ``REPRO_COMPILED=1`` /
-``REPRO_BENCH_COMPILED=1`` opts in — one compiled mega-loop per window
-(:mod:`repro.algorithms.kernels.compiled`, distribution-exact) that advances
+On membership-stable windows, when numba is installed and
+``REPRO_COMPILED=1`` / ``REPRO_BENCH_COMPILED=1`` opts in, the kernel
+advances the whole window in one compiled mega-loop
+(:mod:`repro.algorithms.kernels.compiled`, distribution-exact) that runs
 sampling, physics, reward update and recorder writes without touching the
 Python interpreter between slots.
 """
@@ -136,14 +134,14 @@ class EXP3Kernel(BatchKernel):
         total = sequential_row_sum(probs)
         self.record_probability_block(slot_index, asnumpy(probs / total[:, None]))
 
-    def advance_window(self, window: WindowPlan) -> None:
-        """Fused window: compiled mega-loop when enabled, else interpreted.
+    def advance_window(self, window: WindowPlan) -> bool:
+        """Advance ``window`` through the compiled mega-loop, if it applies.
 
-        The compiled branch engages only when every precondition holds —
-        numba compiled kernels enabled, a fully pre-drawn uniform buffer
-        covering the window, probability recording off, the NumPy namespace
-        active and no fixed-size mismatch; anything else falls back to the
-        generic interpreted loop, which stays bit-exact.
+        Engages only when every precondition holds — numba compiled kernels
+        enabled, a pre-drawn uniform buffer covering the window,
+        probability recording off and the NumPy namespace active; otherwise
+        returns ``False`` and the engine stays on the bit-exact per-slot
+        path.
         """
         jitted = exp3_window_kernel()
         draws = self._window_draws
@@ -154,8 +152,7 @@ class EXP3Kernel(BatchKernel):
             or not isinstance(self.weights, np.ndarray)
             or draws.shape[1] - self._window_pos < window.n_slots
         ):
-            super().advance_window(window)
-            return
+            return False
         size = self.size
         probs = np.empty((size, self.num_networks), dtype=float)
         gamma_buf = np.empty(size, dtype=float)
@@ -195,6 +192,7 @@ class EXP3Kernel(BatchKernel):
             self._window_draws = None
             self._window_pos = 0
         self._probs = probs
+        return True
 
     def flush(self) -> None:
         self._flush_rows(range(self.size))

@@ -21,8 +21,8 @@ class FullInformationKernel(BatchKernel):
 
     needs_full_feedback = True
     #: One uniform per row per slot, unconditionally — eligible for
-    #: pre-drawn window buffers (the fused *window* path itself stays off:
-    #: full feedback needs the executor's per-slot counterfactuals).
+    #: pre-drawn window buffers (compiled windows stay off: full feedback
+    #: needs the engine's per-slot counterfactuals).
     uses_slot_draws = True
 
     def __init__(self, entries, recorder) -> None:

@@ -228,9 +228,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--compiled",
         action="store_true",
-        help="opt into the numba-compiled slot kernels (REPRO_COMPILED=1); "
-        "falls back to the interpreted path with a warning when numba is "
-        "not installed",
+        help="opt into the numba-compiled slot kernels (REPRO_COMPILED=1; "
+        "they engage on single-shard runs); falls back to the per-slot path "
+        "with a warning when numba is not installed",
     )
     parser.add_argument("--json", default=None, help="write the payload here")
     args = parser.parse_args(argv)

@@ -1,9 +1,9 @@
 """Lightweight per-phase run profiling (``REPRO_PROFILE=1``).
 
-Both batched executors accumulate wall time into named phases — sampling /
-physics / reward / recorder / delays / fused windows, plus bus-exchange and
-checkpointing on the sharded path — and emit one JSON object per run when
-the environment opts in:
+The slot driver of both batched backends accumulates wall time into named
+phases — sampling / physics / reward / recorder / delays / compiled windows
+(``fused_window``), plus bus-exchange and checkpointing on the sharded
+path — and emits one JSON object per run when the environment opts in:
 
 * ``REPRO_PROFILE=1`` enables the hook (default off: the executors carry a
   single ``is None`` check per phase, nothing else);

@@ -8,24 +8,22 @@ fast they get there:
 
 * ``"event"`` — :class:`EventSlotExecutor`, the reference implementation on
   the discrete-event calendar.
-* ``"vectorized"`` — :class:`VectorizedSlotExecutor`, batched NumPy physics
-  with churn-native in-loop topology handling (joins/leaves/visibility
-  changes as membership edits on persistent kernel groups, driven by the
-  run's precomputed :class:`~repro.sim.backends.base.TopologyPlan`) and
-  batched policy kernels (:mod:`repro.algorithms.kernels`) for the learning
-  policies.
+* ``"vectorized"`` — :class:`VectorizedSlotExecutor`, the whole population
+  as the single in-process shard of the slot engine
+  (:mod:`repro.sim.sharded.engine`): batched NumPy physics, churn-native
+  in-loop topology handling (joins/leaves/visibility changes as membership
+  edits on persistent kernel groups, driven by the run's precomputed
+  :class:`~repro.sim.backends.base.TopologyPlan`) and batched policy
+  kernels (:mod:`repro.algorithms.kernels`) for the learning policies.
 * ``"vectorized-nokernel"`` — the same backend with the kernel layer
   disabled (every learning policy on the per-device scalar path); exists so
-  benchmarks can measure the kernel layer in isolation.
-* ``"vectorized-nofuse"`` — the vectorized backend with fused multi-slot
-  windows disabled (kernels advance one slot at a time); the per-slot
-  baseline the compiled-kernel benchmark suite measures against.
-* ``"sharded"`` — :class:`~repro.sim.sharded.ShardedSlotExecutor`, the
-  device-axis sharded engine (:mod:`repro.sim.sharded`): K shards running
-  the kernel/churn machinery locally, synchronised once per slot by an
-  all-reduce of per-network occupancy.  The registry default is the
-  2-shard in-process configuration; ``run_many(shards=..., workers=...)``
-  configures real fan-out.
+  benchmarks and the kernel tests can measure the kernel layer in
+  isolation.
+* ``"sharded"`` — :class:`~repro.sim.sharded.ShardedSlotExecutor`: the same
+  engine on K shards, synchronised once per slot by an all-reduce of
+  per-network occupancy.  The registry default is the 2-shard in-process
+  configuration; ``run_many(shards=..., workers=...)`` configures real
+  fan-out.
 
 Third-party backends can be added with :func:`register_backend`; the runner
 resolves names through :func:`get_backend`.
@@ -69,7 +67,6 @@ _BACKENDS: dict[str, Callable[[], SlotExecutor]] = {
     EventSlotExecutor.name: EventSlotExecutor,
     VectorizedSlotExecutor.name: VectorizedSlotExecutor,
     "vectorized-nokernel": lambda: VectorizedSlotExecutor(use_kernels=False),
-    "vectorized-nofuse": lambda: VectorizedSlotExecutor(fuse_windows=False),
     "sharded": _sharded_factory,
 }
 

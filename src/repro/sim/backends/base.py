@@ -515,9 +515,8 @@ def execute_reference_slot(state: RunState, slot: int) -> None:
 
     This is the per-slot loop the original runner executed inline: policy
     selection in device order, environment physics, then feedback and
-    recording in device order.  The vectorized backend reuses it verbatim at
-    topology-change slots so both backends share one source of truth for the
-    slot semantics.
+    recording in device order.  The cross-backend equivalence suite holds
+    every other backend to it.
     """
     scenario = state.scenario
     environment = state.environment

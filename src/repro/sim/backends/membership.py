@@ -1,20 +1,18 @@
-"""Shared device-membership machinery for the batched executors.
+"""Device-membership machinery of the slot engine.
 
-The vectorized backend and every shard of the sharded engine manage the
-same per-run bookkeeping: a static execution class per device row (frozen /
-batched kernel / scalar fallback), persistent kernel groups edited in place
-as topology events fire, and the frozen rows' cached choices and mixed
-strategies.  :class:`MembershipState` owns that state and the one subtle
-piece of logic both executors must share verbatim — the ordering of a
-topology event's edits (departing/re-covered rows are scattered back to
-their scalar policies *before* any ``update_available_networks`` call
-touches those policies, joining rows are gathered afterwards) — so the two
-executors cannot drift apart.
+Every engine (:mod:`repro.sim.sharded.engine`) keeps the same per-run
+bookkeeping: a static execution class per device row (frozen / batched
+kernel / scalar fallback), persistent kernel groups edited in place as
+topology events fire, and the frozen rows awaiting a fresh choice.
+:class:`MembershipState` owns that state and the one subtle piece of logic
+— the ordering of a topology event's edits (departing/re-covered rows are
+scattered back to their scalar policies *before* any
+``update_available_networks`` call touches those policies, joining rows are
+gathered afterwards).
 
 :func:`equal_share_feedback` is the matching physics helper: the global
 per-network-column counterfactual gain arrays of the closed-form
-equal-share model, consumed by the Full Information kernels on both
-executors' fast paths.
+equal-share model, consumed by the Full Information kernels.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ class MembershipState:
         "kernel_of",
         "fallback_rows",
         "frozen_dirty",
-        "frozen_probs",
     )
 
     def __init__(self, runtimes_by_row, recorder, use_kernels: bool) -> None:
@@ -95,7 +92,6 @@ class MembershipState:
         self.kernel_of: dict = {}  # row -> kernel
         self.fallback_rows: set[int] = set()
         self.frozen_dirty: set[int] = set()
-        self.frozen_probs: dict[int, tuple[list, np.ndarray]] = {}
 
     def attach_kernel_row(self, row: int, pending: dict) -> None:
         """Queue a kernel-class row for (re-)gathering into its group."""
@@ -130,7 +126,6 @@ class MembershipState:
             elif cat == FALLBACK:
                 self.fallback_rows.discard(row)
             else:
-                self.frozen_probs.pop(row, None)
                 self.frozen_dirty.discard(row)
         for row, _visible in events.visibility:
             if category[row] == KERNEL:
@@ -154,7 +149,6 @@ class MembershipState:
                 self.attach_kernel_row(row, pending)
             elif cat == FROZEN:
                 self.frozen_dirty.add(row)
-                self.frozen_probs.pop(row, None)
 
         for row in events.joins:
             self.active[row] = True

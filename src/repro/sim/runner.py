@@ -669,29 +669,16 @@ def run_policies(
     policies: Sequence[str],
     runs: int,
     base_seed: int = 0,
-    backend: str = DEFAULT_BACKEND,
-    workers: int | None = None,
-    reduce=None,
-    chunksize: int | None = None,
-    shards: int | None = None,
-    cache="off",
+    **options,
 ) -> dict:
     """Run the same scenario once per policy name (all devices use that policy).
 
-    With ``reduce=`` each policy maps to its finalized reduction instead of a
-    list of full results; ``cache=`` threads through to :func:`run_many`.
+    Every keyword option (``backend``, ``workers``, ``reduce``, ``cache``,
+    ``record_probabilities``, ``checkpoint``, ...) is passed to
+    :func:`run_many` as is.  With ``reduce=`` each policy maps to its
+    finalized reduction instead of a list of full results.
     """
-    results: dict = {}
-    for policy in policies:
-        results[policy] = run_many(
-            scenario.with_policy(policy),
-            runs,
-            base_seed,
-            backend=backend,
-            workers=workers,
-            reduce=reduce,
-            chunksize=chunksize,
-            shards=shards,
-            cache=cache,
-        )
-    return results
+    return {
+        policy: run_many(scenario.with_policy(policy), runs, base_seed, **options)
+        for policy in policies
+    }

@@ -1,38 +1,44 @@
-"""The per-shard lockstep execution engine.
+"""The slot engine: one shard of a run, advanced in lockstep.
 
 A :class:`ShardEngine` owns one shard of the device population and advances
-it slot by slot through a three-phase protocol driven by the executor (or a
-worker process):
+it slot by slot through a three-phase protocol driven by the lockstep
+driver (:func:`repro.sim.sharded.executor.run_lockstep`).  The
+``"vectorized"`` backend runs the whole population as one engine; the
+``"sharded"`` backend runs ``K`` of them in one or more processes.
 
-1. :meth:`begin` — apply the slot's topology events, run policy selection
-   (batched kernels / scalar fallback / frozen rows, exactly the vectorized
-   backend's machinery) and return the shard's *local* per-network occupancy
-   counts.
+1. :meth:`begin` — apply the slot's topology events (membership edits on
+   persistent kernel groups, :mod:`repro.sim.backends.membership`), run
+   policy selection and return the shard's *local* occupancy counts.
 2. *(all-reduce outside the engine: local counts sum to global counts)*
-3. :meth:`observe` — consume the **global** counts: equal-share rates and
-   recording for the shard's active rows, switch detection; returns the
-   shard's switching rows so the caller can resolve switching delays (drawn
-   locally for stream-free delay models, or via the replicated
-   global-order draw for stochastic ones — see
-   :mod:`repro.sim.sharded.executor`).
+3. :meth:`observe` — consume the **global** counts: rates, recording and
+   switch detection for the shard's active rows; returns the switching
+   rows so the caller can resolve switching delays (locally for
+   stream-free delay models, via the replicated global-order draw for
+   stochastic ones — see :mod:`repro.sim.sharded.executor`).
 4. :meth:`complete` — charge the delays, feed realised gains back into the
-   kernels / scalar policies, record probabilities.
+   kernels / scalar policies.
 
-The congestion game makes this exchange sufficient: per-device equal-share
-rates (and the Full Information counterfactuals) depend on the choices of
-other devices only through the ``(networks,)``-sized occupancy vector, so a
-shard never needs to see a peer shard's per-device state.
+The congestion game makes this exchange sufficient: equal-share rates (and
+the Full Information counterfactuals) depend on other devices only through
+the ``(networks,)``-sized occupancy vector.  Other gain models draw from
+the environment RNG over the *global* association grouping, so only an
+engine holding the whole population runs them, through
+:meth:`WirelessEnvironment.realized_rates` with the event backend's
+device-ordered grouping.
 
-Bit-exactness with the vectorized backend holds because every RNG stream is
+Work that is constant between topology events is done once per span: the
+activity mask and the mixed strategies of frozen rows (stationary policies
+— Fixed Random, Centralized).  The whole population's engine can also skip
+per-slot work (:meth:`ShardEngine.fast_forward`): an all-frozen span is
+broadcast, and with the compiled tier on a lone EXP3 kernel hands its draw
+windows to the compiled loop.
+
+Bit-exactness with the event backend holds because every RNG stream is
 consumed identically: per-device policy streams come from the same globally
 derived seeds (:func:`~repro.sim.backends.base.derive_run_streams`), kernels
 replicate the scalar draws row for row, and the environment stream is either
 untouched (stream-free delay models, equal-share physics draws nothing) or
-replayed in the same global ascending-device order on every shard's replica.
-Unlike the vectorized executor there are no multi-slot epoch fast paths —
-lockstep synchronisation is per slot by construction — so the engine is the
-per-slot counterpart of :class:`~repro.sim.backends.vectorized.VectorizedSlotExecutor`
-(see that module for the semantics the membership-edit code mirrors).
+consumed in the same global ascending-device order on every shard's replica.
 """
 
 from __future__ import annotations
@@ -43,19 +49,26 @@ import numpy as np
 
 import repro.algorithms.kernels  # noqa: F401  (registers the built-in kernels)
 from repro.algorithms.base import Observation
-from repro.algorithms.kernels.base import SlotFeedback
+from repro.algorithms.kernels.base import SlotFeedback, WindowPlan
+from repro.game.gain import EqualShareModel
 from repro.sim.backends.base import SlotRecorder, TopologyPlan, build_policies
-from repro.sim.backends.membership import FROZEN as _FROZEN, MembershipState
+from repro.sim.backends.membership import (
+    FROZEN as _FROZEN,
+    MembershipState,
+    equal_share_feedback,
+)
 from repro.sim.metrics import NO_NETWORK, SimulationResult
 from repro.sim.sharded.plan import ShardSpec
 
 
 _U64 = (1 << 64) - 1
 
-#: Uniform doubles buffered per kernel draw window (mirrors the vectorized
-#: backend's budget): caps the window so a large shard buffers a few slots
-#: of pre-drawn uniforms, not the whole horizon.
+#: Uniform doubles buffered per kernel draw window: caps the window so a
+#: large shard buffers a few slots of pre-drawn uniforms (~32 MB), not the
+#: whole horizon.
 _DRAW_BUDGET = 4_000_000
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def _pack_rng_states(policies) -> tuple:
@@ -155,8 +168,6 @@ class ShardEngine:
         self._policy_seeds = np.asarray(policy_seeds)
         self.runtimes = build_policies(scenario, policy_seeds, spec.policy_ranks)
         self.device_ids = tuple(sorted(self.runtimes))
-        self.runtimes_by_row = [self.runtimes[d] for d in self.device_ids]
-        self.policies_by_row = [rt.policy for rt in self.runtimes_by_row]
         num_devices = len(self.device_ids)
 
         self.network_order = tuple(sorted(scenario.network_map))
@@ -191,34 +202,56 @@ class ShardEngine:
         )
         self.network_col = self.recorder.network_col
 
-        # ---- persistent run state (the membership layer shared with the
-        # vectorized backend owns the execution classes, kernel groups and
-        # frozen bookkeeping, and applies topology events in place)
+        # ---- persistent run state (the membership layer owns the execution
+        # classes, kernel groups and frozen bookkeeping, and applies
+        # topology events in place)
         self.membership = MembershipState(
-            self.runtimes_by_row, self.recorder, use_kernels
+            [self.runtimes[d] for d in self.device_ids],
+            self.recorder,
+            use_kernels,
         )
-        self.use_kernels = use_kernels
         self.needs_feedback = any(
-            p.needs_full_feedback for p in self.policies_by_row
+            p.needs_full_feedback for p in self.membership.policies_by_row
         )
+        #: Rates are a closed-form function of the occupancy counts; any
+        #: other gain model needs the environment (whole population only).
+        self.closed_form = type(scenario.gain_model) is EqualShareModel
         self.choice_col = np.zeros(num_devices, dtype=np.intp)
         self.prev_col = np.full(num_devices, -1, dtype=np.intp)
-        self._layout_dirty = True
-        self._kernel_pos: dict[int, np.ndarray | None] = {}
-        self._fallback_list: list = []
-        self._act_rows = np.empty(0, dtype=np.intp)
-        self._act_cols = np.empty(0, dtype=np.intp)
-        self._rates_act = np.empty(0, dtype=float)
-        self._switch_rows = np.empty(0, dtype=np.intp)
         #: Checkpoint cadence in slots (set by the executor when durability
-        #: is on): kernel draw windows truncate here so a snapshot never has
-        #: to carry a partially consumed uniform buffer.
+        #: is on): kernel draw windows and fast-forwards end here so a
+        #: snapshot never has to carry a partially consumed uniform buffer.
         self.draw_barrier_every: int | None = None
-        self._event_slot_list = sorted(self.topology.events)
+        self._events = self.topology.events
+        self._event_slot_list = sorted(self._events)
+        #: Exclusive end slot of the span whose constant blocks (activity,
+        #: frozen strategies) are written, and the next topology event.
+        self._span_end = 0
+        self._next_event = 0
         #: Why draw windows ended (reason -> count), for telemetry's
         #: ``fused_windows`` events.  Always-on: one dict update per window
         #: (not per slot) is noise next to the window's array work.
         self.window_truncations: dict[str, int] = {}
+        self.__dict__.update(self._SCRATCH)
+
+    #: The layout cache and per-slot scratch (name -> initial value):
+    #: rebuilt by :meth:`begin`, never checkpointed.  Every value is
+    #: replaced, never mutated in place, so the defaults can be shared.
+    _SCRATCH = {
+        "_layout_dirty": True,
+        "_act_rows": _NO_ROWS,
+        "_all_active": False,
+        "_kernel_entries": [],
+        "_fallback_list": [],
+        "_frozen_rows": _NO_ROWS,
+        "_new_window": 0,
+        "_first_slot": True,
+        "_prev_act": None,
+        "_act_cols": _NO_ROWS,
+        "_rates_act": np.empty(0, dtype=float),
+        "_switch_rows": _NO_ROWS,
+        "_feedback": None,
+    }
 
     # ------------------------------------------------------- checkpointing
     #
@@ -238,20 +271,16 @@ class ShardEngine:
     # scalar state and are pickled in full.
 
     def __getstate__(self) -> dict:
+        self._sync_prev()
         state = dict(self.__dict__)
         drop_recorder = state.pop("_snapshot_drop_recorder", False)
-        for name in ("_kernel_pos", "_fallback_list"):
+        for name in self._SCRATCH:
             state.pop(name, None)
         membership = self.membership
         if not membership.kernel_of:
             # No kernel-resident rows: every scalar policy is live state.
             return state
-        for name in (
-            "runtimes",
-            "runtimes_by_row",
-            "policies_by_row",
-            "membership",
-        ):
+        for name in ("runtimes", "membership"):
             state.pop(name, None)
         if drop_recorder:
             # The caller (checkpoint write, post window-flush) certifies the
@@ -279,7 +308,6 @@ class ShardEngine:
             "active": membership.active,
             "fallback_rows": membership.fallback_rows,
             "frozen_dirty": membership.frozen_dirty,
-            "frozen_probs": membership.frozen_probs,
             "kernels": kernels,
             "scalar_rows": {
                 row: runtime
@@ -292,25 +320,16 @@ class ShardEngine:
     def __setstate__(self, state: dict) -> None:
         """Restore from a checkpoint pickle.
 
-        The kernel-position cache is keyed by ``id(kernel)`` — object
-        identities do not survive serialization, so the layout is marked
-        dirty and rebuilt lazily on the first post-restore slot.  Columnar
-        snapshots additionally rebuild the scalar policy objects from their
-        seeds, restore each row's RNG state and visible set, and rewire the
+        The layout cache references kernel objects, which the snapshot
+        rebuilds, so it is not pickled: the layout is marked dirty and
+        rebuilt on the first post-restore slot.  Columnar snapshots
+        additionally rebuild the scalar policy objects from their seeds,
+        restore each row's RNG state and visible set, and rewire the
         kernels' row references (see ``__getstate__``).
         """
         columnar = state.pop("_columnar", None)
         self.__dict__.update(state)
-        self._kernel_pos = {}
-        self._fallback_list = []
-        self._layout_dirty = True
-        # Snapshots written by older engine versions predate the draw-window
-        # machinery; default it off and rebuild the event-slot index.
-        self.__dict__.setdefault("draw_barrier_every", None)
-        self.__dict__.setdefault(
-            "_event_slot_list", sorted(self.topology.events)
-        )
-        self.__dict__.setdefault("window_truncations", {})
+        self.__dict__.update(self._SCRATCH)
         recorder = self.__dict__.get("recorder")
         if isinstance(recorder, _RecorderStub):
             recorder = SlotRecorder(
@@ -339,7 +358,6 @@ class ShardEngine:
         membership.active = columnar["active"]
         membership.fallback_rows = columnar["fallback_rows"]
         membership.frozen_dirty = columnar["frozen_dirty"]
-        membership.frozen_probs = columnar["frozen_probs"]
         membership.kernels_by_key = {}
         membership.kernel_of = {}
         for key, kernel_vars, rng_states in columnar["kernels"]:
@@ -366,151 +384,233 @@ class ShardEngine:
                 membership.kernel_of[row] = kernel
         self.membership = membership
         self.runtimes = dict(zip(self.device_ids, runtimes_by_row))
-        self.runtimes_by_row = runtimes_by_row
-        self.policies_by_row = policies_by_row
+
+    # ------------------------------------------------------------- layout
+
+    def _sync_prev(self) -> None:
+        """Write the last observed choices back into ``prev_col``.
+
+        Within one layout :meth:`observe` compares against the previous
+        slot's columns of the active rows (``_prev_act``) instead of
+        gathering and scattering ``prev_col`` every slot.
+        """
+        if self._prev_act is not None:
+            self.prev_col[self._act_rows] = self._prev_act
 
     def _refresh_layout(self) -> None:
-        """Recompute active-row positions for kernels and fallback rows."""
-        act_rows = self._act_rows
-        self._kernel_pos = {}
-        for kernel in self.membership.kernels_by_key.values():
+        """Recompute the active rows and where each execution class sits."""
+        membership = self.membership
+        self._sync_prev()
+        self._prev_act = None
+        act_rows = np.nonzero(membership.active)[0]
+        self._act_rows = act_rows
+        self._all_active = act_rows.size == membership.active.size
+        entries = []
+        for kernel in membership.kernels_by_key.values():
             positions = np.searchsorted(act_rows, kernel.rows)
-            self._kernel_pos[id(kernel)] = (
-                None
-                if positions.size == act_rows.size
-                and np.array_equal(positions, np.arange(positions.size))
-                else positions
+            # Identity mapping (one kernel covering every active row, the
+            # static common case): hand the gains array over as is.
+            identity = positions.size == act_rows.size and np.array_equal(
+                positions, np.arange(positions.size)
             )
+            entries.append((kernel, None if identity else positions))
+        self._kernel_entries = entries
         self._fallback_list = [
             (
                 row,
-                self.runtimes_by_row[row],
-                self.policies_by_row[row],
+                membership.runtimes_by_row[row],
+                membership.policies_by_row[row],
                 int(np.searchsorted(act_rows, row)),
             )
-            for row in sorted(self.membership.fallback_rows)
+            for row in sorted(membership.fallback_rows)
         ]
+        self._frozen_rows = act_rows[membership.category[act_rows] == _FROZEN]
+        # Rows that just joined (or came back from a restore) may carry the
+        # "never chose" sentinel, so the next slot checks it.
+        self._first_slot = True
         self._layout_dirty = False
 
-    # ---------------------------------------------------------- slot phases
+    def _write_span(self, slot: int) -> None:
+        """Write the blocks that stay constant until the next topology event.
+
+        The span runs to the next event, clipped to the recorder window:
+        the activity mask of the active rows and the mixed strategies of
+        the active frozen rows (stationary policies only change at events).
+        Every event slot starts a span, so the next event found here holds
+        for every later slot of the span.
+        """
+        events = self._event_slot_list
+        pos = bisect_right(events, slot)
+        nxt = events[pos] if pos < len(events) else self.num_slots + 1
+        self._next_event = nxt
+        end = min(nxt, self.col_base + self.recorder.num_slots + 1)
+        self._span_end = end
+        lo = slot - 1 - self.col_base
+        hi = end - 1 - self.col_base
+        recorder = self.recorder
+        if self._all_active:
+            recorder.active[:, lo:hi] = True
+        elif self._act_rows.size:
+            recorder.active[self._act_rows, lo:hi] = True
+        block = recorder.probabilities
+        if block is not None and self._frozen_rows.size:
+            policies_by_row = self.membership.policies_by_row
+            for row in self._frozen_rows.tolist():
+                recorder.record_probabilities(row, lo, policies_by_row[row])
+                block[row, lo + 1 : hi] = block[row, lo]
+
+    def _stable_last(self, slot: int) -> tuple[int, str]:
+        """Last slot of the membership-stable run from ``slot``, and why.
+
+        The run ends before the next topology event (a membership edit with
+        live buffered draws is a stream-contract violation), at the next
+        checkpoint barrier (snapshots stay free of half-consumed buffers) or
+        at the horizon.
+        """
+        last, reason = self._next_event - 1, "topology_event"
+        if last >= self.num_slots:
+            last, reason = self.num_slots, "horizon"
+        every = self.draw_barrier_every
+        if every:
+            barrier = ((slot + every - 1) // every) * every
+            if barrier < last:
+                last, reason = barrier, "checkpoint_barrier"
+        return last, reason
 
     def _draw_span(self, slot: int, size: int) -> int:
         """Draw-window length starting at ``slot`` for a ``size``-row kernel.
 
         Lockstep synchronisation keeps the *slot protocol* per slot, but the
-        per-row uniform draws can still be amortised: the window covers the
-        membership-stable span ahead, truncated at the next topology event
-        (a membership edit with live buffered draws is a stream-contract
-        violation), at the next checkpoint barrier (snapshots stay free of
-        half-consumed buffers) and by the draw-buffer memory budget.
+        per-row uniform draws can still be amortised over the
+        membership-stable run ahead (:meth:`_stable_last`), capped by the
+        draw-buffer memory budget.
         """
-        span = self.num_slots - slot + 1
-        reason = "horizon"
-        events = self._event_slot_list
-        pos = bisect_right(events, slot)
-        if pos < len(events) and events[pos] - slot < span:
-            span = events[pos] - slot
-            reason = "topology_event"
-        every = self.draw_barrier_every
-        if every:
-            barrier = ((slot + every - 1) // every) * every
-            if barrier - slot + 1 < span:
-                span = barrier - slot + 1
-                reason = "checkpoint_barrier"
+        last, reason = self._stable_last(slot)
+        span = last - slot + 1
         budget = _DRAW_BUDGET // max(size, 1)
         if budget < span:
-            span = budget
-            reason = "draw_budget"
+            span, reason = budget, "draw_budget"
         truncations = self.window_truncations
         truncations[reason] = truncations.get(reason, 0) + 1
         return max(1, span)
 
+    # ---------------------------------------------------------- slot phases
+
     def begin(self, slot: int) -> np.ndarray:
         """Phase 1: selection.  Returns local per-network occupancy counts."""
         membership = self.membership
-        events = self.topology.events.get(slot)
+        events = self._events.get(slot)
         if events is not None:
             membership.apply_events(events)
             self._layout_dirty = True
+        if membership.frozen_dirty:
+            network_col = self.network_col
+            for row in membership.frozen_dirty:
+                policy = membership.policies_by_row[row]
+                self.choice_col[row] = network_col[policy.begin_slot(slot)]
+            membership.frozen_dirty.clear()
+        if self._layout_dirty:
+            self._refresh_layout()
+        if slot >= self._span_end:
+            self._write_span(slot)
 
         choice_col = self.choice_col
-        for kernel in membership.kernels_by_key.values():
+        for kernel, _positions in self._kernel_entries:
             if kernel.uses_slot_draws and kernel.window_exhausted:
-                kernel.prepare_window(self._draw_span(slot, kernel.size))
+                self._new_window = self._draw_span(slot, kernel.size)
+                kernel.prepare_window(self._new_window)
             choice_col[kernel.rows] = kernel.begin_slot(slot)
-        network_col = self.network_col
-        for row in sorted(membership.fallback_rows):
-            choice_col[row] = network_col[self.policies_by_row[row].begin_slot(slot)]
-        if membership.frozen_dirty:
-            for row in sorted(membership.frozen_dirty):
-                policy = self.policies_by_row[row]
+        if self._fallback_list:
+            network_col = self.network_col
+            for row, _runtime, policy, _pos in self._fallback_list:
                 choice_col[row] = network_col[policy.begin_slot(slot)]
-                if self.recorder.probabilities is not None:
-                    cols = []
-                    vals = []
-                    for network_id, p in policy.probabilities.items():
-                        col = network_col.get(network_id)
-                        if col is not None:
-                            cols.append(col)
-                            vals.append(p)
-                    membership.frozen_probs[row] = (
-                        cols,
-                        np.asarray(vals, dtype=float),
-                    )
-            membership.frozen_dirty.clear()
-
-        if events is not None or self._layout_dirty:
-            self._act_rows = np.nonzero(membership.active)[0]
-        act_rows = self._act_rows
-        self._act_cols = choice_col[act_rows]
-        return np.bincount(self._act_cols, minlength=self.num_networks)
+        act_cols = (
+            choice_col.copy() if self._all_active else choice_col[self._act_rows]
+        )
+        self._act_cols = act_cols
+        return np.bincount(act_cols, minlength=self.num_networks)
 
     def observe(
-        self, slot: int, counts: np.ndarray
+        self, slot: int, counts: np.ndarray, environment=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Phase 2: global counts in, rates recorded, switchers out.
 
-        ``counts`` is the all-reduced global occupancy.  Returns the shard's
-        switching rows (ascending, local) and the network ids they switch
-        onto; the caller resolves the delays and hands them to
+        ``counts`` is the all-reduced global occupancy.  ``environment``
+        (the run's :class:`~repro.sim.environment.WirelessEnvironment`) is
+        given only for gain models other than equal share, which the whole
+        population's only shard resolves through it.  Returns the shard's
+        switching rows (ascending, local) and the network columns they
+        switch onto; the caller resolves the delays and hands them to
         :meth:`complete`.
         """
-        act_rows, act_cols = self._act_rows, self._act_cols
+        act_rows = self._act_rows
+        act_cols = self._act_cols
         col = slot - 1 - self.col_base
         recorder = self.recorder
-        if act_rows.size == 0:
-            self._switch_rows = np.empty(0, dtype=np.intp)
-            return self._switch_rows, np.empty(0, dtype=np.int64)
-        rates_act = (self.bandwidths / np.maximum(counts, 1))[act_cols]
+        if environment is None:
+            rates_act = (self.bandwidths / np.maximum(counts, 1))[act_cols]
+            if self.needs_feedback:
+                member_gain, join_gain = equal_share_feedback(
+                    counts, self.bandwidths, self.scale_ref
+                )
+                self._feedback = SlotFeedback(
+                    member_gain=member_gain, join_gain=join_gain
+                )
+        else:
+            rates_act = self._environment_rates(slot, environment)
         self._rates_act = rates_act
-        recorder.rates[act_rows, col] = rates_act
-        recorder.choices[act_rows, col] = self.net_ids[act_cols]
-        recorder.active[act_rows, col] = True
-        prev = self.prev_col[act_rows]
-        switched = (prev != -1) & (prev != act_cols)
-        self._switch_rows = act_rows[switched]
-        switch_nets = self.net_ids[act_cols[switched]]
-        self.prev_col[act_rows] = act_cols
-        return self._switch_rows, switch_nets
+        if self._all_active:
+            recorder.rates[:, col] = rates_act
+            recorder.choices[:, col] = self.net_ids[act_cols]
+        else:
+            recorder.rates[act_rows, col] = rates_act
+            recorder.choices[act_rows, col] = self.net_ids[act_cols]
+        if self._first_slot:
+            prev = self.prev_col[act_rows]
+            switched = (prev != -1) & (prev != act_cols)
+            self._first_slot = False
+        else:
+            switched = self._prev_act != act_cols
+        self._prev_act = act_cols
+        # nonzero() doubles as the emptiness test: cheaper than any().
+        switched = switched.nonzero()[0]
+        if not switched.size:
+            self._switch_rows = _NO_ROWS
+            return _NO_ROWS, _NO_ROWS
+        self._switch_rows = switch_rows = act_rows[switched]
+        return switch_rows, act_cols[switched]
 
-    def complete(
-        self,
-        slot: int,
-        delays: np.ndarray,
-        member_gain: np.ndarray | None = None,
-        join_gain: np.ndarray | None = None,
-    ) -> None:
-        """Phase 3: charge delays, feed gains back, record probabilities.
+    def _environment_rates(self, slot: int, environment) -> np.ndarray:
+        """Realised rates of the active rows through the environment.
+
+        Builds the association dict in ascending device order, exactly as
+        the event backend does, so the gain model consumes the environment
+        RNG in the same order.
+        """
+        device_ids = self.device_ids
+        act_rows = self._act_rows.tolist()
+        chosen = self.net_ids[self._act_cols].tolist()
+        slot_choices = {
+            device_ids[row]: network_id
+            for row, network_id in zip(act_rows, chosen)
+        }
+        groups = environment.client_groups(slot_choices)
+        if self.needs_feedback:
+            self._feedback = SlotFeedback(
+                counts=environment.allocation_counts(slot_choices, groups),
+                environment=environment,
+            )
+        realised = environment.realized_rates(slot_choices, slot, groups)
+        return np.asarray(
+            [realised[device_ids[row]] for row in act_rows], dtype=float
+        )
+
+    def complete(self, slot: int, delays) -> None:
+        """Phase 3: charge delays and feed the realised gains back.
 
         ``delays`` aligns with the rows :meth:`observe` returned (float64 —
         policies see full precision even when the recorder stores float32).
-        ``member_gain``/``join_gain`` are the global equal-share
-        counterfactual arrays, computed once per slot by the caller when any
-        shard policy needs full feedback.
         """
-        act_rows = self._act_rows
-        if act_rows.size == 0:
-            return
         col = slot - 1 - self.col_base
         recorder = self.recorder
         switch_rows = self._switch_rows
@@ -518,65 +618,133 @@ class ShardEngine:
             recorder.delays[switch_rows, col] = delays
             recorder.switches[switch_rows, col] = True
         gains_act = np.minimum(self._rates_act / self.scale_ref, 1.0)
-        if self._layout_dirty:
-            self._refresh_layout()
-
-        feedback = None
-        if self.needs_feedback and member_gain is not None:
-            feedback = SlotFeedback(member_gain=member_gain, join_gain=join_gain)
-        for kernel in self.membership.kernels_by_key.values():
-            positions = self._kernel_pos[id(kernel)]
+        feedback = self._feedback
+        for kernel, positions in self._kernel_entries:
             kernel.end_slot(
                 slot,
                 col,
                 gains_act if positions is None else gains_act[positions],
                 feedback,
             )
-
-        if self._fallback_list:
-            delay_of = dict(zip(switch_rows.tolist(), delays)) if switch_rows.size else {}
-            net_ids = self.net_ids
-            network_col = self.network_col
-            for row, runtime, policy, pos in self._fallback_list:
-                network_id = int(net_ids[self.choice_col[row]])
-                switched_here = bool(recorder.switches[row, col])
-                full_feedback = None
-                if policy.needs_full_feedback and member_gain is not None:
-                    chosen_col = self.choice_col[row]
-                    visible = runtime.visible or frozenset()
+        if not self._fallback_list:
+            return
+        delay_of = (
+            dict(zip(switch_rows.tolist(), delays)) if switch_rows.size else {}
+        )
+        net_ids = self.net_ids
+        network_col = self.network_col
+        for row, runtime, policy, pos in self._fallback_list:
+            chosen_col = self.choice_col[row]
+            network_id = int(net_ids[chosen_col])
+            full_feedback = None
+            if policy.needs_full_feedback:
+                visible = runtime.visible or frozenset()
+                if feedback.member_gain is None:
+                    full_feedback = feedback.environment.counterfactual_gains(
+                        feedback.counts, network_id, visible
+                    )
+                else:
                     full_feedback = {
-                        k: float(member_gain[network_col[k]])
+                        k: float(feedback.member_gain[network_col[k]])
                         if network_col[k] == chosen_col
-                        else float(join_gain[network_col[k]])
+                        else float(feedback.join_gain[network_col[k]])
                         for k in visible
                     }
-                policy.end_slot(
-                    slot,
-                    Observation(
-                        slot=slot,
-                        network_id=network_id,
-                        bit_rate_mbps=float(self._rates_act[pos]),
-                        gain=float(gains_act[pos]),
-                        switched=switched_here,
-                        delay_s=float(delay_of.get(row, 0.0)),
-                        full_feedback=full_feedback,
-                    ),
-                )
-                runtime.previous_choice = network_id
-                recorder.record_probabilities(row, col, policy)
+            policy.end_slot(
+                slot,
+                Observation(
+                    slot=slot,
+                    network_id=network_id,
+                    bit_rate_mbps=float(self._rates_act[pos]),
+                    gain=float(gains_act[pos]),
+                    switched=bool(recorder.switches[row, col]),
+                    delay_s=float(delay_of.get(row, 0.0)),
+                    full_feedback=full_feedback,
+                ),
+            )
+            runtime.previous_choice = network_id
+            recorder.record_probabilities(row, col, policy)
 
-        block = recorder.probabilities
-        if block is not None:
-            frozen_probs = self.membership.frozen_probs
-            category = self.membership.category
-            for row in act_rows[category[act_rows] == _FROZEN]:
-                cols, vals = frozen_probs[int(row)]
-                block[row, col, cols] = vals
+    def fast_forward(self, slot: int, delay_table: np.ndarray | None) -> int:
+        """Advance past ``slot`` while the slots ahead need no per-slot work.
+
+        Only the run's only shard may call this, after completing ``slot``
+        (peers would miss the slots' exchanges).  Two cases qualify on
+        equal-share physics, both ending before the next topology event,
+        checkpoint barrier or recorder window end:
+
+        * every active row is frozen: the occupancy, hence every rate, is
+          constant and nobody switches, so the slot is broadcast;
+        * one kernel covers every active row with a stream-free delay model
+          (``delay_table``): the rest of the draw window ``slot`` opened
+          goes to the kernel's compiled loop, if it has one and the
+          compiled tier is on.
+
+        Returns the last slot advanced (``slot`` when nothing qualified).
+        """
+        if not self.closed_form:
+            return slot
+        if self._kernel_entries or self._fallback_list:
+            span, self._new_window = self._new_window, 0
+            if span < 2 or delay_table is None:
+                return slot
+            return self._compiled_window(slot, span - 1, delay_table)
+        last = min(
+            self._stable_last(slot)[0], self.col_base + self.recorder.num_slots
+        )
+        act_rows = self._act_rows
+        if last > slot and act_rows.size:
+            recorder = self.recorder
+            lo, hi = slot - self.col_base, last - self.col_base
+            rows = slice(None) if self._all_active else act_rows
+            recorder.rates[rows, lo:hi] = self._rates_act[:, None]
+            recorder.choices[rows, lo:hi] = self.net_ids[self._act_cols][:, None]
+        return last
+
+    def _compiled_window(
+        self, slot: int, remaining: int, delay_table: np.ndarray
+    ) -> int:
+        """Hand the ``remaining`` slots of the open draw window to the
+        compiled loop of a kernel that covers every active row alone."""
+        entries = self._kernel_entries
+        if len(entries) != 1 or entries[0][1] is not None or (
+            self._fallback_list or self._frozen_rows.size
+        ):
+            return slot
+        kernel = entries[0][0]
+        last = min(slot + remaining, self.col_base + self.recorder.num_slots)
+        if last == slot:
+            return slot
+        self._sync_prev()
+        rows = kernel.rows
+        prev = self.prev_col[rows]
+        recorder = self.recorder
+        window = WindowPlan(
+            start_slot=slot + 1,
+            n_slots=last - slot,
+            idx_lo=slot - self.col_base,
+            net_ids=self.net_ids,
+            bandwidths=self.bandwidths,
+            num_networks=self.num_networks,
+            scale_ref=self.scale_ref,
+            delay_table=delay_table,
+            prev=prev,
+            choices2d=recorder.choices,
+            rates2d=recorder.rates,
+            delays2d=recorder.delays,
+            switches2d=recorder.switches,
+        )
+        if not kernel.advance_window(window):
+            return slot
+        self.prev_col[rows] = prev
+        self._prev_act = prev  # the kernel's rows are the active rows
+        return last
 
     # --------------------------------------------------------- run assembly
 
     def flush_policies(self) -> None:
         """Scatter surviving kernel groups back into the scalar policies."""
+        self._sync_prev()
         for kernel in self.membership.kernels_by_key.values():
             kernel.flush()
             for runtime, local_row in zip(kernel.runtimes, kernel.rows):

@@ -1,10 +1,15 @@
-"""The sharded population executor.
+"""The sharded population executor and the lockstep slot driver.
+
+:func:`run_lockstep` is the one slot loop of every batched backend: it
+advances a group of :class:`~repro.sim.sharded.engine.ShardEngine` objects
+through the engine's phases, slot by slot, with the exchanges between them.
+The ``"vectorized"`` backend runs it in-process on a single engine holding
+the whole population (:func:`run_in_process`).
 
 :class:`ShardedSlotExecutor` partitions a run's device population into
 ``shards`` contiguous blocks (:mod:`repro.sim.sharded.plan`), executes each
-block with the existing batched kernels and churn machinery
-(:mod:`repro.sim.sharded.engine`), and synchronises the blocks once per slot
-with an all-reduce of the per-network occupancy vector
+block on its own engine, and synchronises the blocks once per slot with an
+all-reduce of the per-network occupancy vector
 (:mod:`repro.sim.sharded.bus`).  ``workers=1`` drives every shard in-process
 (serial lockstep — the debugging and bit-exactness mode); ``workers>1``
 spreads the shards over worker processes communicating through a
@@ -12,18 +17,18 @@ shared-memory ring.
 
 Result assembly has two shapes:
 
-* :meth:`execute` — the standard backend contract: every shard's columnar
-  blocks are gathered and stitched into one full
+* :meth:`~ShardedSlotExecutor.execute` — the standard backend contract:
+  every shard's columnar blocks are gathered and stitched into one full
   :class:`~repro.sim.metrics.SimulationResult`, bit-exact against the
-  vectorized backend for any shard/worker count.  Appropriate for
-  populations whose blocks fit one process.
-* :meth:`map_reduced` — the megascale path: each shard applies a
-  shard-capable :class:`~repro.analysis.reducers.Reducer` to bounded slot
-  *windows* of its own blocks as the run advances, so no process ever holds
-  ``O(devices × slots)`` state; only kilobyte-to-megabyte shard summaries
-  are merged at the end.  Reducers that cannot reduce over a device
-  partition (e.g. stability, which needs the global mixed-strategy tensor)
-  transparently fall back to gather-then-map.
+  event backend for any shard/worker count.  Appropriate for populations
+  whose blocks fit one process.
+* :meth:`~ShardedSlotExecutor.map_reduced` — the megascale path: each shard
+  applies a shard-capable :class:`~repro.analysis.reducers.Reducer` to
+  bounded slot *windows* of its own blocks as the run advances, so no
+  process ever holds ``O(devices × slots)`` state; only kilobyte-to-megabyte
+  shard summaries are merged at the end.  Reducers that cannot reduce over a
+  device partition (e.g. stability, which needs the global mixed-strategy
+  tensor) transparently fall back to gather-then-map.
 
 Fault tolerance (see :mod:`repro.sim.sharded.checkpoint` and
 :mod:`repro.sim.sharded.faults`): a
@@ -39,12 +44,13 @@ diagnostics when retries are exhausted.  A
 checkpoint corruption so tests and the ``--suite faults`` benchmark prove
 recovery works rather than assume it.
 
-Physics support: the closed-form equal-share gain model — exactly the class
-the vectorized backend's fast path covers.  Other gain models consume the
-environment RNG per network over the *global* association grouping, which a
-device-partitioned execution cannot replay without shipping every choice;
-such scenarios fall back to the vectorized backend (or raise with
-``strict=True``).  Delay models need no such restriction: stream-free models
+Physics support: the closed-form equal-share gain model shards freely.
+Other gain models consume the environment RNG per network over the *global*
+association grouping, which a device-partitioned execution cannot replay
+without shipping every choice; such scenarios run as one shard on the same
+engine — checkpointing and resume included — and the fallback is recorded
+as a ``one_shard_fallback`` telemetry event (``strict=True`` raises
+instead).  Delay models need no such restriction: stream-free models
 (:class:`~repro.sim.delay.NoDelayModel` / ``ConstantDelayModel``) sample
 shard-locally, and stochastic ones replay the global ascending-device-order
 draw on every worker's environment-RNG replica via the per-slot switcher
@@ -64,7 +70,6 @@ import numpy as np
 from repro.game.gain import EqualShareModel
 from repro.profiling import profile_run
 from repro.sim.backends.base import SlotExecutor, derive_run_streams
-from repro.sim.backends.membership import equal_share_feedback
 from repro.sim.environment import WirelessEnvironment
 from repro.sim.metrics import SimulationResult
 from repro.sim.scenario import Scenario
@@ -108,6 +113,9 @@ DEFAULT_WINDOW_SLOTS = 256
 #: run from its last checkpoint.
 RECOVERABLE_FAILURES = (InjectedFault, BusTimeoutError, WorkerCrashError)
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_DELAYS = np.empty(0, dtype=float)
+
 
 @dataclass(frozen=True)
 class RunParams:
@@ -123,7 +131,7 @@ class RunParams:
     coupled: bool
     num_networks: int
     total_devices: int
-    heartbeat_seconds: float | None
+    heartbeat_seconds: float | None = None
     num_shards: int = 1
     attempt: int = 0
     barrier_timeout_s: float = SupervisionConfig().barrier_timeout_s
@@ -169,7 +177,7 @@ def _build_group(
 ) -> tuple[list[ShardEngine], list, WirelessEnvironment, int, int]:
     """Build a group's engines fresh, or restore them from a checkpoint.
 
-    Returns ``(engines, reducer_states, delay_env, start_slot,
+    Returns ``(engines, reducer_states, environment, start_slot,
     window_start)``.  The restore path checksum-verifies every file against
     the manifest (:class:`~repro.sim.sharded.checkpoint.CheckpointError` on
     damage) and resumes at the slot after the snapshot.
@@ -182,8 +190,8 @@ def _build_group(
             engine, state = load_shard_state(resume, spec.index)
             engines.append(engine)
             states.append(state)
-        delay_env = load_environment(resume)
-        return engines, states, delay_env, resume.slot + 1, resume.window_start
+        environment = load_environment(resume)
+        return engines, states, environment, resume.slot + 1, resume.window_start
     engines = [
         ShardEngine(
             spec,
@@ -197,16 +205,16 @@ def _build_group(
         )
         for spec, seeds in zip(specs, seed_slices)
     ]
-    delay_env = WirelessEnvironment(
+    environment = WirelessEnvironment(
         engines[0].scenario, np.random.default_rng(params.environment_seed)
     )
-    return engines, [None] * len(engines), delay_env, 1, 0
+    return engines, [None] * len(engines), environment, 1, 0
 
 
-def _run_group(
+def run_lockstep(
     engines: list[ShardEngine],
     bus,
-    delay_env: WirelessEnvironment,
+    environment: WirelessEnvironment,
     params: RunParams,
     reducer=None,
     log_heartbeat: bool = False,
@@ -215,22 +223,34 @@ def _run_group(
     start_slot: int = 1,
     window_start: int = 0,
     allow_hard_exit: bool = False,
+    tag: str | None = None,
 ):
     """Drive a group of shard engines through every slot in lockstep.
 
-    Returns the per-engine payloads: full shard results (gather mode) or the
-    reducer's per-shard states (streaming mode, ``params.window`` set).
+    The one slot loop of every batched backend.  Returns the per-engine
+    payloads: full shard results (gather mode) or the reducer's per-shard
+    states (streaming mode, ``params.window`` set).
     ``start_slot``/``window_start``/``states`` carry a restored checkpoint's
-    cursors; a fresh run starts at slot 1 with empty state.
+    cursors; a fresh run starts at slot 1 with empty state.  ``tag`` names
+    a standalone in-process run (the vectorized backend), which reports
+    ``run_start``/``run_end`` events under it; a sharded worker group
+    (``tag=None``) reports as ``sharded-worker<index>`` with worker
+    lifecycle events.
+
+    The run's only shard (``params.num_shards == 1``) needs no bus: its
+    counts are the global ones and its switchers need no exchange.  It is
+    also the only engine that can run gain models other than equal share,
+    and, unless faults are being injected, it fast-forwards through slots
+    that need no per-slot work (:meth:`ShardEngine.fast_forward`).
     """
     if reducer is not None:
         from repro.analysis.reducers import ShardWindow  # lazy: import cycle
 
     num_slots = params.num_slots
-    needs_feedback = any(engine.needs_feedback for engine in engines)
-    bandwidths = engines[0].bandwidths
-    scale_ref = engines[0].scale_ref
-    net_order = engines[0].net_ids
+    single = params.num_shards == 1
+    engine = engines[0]
+    peers = engines[1:]
+    net_ids = engine.net_ids
     delay_table = None
     if not params.coupled:
         # Stream-free delay models are pure per-network constants: sample
@@ -239,11 +259,15 @@ def _run_group(
         # call per switching device — at megascale the early learning phase
         # switches most of the population every slot.
         delay_table = np.asarray(
-            [
-                delay_env.switching_delay(int(network_id))
-                for network_id in net_order
-            ],
+            [environment.switching_delay(int(network_id)) for network_id in net_ids],
             dtype=float,
+        )
+    physics = None if engine.closed_form else environment
+    if physics is not None and not single:
+        raise ValueError(
+            f"gain model {type(engine.scenario.gain_model).__name__} draws "
+            "over the global association grouping and needs the whole "
+            "population in one shard"
         )
     if states is None:
         states = [None] * len(engines)
@@ -252,13 +276,16 @@ def _run_group(
     if checkpoint is not None:
         # Kernel draw windows must be exhausted whenever a snapshot is
         # written, so the engines truncate them at the checkpoint cadence.
-        for engine in engines:
-            engine.draw_barrier_every = checkpoint.every_slots
+        for shard in engines:
+            shard.draw_barrier_every = checkpoint.every_slots
     fault_plan = params.fault_plan
-    group_devices = sum(len(engine.device_ids) for engine in engines)
-    prof = profile_run(f"sharded-worker{worker_index}")
+    forward = single and fault_plan is None
+    group_devices = sum(len(shard.device_ids) for shard in engines)
+    worker_events = tag is None
+    label = tag or f"sharded-worker{worker_index}"
+    prof = profile_run(label)
     tele = get_telemetry()
-    if tele is not None:
+    if tele is not None and worker_events:
         tele.event(
             "worker_start",
             worker=worker_index,
@@ -269,18 +296,26 @@ def _run_group(
         )
         slot_gauge = tele.gauge(f"worker{worker_index}.slot")
         rate_gauge = tele.gauge(f"worker{worker_index}.device_slots_per_second")
+    elif tele is not None:
+        tele.event(
+            "run_start",
+            tag=tag,
+            devices=group_devices,
+            slots=num_slots,
+            scenario=engine.scenario.name,
+        )
     started = time.monotonic()
     last_beat = started
 
-    for slot in range(start_slot, num_slots + 1):
-        _maybe_inject_kill(params, worker_index, slot, "begin", allow_hard_exit)
-        if prof is not None:
-            t = prof.now()
-        local_counts = engines[0].begin(slot)
-        if len(engines) > 1:
-            local_counts = local_counts.copy()
-            for engine in engines[1:]:
-                local_counts += engine.begin(slot)
+    slot = start_slot
+    while slot <= num_slots:
+        if fault_plan is not None:
+            _maybe_inject_kill(params, worker_index, slot, "begin", allow_hard_exit)
+        t = prof.now() if prof is not None else 0.0
+        counts = engine.begin(slot)
+        if not single:
+            for peer in peers:
+                counts = counts + peer.begin(slot)
         if prof is not None:
             t = prof.add("sampling", t)
         if fault_plan is not None:
@@ -290,92 +325,87 @@ def _run_group(
                     "delay_exchange", worker_index, slot, seconds=stall
                 )
                 time.sleep(stall)
-        counts = bus.reduce_counts(slot, local_counts)
-        if prof is not None:
-            t = prof.add("bus_exchange", t)
-        _maybe_inject_kill(params, worker_index, slot, "mid", allow_hard_exit)
+        if not single:
+            counts = bus.reduce_counts(slot, counts)
+            if prof is not None:
+                t = prof.add("bus_exchange", t)
+        if fault_plan is not None:
+            _maybe_inject_kill(params, worker_index, slot, "mid", allow_hard_exit)
 
-        per_engine_switchers: list[int] = []
-        group_rows: list[np.ndarray] = []
-        group_nets: list[np.ndarray] = []
-        for engine in engines:
-            rows, nets = engine.observe(slot, counts)
-            per_engine_switchers.append(rows.size)
-            if rows.size:
-                group_rows.append(rows + engine.row_offset)
-                group_nets.append(nets)
-        rows_global = (
-            np.concatenate(group_rows)
-            if group_rows
-            else np.empty(0, dtype=np.intp)
-        )
-        nets_global = (
-            np.concatenate(group_nets)
-            if group_nets
-            else np.empty(0, dtype=np.int64)
-        )
-        if prof is not None:
-            t = prof.add("physics", t)
-
-        if params.coupled:
-            # Stochastic delay model: every worker replays the *global*
-            # ascending-device-order draw on its own RNG replica, keeping
-            # the environment streams in lockstep across shard counts.
-            all_nets, offset = bus.exchange_switchers(
-                slot, rows_global, nets_global
-            )
-            if all_nets.size:
-                delays_all = np.asarray(
-                    delay_env.switching_delays(
-                        [int(net) for net in all_nets]
-                    ),
-                    dtype=float,
-                )
-                group_delays = delays_all[offset : offset + nets_global.size]
+        if single:
+            rows, cols = engine.observe(slot, counts, physics)
+            if prof is not None:
+                t = prof.add("physics", t)
+            if not rows.size:
+                delays = _NO_DELAYS
+            elif delay_table is not None:
+                delays = delay_table[cols]
             else:
-                group_delays = np.empty(0, dtype=float)
-        elif nets_global.size:
-            # Stream-free delay model: sampling consumes no RNG, so the
-            # group resolves its own switchers without any exchange.
-            group_delays = delay_table[
-                np.searchsorted(net_order, nets_global)
-            ]
+                delays = environment.switching_delays(net_ids[cols].tolist())
+            if prof is not None:
+                t = prof.add("delays", t)
+            engine.complete(slot, delays)
+            if prof is not None:
+                t = prof.add("reward", t)
+            if forward:
+                last = engine.fast_forward(slot, delay_table)
+                if last > slot:
+                    slot = last
+                    if prof is not None:
+                        t = prof.add("fused_window", t)
         else:
-            group_delays = np.empty(0, dtype=float)
-        if prof is not None:
-            t = prof.add("delays", t)
-
-        member_gain = join_gain = None
-        if needs_feedback:
-            member_gain, join_gain = equal_share_feedback(
-                counts, bandwidths, scale_ref
-            )
-
-        position = 0
-        for engine, switcher_count in zip(engines, per_engine_switchers):
-            engine.complete(
-                slot,
-                group_delays[position : position + switcher_count],
-                member_gain,
-                join_gain,
-            )
-            position += switcher_count
-        if prof is not None:
-            t = prof.add("reward", t)
+            per_engine: list[int] = []
+            group_rows: list[np.ndarray] = []
+            group_cols: list[np.ndarray] = []
+            for shard in engines:
+                rows, cols = shard.observe(slot, counts)
+                per_engine.append(rows.size)
+                if rows.size:
+                    group_rows.append(rows + shard.row_offset)
+                    group_cols.append(cols)
+            rows = np.concatenate(group_rows) if group_rows else _NO_ROWS
+            cols = np.concatenate(group_cols) if group_cols else _NO_ROWS
+            if prof is not None:
+                t = prof.add("physics", t)
+            if params.coupled:
+                # Stochastic delay model: every worker replays the *global*
+                # ascending-device-order draw on its own RNG replica, keeping
+                # the environment streams in lockstep across shard counts.
+                all_nets, offset = bus.exchange_switchers(
+                    slot, rows, net_ids[cols]
+                )
+                delays = _NO_DELAYS
+                if all_nets.size:
+                    delays = np.asarray(
+                        environment.switching_delays(all_nets.tolist()),
+                        dtype=float,
+                    )[offset : offset + cols.size]
+            else:
+                # Stream-free delay model: sampling consumes no RNG, so the
+                # group resolves its own switchers without any exchange.
+                delays = delay_table[cols]
+            if prof is not None:
+                t = prof.add("delays", t)
+            position = 0
+            for shard, count in zip(engines, per_engine):
+                shard.complete(slot, delays[position : position + count])
+                position += count
+            if prof is not None:
+                t = prof.add("reward", t)
 
         if reducer is not None and (
             slot - window_start == window or slot == num_slots
         ):
             width = slot - window_start
-            for index, engine in enumerate(engines):
+            for index, shard in enumerate(engines):
                 shard_window = ShardWindow(
-                    result=engine.window_result(width),
+                    result=shard.window_result(width),
                     slot_start=window_start,
                     total_slots=num_slots,
                     seed=params.seed_label,
                 )
                 states[index] = reducer.shard_map(shard_window, states[index])
-                engine.reset_window(slot)
+                shard.reset_window(slot)
             window_start = slot
             if prof is not None:
                 t = prof.add("recorder", t)
@@ -394,7 +424,7 @@ def _run_group(
                 drop_recorder=(reducer is not None and window_start == slot),
             )
             if worker_index == 0:
-                write_environment(checkpoint, slot, delay_env)
+                write_environment(checkpoint, slot, environment)
             bus.checkpoint_sync(slot)
             if worker_index == 0:
                 commit_manifest(
@@ -424,7 +454,8 @@ def _run_group(
             if prof is not None:
                 t = prof.add("checkpoint", t)
 
-        _maybe_inject_kill(params, worker_index, slot, "end", allow_hard_exit)
+        if fault_plan is not None:
+            _maybe_inject_kill(params, worker_index, slot, "end", allow_hard_exit)
 
         # Heartbeats: a telemetry-enabled run emits `progress` events (plus
         # live gauges) instead of the old ad-hoc log line, which remains the
@@ -436,7 +467,7 @@ def _run_group(
             if now - last_beat >= params.heartbeat_seconds:
                 elapsed = now - started
                 rate = group_devices * slot / max(elapsed, 1e-9)
-                if tele is not None:
+                if tele is not None and worker_events:
                     slot_gauge.set(slot)
                     rate_gauge.set(rate)
                     tele.event(
@@ -456,14 +487,15 @@ def _run_group(
                         rate,
                     )
                 last_beat = now
+        slot += 1
 
-    for engine in engines:
-        engine.flush_policies()
+    for shard in engines:
+        shard.flush_policies()
     if prof is not None:
         prof.devices = group_devices
         prof.slots = num_slots
         prof.emit(
-            scenario=engines[0].scenario.name,
+            scenario=engine.scenario.name,
             seed=params.seed_label,
             shards=len(engines),
         )
@@ -472,29 +504,36 @@ def _run_group(
         if waits is not None:
             tele.event("barrier_waits", worker=worker_index, **waits)
         truncations: dict[str, int] = {}
-        for engine in engines:
-            for reason, count in engine.window_truncations.items():
+        for shard in engines:
+            for reason, count in shard.window_truncations.items():
                 truncations[reason] = truncations.get(reason, 0) + count
         if truncations:
             tele.event(
                 "fused_windows",
-                tag=f"sharded-worker{worker_index}",
+                tag=label,
                 windows=sum(truncations.values()),
                 reasons=truncations,
             )
         elapsed = time.monotonic() - started
-        tele.event(
-            "worker_end",
-            worker=worker_index,
-            slots=num_slots,
-            seconds=round(elapsed, 6),
-            device_slots_per_second=round(
-                group_devices * num_slots / max(elapsed, 1e-9), 1
-            ),
-        )
+        rate = round(group_devices * num_slots / max(elapsed, 1e-9), 1)
+        if worker_events:
+            tele.event(
+                "worker_end",
+                worker=worker_index,
+                slots=num_slots,
+                seconds=round(elapsed, 6),
+                device_slots_per_second=rate,
+            )
+        else:
+            tele.event(
+                "run_end",
+                tag=tag,
+                seconds=round(elapsed, 6),
+                device_slots_per_second=rate,
+            )
     if reducer is not None:
         return states
-    return [engine.result() for engine in engines]
+    return [shard.result() for shard in engines]
 
 
 def _garble_checkpoint_file(
@@ -579,7 +618,7 @@ def _shard_worker(
         progress_view = np.frombuffer(
             progress_array, dtype=np.int64
         ).reshape(num_workers, 2)
-        engines, states, delay_env, start_slot, window_start = _build_group(
+        engines, states, environment, start_slot, window_start = _build_group(
             specs, seed_slices, params
         )
         bus = SharedMemoryBus(
@@ -593,10 +632,10 @@ def _shard_worker(
             timeout_s=params.barrier_timeout_s,
             progress_view=progress_view,
         )
-        payloads = _run_group(
+        payloads = run_lockstep(
             engines,
             bus,
-            delay_env,
+            environment,
             params,
             reducer,
             log_heartbeat=worker_index == 0,
@@ -613,6 +652,76 @@ def _shard_worker(
         except Exception:
             pass
         queue.put((worker_index, "error", traceback.format_exc()))
+
+
+def _plan_slots(plan: ShardPlan) -> int:
+    spec = plan.specs[0]
+    if spec.scenario is not None:
+        return spec.scenario.horizon_slots
+    return spec.population.horizon_slots
+
+
+def _run_params(
+    plan: ShardPlan,
+    seed,
+    record_probabilities: bool,
+    dtype: str,
+    window: int | None,
+    use_kernels: bool,
+) -> tuple[RunParams, list[np.ndarray]]:
+    """The run's parameters and each shard's slice of the policy seeds."""
+    environment_seed, policy_seeds, label = derive_run_streams(
+        seed, plan.num_devices
+    )
+    spec = plan.specs[0]
+    if spec.scenario is not None:
+        num_networks = len(spec.scenario.networks)
+        delay_model = spec.scenario.delay_model
+    else:
+        num_networks = len(spec.population.bandwidths)
+        delay_model = spec.population.delay_model
+    params = RunParams(
+        num_slots=_plan_slots(plan),
+        environment_seed=environment_seed,
+        seed_label=label,
+        record_probabilities=record_probabilities,
+        dtype=dtype,
+        window=window,
+        use_kernels=use_kernels,
+        coupled=not getattr(delay_model, "stream_free", False),
+        num_networks=num_networks,
+        total_devices=plan.num_devices,
+        num_shards=plan.shards,
+    )
+    return params, [policy_seeds[spec.seed_positions] for spec in plan.specs]
+
+
+def run_in_process(
+    scenario: Scenario,
+    seed,
+    record_probabilities: bool,
+    use_kernels: bool,
+    tag: str,
+) -> SimulationResult:
+    """One run of ``scenario`` as the single shard of an in-process run.
+
+    The vectorized backend: the lockstep driver on one engine holding the
+    whole population, without bus, supervision or durability.
+    """
+    plan = ShardPlan.from_scenario(scenario, 1)
+    params, seed_slices = _run_params(
+        plan,
+        seed,
+        record_probabilities=record_probabilities,
+        dtype="float64",
+        window=None,
+        use_kernels=use_kernels,
+    )
+    engines, _, environment, _, _ = _build_group(
+        list(plan.specs), seed_slices, params
+    )
+    (result,) = run_lockstep(engines, SerialBus(), environment, params, tag=tag)
+    return result
 
 
 class ShardedSlotExecutor(SlotExecutor):
@@ -634,8 +743,8 @@ class ShardedSlotExecutor(SlotExecutor):
         (:meth:`map_reduced`); bounds per-shard recorder memory at
         ``O(devices/shards × window_slots)``.
     strict:
-        Raise instead of falling back to the vectorized backend when the
-        scenario's gain model is outside the shardable (equal-share) class.
+        Raise instead of running the scenario as one shard when its gain
+        model is outside the shardable (equal-share) class.
     heartbeat_seconds:
         Emit a progress log line (logger ``repro.sim.sharded``) roughly this
         often during a run; ``None`` disables.
@@ -740,24 +849,33 @@ class ShardedSlotExecutor(SlotExecutor):
         """
         return type(scenario.gain_model) is EqualShareModel
 
-    def _unsupported(self, scenario: Scenario):
+    def _one_shard_fallback(self, scenario: Scenario) -> int:
+        """Shard count for ``scenario``: one shard if its physics needs it.
+
+        Gain models other than equal share run as the whole population's
+        only shard on the same engine, so checkpointing and resume keep
+        working; the fallback is recorded as a ``one_shard_fallback``
+        telemetry event.  ``strict=True`` raises instead.
+        """
+        if self.supports_scenario(scenario):
+            return self.shards
+        gain_model = type(scenario.gain_model).__name__
         if self.strict:
             raise ValueError(
-                f"backend 'sharded' cannot execute scenario "
-                f"{scenario.name!r}: gain model "
-                f"{type(scenario.gain_model).__name__} requires the global "
-                "association grouping (only the equal-share model is "
-                "shardable); use the vectorized backend or strict=False"
+                f"backend 'sharded' cannot split scenario "
+                f"{scenario.name!r}: gain model {gain_model} requires the "
+                "global association grouping (only the equal-share model is "
+                "shardable); use strict=False to run it as one shard"
             )
-        if self.checkpoint is not None or self.resume_from is not None:
-            logger.warning(
-                "scenario %r falls back to the vectorized backend, which "
-                "does not checkpoint; the run executes without durability",
-                scenario.name,
+        tele = get_telemetry()
+        if tele is not None:
+            tele.event(
+                "one_shard_fallback",
+                gain_model=gain_model,
+                shards=self.shards,
+                scenario=scenario.name,
             )
-        from repro.sim.backends.vectorized import VectorizedSlotExecutor
-
-        return VectorizedSlotExecutor(use_kernels=self.use_kernels)
+        return 1
 
     # ------------------------------------------------------------ execution
 
@@ -768,11 +886,9 @@ class ShardedSlotExecutor(SlotExecutor):
         record_probabilities: bool = True,
     ) -> SimulationResult:
         """One run, shards gathered and stitched into the full result."""
-        if not self.supports_scenario(scenario):
-            return self._unsupported(scenario).execute(
-                scenario, seed, record_probabilities
-            )
-        plan = ShardPlan.from_scenario(scenario, self.shards)
+        plan = ShardPlan.from_scenario(
+            scenario, self._one_shard_fallback(scenario)
+        )
         shard_results = self._execute_plan(
             plan,
             seed,
@@ -830,8 +946,7 @@ class ShardedSlotExecutor(SlotExecutor):
     # ------------------------------------------------------------- internals
 
     def _reduce_plan(self, plan: ShardPlan, seed, reducer):
-        num_slots = self._plan_slots(plan)
-        window = min(self.window_slots, num_slots)
+        window = min(self.window_slots, _plan_slots(plan))
         shard_states = self._execute_plan(
             plan,
             seed,
@@ -844,23 +959,6 @@ class ShardedSlotExecutor(SlotExecutor):
             merged = reducer.shard_merge(merged, state)
         return reducer.shard_finalize(merged)
 
-    @staticmethod
-    def _plan_slots(plan: ShardPlan) -> int:
-        spec = plan.specs[0]
-        if spec.scenario is not None:
-            return spec.scenario.horizon_slots
-        return spec.population.horizon_slots
-
-    @staticmethod
-    def _delay_coupled(plan: ShardPlan) -> bool:
-        spec = plan.specs[0]
-        model = (
-            spec.scenario.delay_model
-            if spec.scenario is not None
-            else spec.population.delay_model
-        )
-        return not getattr(model, "stream_free", False)
-
     def _execute_plan(
         self,
         plan: ShardPlan,
@@ -869,54 +967,39 @@ class ShardedSlotExecutor(SlotExecutor):
         record_probabilities: bool,
         window: int | None,
     ) -> list:
-        environment_seed, policy_seeds, label = derive_run_streams(
-            seed, plan.num_devices
+        params, seed_slices = _run_params(
+            plan,
+            seed,
+            record_probabilities=record_probabilities,
+            dtype=self.dtype,
+            window=window,
+            use_kernels=self.use_kernels,
         )
-        num_slots = self._plan_slots(plan)
-        first_spec = plan.specs[0]
-        num_networks = (
-            len(first_spec.scenario.networks)
-            if first_spec.scenario is not None
-            else len(first_spec.population.bandwidths)
-        )
-        coupled = self._delay_coupled(plan)
+        num_slots = params.num_slots
         checkpoint = self.checkpoint
         fingerprint = fingerprint_config = None
         if checkpoint is not None or self.resume_from is not None:
             fingerprint, fingerprint_config = run_fingerprint(
                 plan,
                 num_slots=num_slots,
-                seed_label=label,
-                environment_seed=environment_seed,
+                seed_label=params.seed_label,
+                environment_seed=params.environment_seed,
                 record_probabilities=record_probabilities,
                 dtype=self.dtype,
                 window=window,
                 use_kernels=self.use_kernels,
-                coupled=coupled,
+                coupled=params.coupled,
                 reducer=type(reducer).__name__ if reducer is not None else "gather",
             )
-        params = RunParams(
-            num_slots=num_slots,
-            environment_seed=environment_seed,
-            seed_label=label,
-            record_probabilities=record_probabilities,
-            dtype=self.dtype,
-            window=window,
-            use_kernels=self.use_kernels,
-            coupled=coupled,
-            num_networks=num_networks,
-            total_devices=plan.num_devices,
+        params = replace(
+            params,
             heartbeat_seconds=self.heartbeat_seconds,
-            num_shards=plan.shards,
             barrier_timeout_s=self.supervision.barrier_timeout_s,
             checkpoint=checkpoint,
             fingerprint=fingerprint,
             fingerprint_config=fingerprint_config,
             fault_plan=self.fault_plan,
         )
-        seed_slices = [
-            policy_seeds[spec.seed_positions] for spec in plan.specs
-        ]
         workers = min(self.workers, plan.shards)
 
         tele = get_telemetry()
@@ -1024,13 +1107,13 @@ class ShardedSlotExecutor(SlotExecutor):
         seed_slices: list[np.ndarray],
         reducer,
     ) -> list:
-        engines, states, delay_env, start_slot, window_start = _build_group(
+        engines, states, environment, start_slot, window_start = _build_group(
             list(plan.specs), seed_slices, params
         )
-        return _run_group(
+        return run_lockstep(
             engines,
             SerialBus(),
-            delay_env,
+            environment,
             params,
             reducer,
             log_heartbeat=True,

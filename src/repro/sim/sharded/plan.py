@@ -138,8 +138,8 @@ class ShardPlan:
     """Device→shard assignment for one scenario (or generative population).
 
     ``shards`` is clamped to the population size; ``shards=1`` degenerates
-    to a single block covering every device, which the equivalence suite
-    uses to pin the sharded engine against the vectorized backend.
+    to a single block covering every device: the layout of the vectorized
+    backend and of scenarios the all-reduce cannot split.
     """
 
     def __init__(self, specs: Sequence[ShardSpec], num_devices: int) -> None:

@@ -49,6 +49,8 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
     "worker_end": ("worker", "slots", "seconds"),
     "progress": ("worker", "slot", "num_slots", "device_slots_per_second"),
     "worker_restart": ("attempt", "error", "backoff_s"),
+    # -- a scenario the sharded backend cannot split runs as one shard
+    "one_shard_fallback": ("gain_model", "shards"),
     # -- phase timing (the REPRO_PROFILE payload, re-based on telemetry)
     "phase_profile": ("tag", "total_seconds", "seconds", "share"),
     # -- kernel draw-window truncation reasons (aggregated per run/worker)

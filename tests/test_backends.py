@@ -11,6 +11,8 @@ model (which exercises the generic physics path) and the parallel
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.sim.backends import (
     get_backend,
     register_backend,
 )
+from repro.sim.delay import ConstantDelayModel, NoDelayModel
 from repro.sim.mobility import CoverageMap, NetworkDynamics
 from repro.sim.runner import run_many, run_policies, run_simulation
 from repro.sim.scenario import (
@@ -38,6 +41,7 @@ from repro.sim.scenario import (
     setting1_scenario,
     setting2_scenario,
 )
+from repro.sim.testbed import controlled_dynamic_scenario
 
 RESULT_ARRAY_FIELDS = (
     "choices",
@@ -50,14 +54,22 @@ RESULT_ARRAY_FIELDS = (
 
 
 def assert_results_identical(reference, candidate) -> None:
-    """Assert two SimulationResults are bit-for-bit equal."""
+    """Assert two SimulationResults are bit-for-bit equal.
+
+    Runs without probability recording compare equal only to runs without
+    it; their probabilities are then skipped.
+    """
     assert candidate.scenario_name == reference.scenario_name
     assert candidate.seed == reference.seed
     assert candidate.num_slots == reference.num_slots
     assert candidate.device_ids == reference.device_ids
     assert candidate.policy_names == reference.policy_names
     assert candidate.resets == reference.resets
+    recorded = reference.probabilities_3d is not None
+    assert (candidate.probabilities_3d is not None) == recorded
     for field in RESULT_ARRAY_FIELDS:
+        if field == "probabilities" and not recorded:
+            continue
         ref_arrays = getattr(reference, field)
         cand_arrays = getattr(candidate, field)
         for device_id in reference.device_ids:
@@ -192,6 +204,135 @@ class TestDynamicEquivalence:
         assert_results_identical(event, vectorized)
 
 
+class TestStationaryPoliciesUnderTopologyChange:
+    """Frozen rows are written per topology-stable span, not per slot."""
+
+    @pytest.mark.parametrize("record", (True, False))
+    @pytest.mark.parametrize("policy", ("fixed_random", "centralized"))
+    @pytest.mark.parametrize(
+        "factory", (dynamic_join_leave_scenario, mobility_scenario)
+    )
+    def test_join_leave_and_mobility(self, factory, policy, record):
+        scenario = factory(policy=policy, horizon_slots=850)
+        event = run_simulation(
+            scenario, seed=6, backend="event", record_probabilities=record
+        )
+        vectorized = run_simulation(
+            scenario, seed=6, backend="vectorized", record_probabilities=record
+        )
+        assert_results_identical(event, vectorized)
+
+
+def generic_physics_scenario(case: str) -> Scenario:
+    """Scenarios whose gain model draws from the environment RNG."""
+    if case == "capacity_churn":
+        # TimeVaryingCapacityModel via capacity flapping, with Poisson churn,
+        # mobility and outages around it.
+        return churn_scenario(
+            num_devices=10,
+            policy="full_information",
+            horizon_slots=120,
+            churn=PoissonChurn(
+                arrival_rate_per_slot=0.2,
+                mean_lifetime_slots=60.0,
+                initial_fraction=0.6,
+            ),
+            areas={"a": (0, 1, 2), "b": (1, 2)},
+            mobility_fraction=0.4,
+            mean_dwell_slots=30.0,
+            dynamics=NetworkDynamics(
+                outage_windows={0: ((40, 55),)},
+                flapping_networks=(1,),
+                mean_up_slots=40.0,
+                mean_outage_slots=8.0,
+                capacity_networks=(2,),
+                mean_capacity_dwell_slots=20.0,
+            ),
+            seed=4,
+        )
+    if case == "noisy_mixed":
+        base = mixed_policy_scenario(
+            {
+                "full_information": 2,
+                "exp3": 2,
+                "smart_exp3": 2,
+                "fixed_random": 2,
+                "centralized": 2,
+            },
+            horizon_slots=100,
+        )
+        return replace(
+            base,
+            name="noisy_mixed",
+            gain_model=NoisyShareModel(
+                rate_noise_std=0.2, share_concentration=5.0
+            ),
+        )
+    return controlled_dynamic_scenario(policy="full_information")
+
+
+class TestGenericPhysicsEquivalence:
+    """Gain models other than equal share, resolved through the environment."""
+
+    @pytest.mark.parametrize("seed", (0, 3))
+    @pytest.mark.parametrize("backend", ("vectorized", "vectorized-nokernel"))
+    @pytest.mark.parametrize(
+        "case", ("capacity_churn", "noisy_mixed", "controlled_dynamic")
+    )
+    def test_matches_event(self, case, backend, seed):
+        scenario = generic_physics_scenario(case)
+        event = run_simulation(scenario, seed=seed, backend="event")
+        candidate = run_simulation(scenario, seed=seed, backend=backend)
+        assert_results_identical(event, candidate)
+
+
+class TestStreamFreeDelays:
+    """Table-resolved switching delays stay bit-exact across topology edits."""
+
+    @staticmethod
+    def _check(scenario, seed):
+        event = run_simulation(scenario, seed=seed, backend="event")
+        vectorized = run_simulation(scenario, seed=seed, backend="vectorized")
+        assert_results_identical(event, vectorized)
+
+    @pytest.mark.parametrize("policy", ("exp3", "full_information"))
+    def test_churn(self, policy):
+        scenario = replace(
+            dynamic_join_leave_scenario(policy=policy, horizon_slots=850),
+            delay_model=ConstantDelayModel(),
+        )
+        self._check(scenario, 2)
+
+    def test_mobility(self):
+        scenario = replace(
+            mobility_scenario(policy="exp3", horizon_slots=850),
+            delay_model=ConstantDelayModel(),
+        )
+        self._check(scenario, 4)
+
+    def test_outages_and_poisson_churn(self):
+        # Outage windows change per-device visibility mid-run; NoDelayModel
+        # covers the second stream-free delay model.
+        scenario = churn_scenario(
+            num_devices=14,
+            policy="exp3",
+            horizon_slots=300,
+            churn=PoissonChurn(
+                arrival_rate_per_slot=0.1,
+                mean_lifetime_slots=150.0,
+                initial_fraction=0.5,
+            ),
+            dynamics=NetworkDynamics(
+                outage_windows={0: ((60, 100),)},
+                flapping_networks=(1,),
+                mean_up_slots=90.0,
+                mean_outage_slots=15.0,
+            ),
+            seed=3,
+        )
+        self._check(replace(scenario, delay_model=NoDelayModel()), 5)
+
+
 def random_churn_scenario(case: int) -> Scenario:
     """One seeded random dynamic scenario: churn + mobility + outages.
 
@@ -320,6 +461,24 @@ class TestRunMany:
         for policy in by_policy:
             for ref, cand in zip(reference[policy], by_policy[policy]):
                 assert_results_identical(ref, cand)
+
+    def test_run_policies_forwards_run_many_options(self):
+        scenario = setting1_scenario(num_devices=3, horizon_slots=40)
+        seen = []
+        by_policy = run_policies(
+            scenario,
+            ("greedy", "exp3"),
+            runs=2,
+            backend="vectorized",
+            record_probabilities=False,
+            progress=lambda done, total: seen.append((done, total)),
+        )
+        for policy, results in by_policy.items():
+            assert len(results) == 2
+            for result in results:
+                assert result.probabilities_3d is None
+                assert result.policy_names[0] == policy
+        assert seen == [(1, 2), (2, 2)] * 2
 
     def test_workers_one_is_serial(self):
         scenario = setting1_scenario(policy="greedy", num_devices=3, horizon_slots=40)

@@ -1,21 +1,20 @@
-"""Fused-window, compiled-kernel, array-seam and profiling coverage.
+"""Compiled-window, array-seam and profiling coverage.
 
-Four contracts from the compiled-fast-path layer:
+Three contracts from the compiled-fast-path layer:
 
-* **Interpreted fused windows are bit-exact.**  Whenever the vectorized
-  executor fuses a membership-stable window (stream-free delay model, one
-  kernel covering every active row), the generic interpreted
-  ``advance_window`` loop must reproduce the event backend bit for bit —
-  across static, churn, mobility and outage scenarios.
-* **The compiled mega-loop is distribution-exact.**  The pure-Python
-  ``exp3_window_impl`` body (the exact code numba compiles) must match the
-  interpreted path statistically — same uniform draw stream, same sampling
-  decisions, transcendentals allowed to differ in the last ulp — which the
-  suite checks by installing it as the "jitted" kernel and applying the
+* **The compiled mega-loop is distribution-exact.**  The slot engine's
+  single-shard loop hands a qualifying draw window to
+  ``EXP3Kernel.advance_window``; the pure-Python ``exp3_window_impl`` body
+  (the exact code numba compiles) must then match the per-slot path
+  statistically — same uniform draw stream, same sampling decisions,
+  transcendentals allowed to differ in the last ulp — which the suite
+  checks by installing it as the "jitted" kernel and applying the
   fixed-seed KS / mean-rate branch.  Where numba is installed the genuinely
-  jitted kernel goes through the same assertions.
+  jitted kernel goes through the same assertions.  Windows never engage
+  when they cannot be exact: a stochastic delay model or probability
+  recording keeps the per-slot path.
 * **Requesting compilation without numba degrades gracefully**: one logged
-  warning, interpreted windowed execution, results still bit-exact.
+  warning, per-slot execution, results still bit-exact.
 * **The array-module seam is real**: kernel math routes every namespace
   access through :func:`repro.xp.get_array_module`, proven with a tracing
   proxy module, and the profiling hooks emit per-phase JSON when enabled.
@@ -40,129 +39,26 @@ from repro.algorithms.kernels.compiled import (
     numba_version,
 )
 from repro.algorithms.kernels.exp3 import EXP3Kernel
-from repro.sim.delay import ConstantDelayModel, NoDelayModel
-from repro.sim.mobility import NetworkDynamics
+from repro.sim.delay import ConstantDelayModel
 from repro.sim.runner import run_simulation
-from repro.sim.scenario import (
-    PoissonChurn,
-    churn_scenario,
-    dynamic_join_leave_scenario,
-    mobility_scenario,
-    setting1_scenario,
-)
+from repro.sim.scenario import setting1_scenario
 from repro.xp import using_array_module
 
 from tests.test_backends import assert_results_identical
 
 
 def stream_free(scenario, delay_model=None):
-    """The scenario with a stream-free delay model (the fusion precondition)."""
+    """The scenario with a stream-free delay model (the window precondition)."""
     return replace(scenario, delay_model=delay_model or ConstantDelayModel())
-
-
-def count_windows(monkeypatch):
-    """Spy on BatchKernel window advances; returns the live counter dict."""
-    calls = {"n": 0, "slots": 0}
-    original = EXP3Kernel.advance_window
-
-    def spy(self, window):
-        calls["n"] += 1
-        calls["slots"] += window.n_slots
-        return original(self, window)
-
-    monkeypatch.setattr(EXP3Kernel, "advance_window", spy)
-    return calls
-
-
-class TestFusedWindowEngagement:
-    def test_static_run_fuses_and_stays_bit_exact(self, monkeypatch):
-        scenario = stream_free(
-            setting1_scenario(policy="exp3", num_devices=9, horizon_slots=200)
-        )
-        calls = count_windows(monkeypatch)
-        fused = run_simulation(scenario, seed=0, backend="vectorized")
-        assert calls["n"] >= 1
-        assert calls["slots"] == 200
-        event = run_simulation(scenario, seed=0, backend="event")
-        per_slot = run_simulation(scenario, seed=0, backend="vectorized-nofuse")
-        assert_results_identical(event, fused)
-        assert_results_identical(per_slot, fused)
-
-    def test_empirical_delays_keep_the_per_slot_path(self, monkeypatch):
-        # The default EmpiricalDelayModel consumes the RNG stream per switch,
-        # so windows cannot be fused without breaking bit-exactness — the
-        # executor must keep them per-slot.
-        scenario = setting1_scenario(
-            policy="exp3", num_devices=6, horizon_slots=80
-        )
-        calls = count_windows(monkeypatch)
-        vectorized = run_simulation(scenario, seed=1, backend="vectorized")
-        assert calls["n"] == 0
-        event = run_simulation(scenario, seed=1, backend="event")
-        assert_results_identical(event, vectorized)
-
-
-class TestInterpretedWindowsBitExact:
-    """Fused interpreted windows vs. the event oracle across dynamics."""
-
-    def _check(self, scenario, seed):
-        event = run_simulation(scenario, seed=seed, backend="event")
-        fused = run_simulation(scenario, seed=seed, backend="vectorized")
-        per_slot = run_simulation(
-            scenario, seed=seed, backend="vectorized-nofuse"
-        )
-        assert_results_identical(event, fused)
-        assert_results_identical(per_slot, fused)
-
-    @pytest.mark.parametrize("policy", ("exp3", "full_information"))
-    def test_churn(self, policy):
-        # Joins/leaves segment the horizon; windows must truncate at every
-        # membership edge and re-fuse between them.
-        scenario = stream_free(
-            dynamic_join_leave_scenario(policy=policy, horizon_slots=850)
-        )
-        self._check(scenario, 2)
-
-    def test_mobility(self):
-        scenario = stream_free(
-            mobility_scenario(policy="exp3", horizon_slots=850)
-        )
-        self._check(scenario, 4)
-
-    def test_outages_and_poisson_churn(self):
-        # Outage windows change per-device visibility mid-run — another
-        # boundary the fused path must respect.  NoDelayModel covers the
-        # second stream-free delay model.
-        scenario = stream_free(
-            churn_scenario(
-                num_devices=14,
-                policy="exp3",
-                horizon_slots=300,
-                churn=PoissonChurn(
-                    arrival_rate_per_slot=0.1,
-                    mean_lifetime_slots=150.0,
-                    initial_fraction=0.5,
-                ),
-                dynamics=NetworkDynamics(
-                    outage_windows={0: ((60, 100),)},
-                    flapping_networks=(1,),
-                    mean_up_slots=90.0,
-                    mean_outage_slots=15.0,
-                ),
-                seed=3,
-            ),
-            delay_model=NoDelayModel(),
-        )
-        self._check(scenario, 5)
 
 
 def install_reference_compiled_kernel(monkeypatch):
     """Install the pure-Python mega-loop as the "jitted" kernel.
 
     ``exp3_window_impl`` is the exact function numba compiles, so running it
-    through the compiled branch of ``EXP3Kernel.advance_window`` exercises
-    the compiled semantics (draw indexing, in-place writes, scratch buffers)
-    on machines without numba.
+    through ``EXP3Kernel.advance_window`` exercises the compiled semantics
+    (draw indexing, in-place writes, scratch buffers) on machines without
+    numba.
     """
     calls = {"n": 0}
 
@@ -194,6 +90,36 @@ def assert_distribution_exact(reference, candidate):
         assert cand_frac == pytest.approx(ref_frac, abs=0.05)
 
 
+class TestFusedWindowEngagement:
+    def test_empirical_delays_keep_the_per_slot_path(self, monkeypatch):
+        # The default EmpiricalDelayModel consumes the RNG stream per switch,
+        # so a window cannot resolve its delays from a table: the engine
+        # must never offer one, even with the compiled loop installed.
+        scenario = setting1_scenario(
+            policy="exp3", num_devices=6, horizon_slots=80
+        )
+        calls = install_reference_compiled_kernel(monkeypatch)
+        offered = []
+        original = EXP3Kernel.advance_window
+
+        def spy(self, window):
+            offered.append(window.n_slots)
+            return original(self, window)
+
+        monkeypatch.setattr(EXP3Kernel, "advance_window", spy)
+        for record in (True, False):
+            vectorized = run_simulation(
+                scenario, seed=1, backend="vectorized",
+                record_probabilities=record,
+            )
+            event = run_simulation(
+                scenario, seed=1, backend="event", record_probabilities=record
+            )
+            assert_results_identical(event, vectorized)
+        assert offered == []
+        assert calls["n"] == 0
+
+
 class TestCompiledWindowSemantics:
     def _scenario(self):
         return stream_free(
@@ -202,26 +128,25 @@ class TestCompiledWindowSemantics:
 
     def test_reference_impl_is_distribution_exact(self, monkeypatch):
         scenario = self._scenario()
-        interpreted = run_simulation(
-            scenario, seed=9, backend="vectorized-nofuse",
-            record_probabilities=False,
+        per_slot = run_simulation(
+            scenario, seed=9, backend="vectorized", record_probabilities=False
         )
         calls = install_reference_compiled_kernel(monkeypatch)
         compiled = run_simulation(
             scenario, seed=9, backend="vectorized", record_probabilities=False
         )
         assert calls["n"] >= 1
-        assert_distribution_exact(interpreted, compiled)
+        assert_distribution_exact(per_slot, compiled)
         # Physics invariants hold exactly: activity masks match, and every
         # charged delay is the stream-free constant for the entered network.
-        assert np.array_equal(interpreted.active_2d, compiled.active_2d)
+        assert np.array_equal(per_slot.active_2d, compiled.active_2d)
         charged = compiled.delays_2d[compiled.switches_2d]
         assert set(np.unique(charged)) <= {2.0, 3.0}
 
     def test_probability_recording_falls_back_to_interpreted(self, monkeypatch):
         # The compiled loop does not write the probability tensor; with
-        # recording on the kernel must take the interpreted branch and stay
-        # bit-exact.
+        # recording on the kernel declines the window, the engine stays on
+        # the per-slot path and the run stays bit-exact.
         scenario = self._scenario()
         calls = install_reference_compiled_kernel(monkeypatch)
         full = run_simulation(scenario, seed=9, backend="vectorized")
@@ -231,17 +156,17 @@ class TestCompiledWindowSemantics:
 
     @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
     def test_jitted_kernel_is_distribution_exact(self, monkeypatch):
+        scenario = self._scenario()
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+        per_slot = run_simulation(
+            scenario, seed=9, backend="vectorized", record_probabilities=False
+        )
         monkeypatch.setenv("REPRO_COMPILED", "1")
         assert compiled_enabled()
-        scenario = self._scenario()
-        interpreted = run_simulation(
-            scenario, seed=9, backend="vectorized-nofuse",
-            record_probabilities=False,
-        )
         compiled = run_simulation(
             scenario, seed=9, backend="vectorized", record_probabilities=False
         )
-        assert_distribution_exact(interpreted, compiled)
+        assert_distribution_exact(per_slot, compiled)
 
 
 class TestGracefulSkip:
@@ -261,7 +186,7 @@ class TestGracefulSkip:
         ]
         assert len(warnings) == 1
         assert numba_version() is None
-        # The run itself must be unaffected: interpreted windows, bit-exact.
+        # The run itself must be unaffected: per-slot path, bit-exact.
         scenario = stream_free(
             setting1_scenario(policy="exp3", num_devices=6, horizon_slots=120)
         )
@@ -331,9 +256,10 @@ class TestProfiling:
         assert payload["devices"] == 6
         assert payload["slots"] == 100
         assert payload["device_slots_per_second"] > 0
-        # The whole static run fuses into windows, so the fused phase must
-        # carry measurable time.
-        assert payload["seconds"]["fused_window"] > 0
+        # Without the compiled tier every slot runs the engine's phases, so
+        # each of them must carry measurable time.
+        for phase in ("sampling", "physics", "delays", "reward"):
+            assert payload["seconds"][phase] > 0
         # Shares are rounded for readability; they must still sum to ~1.
         assert abs(sum(payload["share"].values()) - 1.0) < 1e-2
 

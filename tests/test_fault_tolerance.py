@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis.reducers import DownloadReducer, SummaryReducer
 from repro.experiments.common import ExperimentConfig
-from repro.sim.runner import run_many
+from repro.game.gain import NoisyShareModel
+from repro.sim.runner import run_many, run_simulation
 from repro.sim.scenario import (
     mobility_scenario,
     per_slot_churn_scenario,
@@ -47,6 +49,7 @@ from repro.sim.sharded import (
     latest_checkpoint,
 )
 from repro.sim.sharded.checkpoint import MANIFEST_NAME
+from repro.telemetry import read_events, set_telemetry_dir
 from tests.test_backends import assert_results_identical
 
 #: Test-speed supervision: tiny backoff, fast exit-code polling.
@@ -217,6 +220,38 @@ class TestSerialCrashResume:
             fault_plan=FaultPlan((KillWorker(worker=0, slot=23),)),
         )
         assert_results_identical(reference, executor.execute(scenario, seed=5))
+
+    def test_one_shard_fallback_checkpoints_and_resumes(self, tmp_path):
+        # A gain model the all-reduce cannot split runs as one shard on the
+        # same engine: it checkpoints, a killed attempt resumes
+        # byte-identical, and the fallback is on record in the stream.
+        scenario = replace(
+            setting1_scenario(
+                policy="smart_exp3", num_devices=9, horizon_slots=40
+            ),
+            gain_model=NoisyShareModel(
+                rate_noise_std=0.2, share_concentration=5.0
+            ),
+        )
+        reference = run_simulation(scenario, seed=5, backend="event")
+        executor = durable_executor(
+            tmp_path,
+            shards=2,
+            fault_plan=FaultPlan((KillWorker(worker=0, slot=23),)),
+        )
+        set_telemetry_dir(tmp_path / "telemetry")
+        try:
+            resumed = executor.execute(scenario, seed=5)
+        finally:
+            set_telemetry_dir(None)
+        assert_results_identical(reference, resumed)
+        events = read_events(tmp_path / "telemetry")
+        fallbacks = [e for e in events if e["type"] == "one_shard_fallback"]
+        assert [(e["gain_model"], e["shards"]) for e in fallbacks] == [
+            ("NoisyShareModel", 2)
+        ]
+        assert any(e["type"] == "worker_restart" for e in events)
+        assert latest_checkpoint(tmp_path / "ckpt") is not None
 
     def test_repeated_kills_until_budget_exhausted(self, tmp_path):
         scenario = setting1_scenario(num_devices=6, horizon_slots=30)

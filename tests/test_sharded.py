@@ -1,11 +1,11 @@
 """Shard-invariance and equivalence suite for the sharded population engine.
 
-The ``"sharded"`` backend must be bit-exact against the vectorized backend
-(hence the event reference) for *any* shard and worker count: per-device
-policy streams derive from the run seed and the global device order only,
-the per-slot all-reduce exchanges exact integer occupancy counts, and
-stochastic switching delays replay the same global ascending-device-order
-draw on every shard's environment-RNG replica.  These tests pin that
+The ``"sharded"`` backend must be bit-exact against the event backend for
+*any* shard and worker count: per-device policy streams derive from the run
+seed and the global device order only, the per-slot all-reduce exchanges
+exact integer occupancy counts, and stochastic switching delays replay the
+same global ascending-device-order draw on every shard's environment-RNG
+replica.  These tests pin that
 contract across stationary, churn and mobility scenarios (with and without
 probability recording), the multiprocess shared-memory path, the float32
 recorder option, the in-shard reducer protocol, and the ``shards=`` /
@@ -91,7 +91,7 @@ class TestRegistryAndConfig:
 
 
 class TestShardInvariance:
-    """shards=1 vs shards=K vs the vectorized backend, bit for bit."""
+    """shards=1 vs shards=K vs the event backend, bit for bit."""
 
     @pytest.mark.parametrize(
         "policy",
@@ -101,7 +101,7 @@ class TestShardInvariance:
         scenario = setting1_scenario(
             policy=policy, num_devices=9, horizon_slots=100
         )
-        reference = run_simulation(scenario, seed=3, backend="vectorized")
+        reference = run_simulation(scenario, seed=3, backend="event")
         for shards in (1, 4):
             assert_results_identical(
                 reference, run_sharded(scenario, 3, shards)
@@ -110,7 +110,7 @@ class TestShardInvariance:
     def test_churn_scenarios(self):
         for case in (0, 3, 5):
             scenario = random_churn_scenario(case)
-            reference = run_simulation(scenario, seed=case, backend="vectorized")
+            reference = run_simulation(scenario, seed=case, backend="event")
             for shards in (1, 4):
                 assert_results_identical(
                     reference, run_sharded(scenario, case, shards)
@@ -118,12 +118,12 @@ class TestShardInvariance:
 
     def test_per_slot_churn(self):
         scenario = per_slot_churn_scenario(num_devices=12, policy="exp3")
-        reference = run_simulation(scenario, seed=1, backend="vectorized")
+        reference = run_simulation(scenario, seed=1, backend="event")
         assert_results_identical(reference, run_sharded(scenario, 1, 4))
 
     def test_mobility(self):
         scenario = mobility_scenario(policy="smart_exp3", horizon_slots=450)
-        reference = run_simulation(scenario, seed=4, backend="vectorized")
+        reference = run_simulation(scenario, seed=4, backend="event")
         for shards in (1, 3):
             assert_results_identical(
                 reference, run_sharded(scenario, 4, shards)
@@ -134,13 +134,13 @@ class TestShardInvariance:
             {"smart_exp3": 3, "greedy": 2, "fixed_random": 2, "full_information": 2},
             horizon_slots=80,
         )
-        reference = run_simulation(scenario, seed=1, backend="vectorized")
+        reference = run_simulation(scenario, seed=1, backend="event")
         assert_results_identical(reference, run_sharded(scenario, 1, 3))
 
     def test_without_probabilities(self):
         scenario = random_churn_scenario(2)
         reference = run_simulation(
-            scenario, seed=2, backend="vectorized", record_probabilities=False
+            scenario, seed=2, backend="event", record_probabilities=False
         )
         for shards in (1, 4):
             candidate = ShardedSlotExecutor(shards=shards, strict=True).execute(
@@ -172,7 +172,7 @@ class TestShardInvariance:
             horizon_slots=80,
         )
         assert scenario.delay_model.stream_free
-        reference = run_simulation(scenario, seed=6, backend="vectorized")
+        reference = run_simulation(scenario, seed=6, backend="event")
         assert_results_identical(reference, run_sharded(scenario, 6, 3))
 
     def test_coupled_delay_model_draws_globally(self):
@@ -183,7 +183,7 @@ class TestShardInvariance:
         )
         assert isinstance(scenario.delay_model, EmpiricalDelayModel)
         assert not scenario.delay_model.stream_free
-        reference = run_simulation(scenario, seed=9, backend="vectorized")
+        reference = run_simulation(scenario, seed=9, backend="event")
         assert_results_identical(reference, run_sharded(scenario, 9, 4))
 
 
@@ -249,7 +249,7 @@ class TestPhysicsSupport:
 
     def test_fallback_matches_vectorized(self):
         scenario = self._noisy_scenario()
-        reference = run_simulation(scenario, seed=1, backend="vectorized")
+        reference = run_simulation(scenario, seed=1, backend="event")
         candidate = ShardedSlotExecutor(shards=2).execute(scenario, 1)
         assert_results_identical(reference, candidate)
 
