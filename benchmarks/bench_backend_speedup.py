@@ -161,19 +161,17 @@ def _multicore() -> bool:
 def bench_header() -> dict:
     """Provenance keys shared by every suite payload (bench hygiene).
 
-    ``cpu_count``, the numpy version, the active array module and the
-    numba state pin down the machine/toolchain a tracked JSON was produced
-    on, so perf trajectories across commits compare like with like.
+    ``cpu_count``, the numpy version and the numba state pin down the
+    machine/toolchain a tracked JSON was produced on, so perf trajectories
+    across commits compare like with like.
     """
     import numpy
 
     from repro.algorithms.kernels.compiled import compiled_enabled, numba_version
-    from repro.xp import array_module_name
 
     return {
         "cpu_count": os.cpu_count(),
         "numpy_version": numpy.__version__,
-        "array_module": array_module_name(),
         "numba_version": numba_version(),
         "compiled_kernels": compiled_enabled(),
     }

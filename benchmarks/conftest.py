@@ -23,9 +23,6 @@ Environment variables:
   backends for any shard count).
 * ``REPRO_BENCH_PAPER=1`` — use the full paper-scale configuration (slow;
   combine with ``REPRO_BENCH_WORKERS`` to spread the 500 runs over cores).
-* ``REPRO_BENCH_ARRAY_MODULE`` — array namespace for the batched kernel math
-  (default unset = NumPy; e.g. ``cupy``; see :mod:`repro.xp`).  Non-NumPy
-  namespaces are distribution-exact, not bit-exact.
 * ``REPRO_BENCH_COMPILED=1`` — opt into the numba-compiled window kernels
   (distribution-exact; gracefully falls back with a warning when numba is
   not installed).
@@ -50,7 +47,6 @@ def bench_config(
     workers = int(workers_env) if workers_env is not None else None
     shards_env = os.environ.get("REPRO_BENCH_SHARDS")
     shards = int(shards_env) if shards_env is not None else None
-    array_module = os.environ.get("REPRO_BENCH_ARRAY_MODULE") or None
     if shards is not None:
         backend = "sharded"
     if os.environ.get("REPRO_BENCH_PAPER") == "1":
@@ -58,7 +54,6 @@ def bench_config(
             backend=backend,
             workers=workers,
             shards=shards,
-            array_module=array_module,
         )
     runs = int(os.environ.get("REPRO_BENCH_RUNS", default_runs))
     horizon_env = os.environ.get("REPRO_BENCH_HORIZON")
@@ -72,7 +67,6 @@ def bench_config(
         backend=backend,
         workers=workers,
         shards=shards,
-        array_module=array_module,
     )
 
 

@@ -1,10 +1,15 @@
-"""Setuptools entry point.
+"""Setuptools entry point for the ``repro`` package.
 
-The [project] metadata lives in pyproject.toml; this file exists so that the
-legacy editable-install path (``pip install -e .`` without the ``wheel``
-package available) keeps working in offline environments.
+The package lives under ``src/``.  ``pip install -e .`` installs it in
+development mode; ``PYTHONPATH=src`` runs it without an install.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

@@ -48,7 +48,6 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.algorithms.base import Policy
-from repro.xp import get_array_module
 
 
 @dataclass
@@ -130,7 +129,6 @@ def sample_rows(
     prob_matrix,
     rngs: Sequence[np.random.Generator],
     draws=None,
-    xp=None,
 ) -> np.ndarray:
     """One categorical sample per row, bit-compatible with ``Generator.choice``.
 
@@ -147,22 +145,16 @@ def sample_rows(
     row, which yields the *identical* double stream as ``n`` sequential
     ``.random()`` calls — so the buffered path stays bit-exact while paying
     the Python generator-call overhead once per window instead of per slot.
-    ``xp`` routes the array math through a non-NumPy namespace (seam:
-    :mod:`repro.xp`).
     """
-    if xp is None:
-        xp = get_array_module()
-    # Array methods rather than xp.sum / xp.cumsum: the same reductions
+    # Array methods rather than np.sum / np.cumsum: the same reductions
     # without the function-level dispatch, which dominates on small groups.
     probs = prob_matrix / prob_matrix.sum(axis=1, keepdims=True)
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     if draws is None:
         draws = np.asarray([rng.random() for rng in rngs], dtype=float)
-    if xp is not np:
-        draws = xp.asarray(draws)
     indices = (cdf <= draws[:, None]).sum(axis=1)
-    return xp.minimum(indices, prob_matrix.shape[1] - 1)
+    return np.minimum(indices, prob_matrix.shape[1] - 1)
 
 
 class BatchKernel(ABC):
@@ -239,16 +231,6 @@ class BatchKernel(ABC):
         # _drop_window_buffer so membership edits never slice or pad it.
         self._window_draws: np.ndarray | None = None
         self._window_pos = 0
-
-    @property
-    def xp(self):
-        """The active array namespace (:mod:`repro.xp` seam).
-
-        Resolved per access rather than cached on the instance: the kernel
-        state must stay free of module references so the sharded engine's
-        columnar checkpoint codec can pickle ``vars(kernel)`` wholesale.
-        """
-        return get_array_module()
 
     # ---------------------------------------------------------- draw windows
 

@@ -35,7 +35,6 @@ from repro.algorithms.kernels.base import (
     sequential_row_sum,
 )
 from repro.algorithms.kernels.compiled import exp3_window_kernel
-from repro.xp import asnumpy
 
 _NO_GAMMA = -1.0  # sentinel: decaying gamma (fixed gammas are in (0, 1])
 
@@ -49,22 +48,17 @@ class EXP3Kernel(BatchKernel):
     def __init__(self, entries, recorder) -> None:
         super().__init__(entries, recorder)
         policies = self.policies
-        xp = self.xp
         # EXP3Policy keeps its weights as an array aligned with
         # available_networks (exposed as weight_values), so the gather is a
         # plain row stack.
-        self.weights = xp.asarray(np.stack([p.weight_values for p in policies]))
-        self.rounds = xp.asarray(
-            np.asarray([p._round for p in policies], dtype=np.int64)
-        )
-        self.fixed_gamma = xp.asarray(
-            np.asarray(
-                [
-                    _NO_GAMMA if p._fixed_gamma is None else p._fixed_gamma
-                    for p in policies
-                ],
-                dtype=float,
-            )
+        self.weights = np.stack([p.weight_values for p in policies])
+        self.rounds = np.asarray([p._round for p in policies], dtype=np.int64)
+        self.fixed_gamma = np.asarray(
+            [
+                _NO_GAMMA if p._fixed_gamma is None else p._fixed_gamma
+                for p in policies
+            ],
+            dtype=float,
         )
         self._probs: np.ndarray | None = None
         self._last_local = np.zeros(self.size, dtype=np.intp)
@@ -82,8 +76,7 @@ class EXP3Kernel(BatchKernel):
         γ never overflows, so the table grows geometrically (at least
         doubling) rather than to exactly the largest round looked up.
         """
-        xp = self.xp
-        rounds = asnumpy(self.rounds)
+        rounds = self.rounds
         try:
             decayed = self._gamma_table[rounds]
         except IndexError:
@@ -92,23 +85,22 @@ class EXP3Kernel(BatchKernel):
             self._gamma_table = table = _extended(table, size, decayed_gamma)
             decayed = table[rounds]
         fixed = self.fixed_gamma
-        return xp.where(fixed == _NO_GAMMA, xp.asarray(decayed), fixed)
+        return np.where(fixed == _NO_GAMMA, decayed, fixed)
 
     def begin_slot(self, slot: int) -> np.ndarray:
-        xp = self.xp
         self.rounds += 1
         self._slot_gamma = gamma = self._gammas()
         weights = self.weights
-        total = xp.sum(weights, axis=1)
+        total = np.sum(weights, axis=1)
         k = self.num_networks
         probs = (1.0 - gamma)[:, None] * weights / total[:, None] + (gamma / k)[
             :, None
         ]
         self._probs = probs
-        local = sample_rows(probs, self.rngs, draws=self._take_draws(), xp=xp)
+        local = sample_rows(probs, self.rngs, draws=self._take_draws())
         self._last_local = local
         self._last_probability = probs[self._arange, local]
-        return self.cols[asnumpy(local)]
+        return self.cols[local]
 
     def end_slot(
         self,
@@ -117,11 +109,10 @@ class EXP3Kernel(BatchKernel):
         gains: np.ndarray,
         feedback: SlotFeedback | None = None,
     ) -> None:
-        xp = self.xp
         gamma = self._slot_gamma
-        estimated = gains / xp.maximum(self._last_probability, 1e-12)
+        estimated = gains / np.maximum(self._last_probability, 1e-12)
         k = self.num_networks
-        self.weights[self._arange, self._last_local] *= xp.exp(
+        self.weights[self._arange, self._last_local] *= np.exp(
             gamma * estimated / k
         )
         row_max = self.weights.max(axis=1)
@@ -132,7 +123,7 @@ class EXP3Kernel(BatchKernel):
         # the left-to-right accumulation before the block write.
         probs = self._probs
         total = sequential_row_sum(probs)
-        self.record_probability_block(slot_index, asnumpy(probs / total[:, None]))
+        self.record_probability_block(slot_index, probs / total[:, None])
 
     def advance_window(self, window: WindowPlan) -> bool:
         """Advance ``window`` through the compiled mega-loop, if it applies.
@@ -198,11 +189,11 @@ class EXP3Kernel(BatchKernel):
         self._flush_rows(range(self.size))
 
     def _flush_rows(self, indices) -> None:
-        probs = None if self._probs is None else asnumpy(self._probs)
-        weights = asnumpy(self.weights)
-        rounds = asnumpy(self.rounds)
-        last_local = asnumpy(self._last_local)
-        last_probability = asnumpy(self._last_probability)
+        probs = self._probs
+        weights = self.weights
+        rounds = self.rounds
+        last_local = self._last_local
+        last_probability = self._last_probability
         for j in indices:
             policy = self.policies[j]
             policy.weight_values[:] = weights[j]

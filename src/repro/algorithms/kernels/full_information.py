@@ -48,11 +48,10 @@ class FullInformationKernel(BatchKernel):
         return eta
 
     def begin_slot(self, slot: int) -> np.ndarray:
-        xp = self.xp
         self.rounds += 1
-        total = xp.sum(self.weights, axis=1)
+        total = np.sum(self.weights, axis=1)
         probs = self.weights / total[:, None]
-        local = sample_rows(probs, self.rngs, draws=self._take_draws(), xp=xp)
+        local = sample_rows(probs, self.rngs, draws=self._take_draws())
         self._last_local = local
         return self.cols[local]
 
@@ -90,15 +89,14 @@ class FullInformationKernel(BatchKernel):
             raise ValueError(
                 "FullInformationKernel requires counterfactual feedback"
             )
-        xp = self.xp
         eta = self._etas()
-        losses = 1.0 - xp.minimum(xp.maximum(self._feedback_matrix(feedback), 0.0), 1.0)
-        self.weights *= xp.exp(-eta[:, None] * losses)
+        losses = 1.0 - np.minimum(np.maximum(self._feedback_matrix(feedback), 0.0), 1.0)
+        self.weights *= np.exp(-eta[:, None] * losses)
         row_max = self.weights.max(axis=1)
         needs_scaling = (row_max > 1e100) | (row_max < 1e-100)
         if needs_scaling.any():
             self.weights[needs_scaling] /= row_max[needs_scaling, None]
-        total = xp.sum(self.weights, axis=1)
+        total = np.sum(self.weights, axis=1)
         self.record_probability_block(slot_index, self.weights / total[:, None])
 
     def flush(self) -> None:

@@ -56,17 +56,16 @@ class GreedyKernel(BatchKernel):
         best; this runs the same scan with each comparison vectorized over the
         device axis, so the epsilon tie-breaking semantics carry over exactly.
         """
-        xp = self.xp
         counts = self.gain_count
-        averages = xp.where(
-            counts == 0, 0.0, self.gain_sum / xp.maximum(counts, 1)
+        averages = np.where(
+            counts == 0, 0.0, self.gain_sum / np.maximum(counts, 1)
         )
         best_gain = np.full(self.size, -1.0)
         best_local = np.zeros(self.size, dtype=np.intp)
         for col in range(self.num_networks):
             gain = averages[:, col]
             better = gain > best_gain + 1e-12
-            tie_stay = (xp.abs(gain - best_gain) <= 1e-12) & (
+            tie_stay = (np.abs(gain - best_gain) <= 1e-12) & (
                 self.last_local == col
             )
             update = better | tie_stay

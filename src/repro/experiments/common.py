@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from repro.sim.backends import available_backends
 from repro.sim.metrics import SimulationResult
-from repro.sim.runner import run_many
+from repro.sim.runner import run_many, validate_execution
 from repro.sim.scenario import Scenario
-from repro.xp import resolve_array_module
 
 #: The policies of Table II and Table III, in the order the paper lists them.
 ALL_POLICIES: tuple[str, ...] = (
@@ -73,9 +71,9 @@ class ExperimentConfig:
         Seeds per pool dispatch for parallel ``run_many`` (``None`` uses the
         runner's ~4-chunks-per-worker heuristic).
     shards:
-        Device-axis shard count per run; requires ``backend="sharded"``
-        (see :mod:`repro.sim.sharded`).  ``None`` leaves the backend's
-        default configuration.
+        Device-axis shard count per run; requires a backend that supports
+        it, i.e. ``backend="sharded"`` (see :mod:`repro.sim.sharded`).
+        ``None`` leaves the backend's default configuration.
     checkpoint:
         A :class:`~repro.sim.sharded.CheckpointConfig` enabling periodic
         shard-state snapshots of every run (requires ``shards``); with
@@ -86,13 +84,6 @@ class ExperimentConfig:
         invocation of the *same* experiment configuration (requires
         ``shards``); resumed results are bit-identical to an
         uninterrupted run.
-    array_module:
-        Array namespace the batched kernels compute in (:mod:`repro.xp`).
-        ``None`` (default) leaves the process-global seam untouched — NumPy
-        unless something else set it; ``"numpy"`` pins NumPy explicitly; a
-        name like ``"cupy"`` resolves that module once per experiment and
-        runs the kernel math there (distribution-exact, not bit-exact).
-        Validated eagerly so a typo fails at config time, not mid-run.
     cache:
         Run-registry mode for reduced runs (:mod:`repro.registry`):
         ``"off"`` (default) always simulates, ``"reuse"`` loads cached
@@ -118,7 +109,6 @@ class ExperimentConfig:
     shards: int | None = None
     checkpoint: object | None = None
     resume_from: str | None = None
-    array_module: str | None = None
     cache: object = "off"
     telemetry_dir: str | None = None
 
@@ -127,43 +117,15 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.horizon_slots is not None and self.horizon_slots < 10:
             raise ValueError("horizon_slots must be >= 10")
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
-        if self.workers is not None and self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.chunksize is not None and self.chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {self.chunksize}")
-        if self.shards is not None:
-            if self.shards < 1:
-                raise ValueError(f"shards must be >= 1, got {self.shards}")
-            if self.backend != "sharded":
-                raise ValueError(
-                    "shards= requires backend='sharded', "
-                    f"got backend={self.backend!r}"
-                )
-            if self.workers is not None and self.workers > self.shards:
-                raise ValueError(
-                    f"workers={self.workers} exceeds shards={self.shards}: "
-                    "each worker process drives at least one whole shard — "
-                    f"use workers<={self.shards} or raise shards="
-                )
-        if (
-            self.checkpoint is not None or self.resume_from is not None
-        ) and self.shards is None:
-            raise ValueError(
-                "checkpoint/resume_from require shards= (durability is "
-                "implemented by the sharded backend)"
-            )
-        if self.array_module is not None:
-            resolve_array_module(self.array_module)  # fail fast on typos
-        # Imported lazily: the registry imports the runner, which the
-        # experiments layer sits on top of.
-        from repro.registry.store import resolve_cache
-
-        resolve_cache(self.cache)  # fail fast on unknown cache modes
+        validate_execution(
+            self.backend,
+            workers=self.workers,
+            chunksize=self.chunksize,
+            shards=self.shards,
+            checkpoint=self.checkpoint,
+            resume_from=self.resume_from,
+            cache=self.cache,
+        )
 
     @classmethod
     def quick(cls) -> "ExperimentConfig":
@@ -218,7 +180,6 @@ def run_with_config(scenario: Scenario, config: ExperimentConfig, reduce=None):
         shards=config.shards,
         checkpoint=config.checkpoint,
         resume_from=config.resume_from,
-        array_module=config.array_module,
         cache=config.cache,
     )
 

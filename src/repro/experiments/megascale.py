@@ -38,7 +38,6 @@ from repro.sim.sharded import (
     HomogeneousPopulation,
     ShardedSlotExecutor,
 )
-from repro.xp import array_module_name, set_array_module
 
 #: Scaled-down defaults (the full-scale acceptance run is CLI-driven).
 DEFAULT_DEVICES = 5000
@@ -71,7 +70,6 @@ def run(
     heartbeat_seconds: float | None = 30.0,
     checkpoint: CheckpointConfig | None = None,
     resume_from: str | None = None,
-    array_module: str | None = None,
     telemetry_dir: str | None = None,
 ) -> dict:
     """One megascale population run, summarised through the shard reducer.
@@ -99,10 +97,6 @@ def run(
         from repro.telemetry import set_telemetry_dir
 
         set_telemetry_dir(telemetry_dir)
-    if array_module is None:
-        array_module = config.array_module
-    if array_module is not None:
-        set_array_module(array_module)
     slots = horizon_slots or config.horizon_slots or DEFAULT_SLOTS
     cpus = os.cpu_count() or 1
     if shards is None:
@@ -151,7 +145,6 @@ def run(
             "dtype": dtype,
             "window_slots": window_slots,
             "cpu_count": cpus,
-            "array_module": array_module_name(),
             "compiled_kernels": compiled_enabled(),
             "numba_version": numba_version(),
             "checkpoint_every_slots": (
@@ -212,12 +205,6 @@ def main(argv=None) -> int:
         help="resume bit-exact from the last committed checkpoint in DIR",
     )
     parser.add_argument(
-        "--array-module",
-        default=None,
-        help="array namespace for the kernel math (e.g. numpy, cupy); "
-        "non-NumPy namespaces are distribution-exact, not bit-exact",
-    )
-    parser.add_argument(
         "--telemetry-dir",
         default=None,
         metavar="DIR",
@@ -241,15 +228,14 @@ def main(argv=None) -> int:
         level=logging.INFO, format="%(asctime)s %(name)s %(message)s"
     )
     # The CLI flags thread through an ExperimentConfig so the execution
-    # knobs — including the PR 8 array-module seam — get the config layer's
-    # eager validation (an --array-module typo fails here, not mid-run).
+    # knobs get the config layer's eager validation (a bad --shards or
+    # --workers value fails here, not mid-run).
     config = ExperimentConfig(
         runs=1,
         horizon_slots=args.slots,
         backend="sharded",
         shards=args.shards,
         workers=args.workers,
-        array_module=args.array_module,
         telemetry_dir=args.telemetry_dir,
     )
     payload = run(

@@ -17,8 +17,7 @@ The payload shape::
      "seconds": {"sampling": ..., "physics": ...}, "share": {...},
      "total_seconds": ..., "device_slots_per_second": ...,
      "provenance": {"cpu_count": ..., "numpy_version": ...,
-                    "array_module": ..., "numba_version": ...,
-                    "compiled_kernels": ...}}
+                    "numba_version": ..., "compiled_kernels": ...}}
 
 The timers are also the span source for the telemetry layer
 (:mod:`repro.telemetry`): when ``REPRO_TELEMETRY_DIR`` is set,
@@ -65,20 +64,18 @@ def profiling_enabled() -> bool:
 def run_provenance() -> dict:
     """``bench_header()``-shaped toolchain provenance for emitted profiles.
 
-    Pins down what produced the numbers — core count, numpy version, the
-    active array module, and the compiled-kernel tier — so profile lines
-    from different machines/configs compare like with like.  Imports are
-    local: profiling must stay importable before the kernel/xp layers.
+    Pins down what produced the numbers — core count, numpy version and
+    the compiled-kernel tier — so profile lines from different
+    machines/configs compare like with like.  Imports are local: profiling
+    must stay importable before the kernel layer.
     """
     import numpy
 
     from repro.algorithms.kernels.compiled import compiled_enabled, numba_version
-    from repro.xp import array_module_name
 
     return {
         "cpu_count": os.cpu_count(),
         "numpy_version": numpy.__version__,
-        "array_module": array_module_name(),
         "numba_version": numba_version(),
         "compiled_kernels": compiled_enabled(),
     }

@@ -5,8 +5,7 @@ by a canonical fingerprint (:mod:`repro.registry.fingerprint`) that hashes
 exactly the result-determining configuration — scenario, policies, physics,
 horizon, seeding, recording options, reducer — and deliberately excludes
 the execution knobs the equivalence suite guarantees are result-neutral
-(``backend``, ``workers``, ``shards``, ``array_module``, checkpoint
-cadence).  Finalized reducer payloads live in a content-addressed store
+(``backend``, ``workers``, ``shards``, checkpoint cadence).  Finalized reducer payloads live in a content-addressed store
 (:mod:`repro.registry.store`) under ``~/.cache/repro-runs`` or
 ``$REPRO_RUN_CACHE``; :mod:`repro.registry.sweep` expands parameter grids
 and schedules only the cells the store does not already hold.

@@ -14,7 +14,7 @@ description of everything that determines its reduced result bit-for-bit:
 
 Deliberately **excluded** are the execution knobs the equivalence suite
 guarantees are result-neutral: ``backend``, ``workers``, ``shards``,
-``chunksize``, ``array_module`` and the checkpoint cadence.  A payload
+``chunksize`` and the checkpoint cadence.  A payload
 computed by the event backend on one worker is served back to a sharded
 16-worker sweep of the same cell.
 
@@ -31,9 +31,9 @@ Provenance (not part of the cell key) is a **code fingerprint** over the
 result-affecting source tree: the game physics, core loop, policy
 algorithms, analysis/reducers and the top-level sim modules (seed
 derivation lives there).  Execution tiers with an equivalence guarantee —
-backends, the sharded engine, the array-module seam — are excluded, so a
-backend refactor does not invalidate every cached artifact, while a physics
-or policy change refuses loudly on load.
+backends and the sharded engine — are excluded, so a backend refactor
+does not invalidate every cached artifact, while a physics or policy
+change refuses loudly on load.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.reducers import resolve_reducer
-from repro.registry.fingerprint import grid_keys
 from repro.registry.store import CacheSpec, resolve_cache
 from repro.sim.backends import DEFAULT_BACKEND
 from repro.sim.runner import run_many
@@ -106,7 +105,6 @@ def run_sweep(
     chunksize: int | None = None,
     record_probabilities: bool | None = None,
     progress: Callable[[str, int, int], None] | None = None,
-    array_module: str | None = None,
 ) -> SweepReport:
     """Run a sweep incrementally against the registry (see module docstring).
 
@@ -114,6 +112,8 @@ def run_sweep(
     ``cache="off"`` still works (everything computes, nothing is stored) so
     a sweep definition can be benchmarked cold without touching the store.
     ``progress(case_name, done, total)`` reports per-case completion.
+    The store is resolved once for the whole sweep, and ``cells_cached``
+    counts the hits it served.
     """
     if not cases:
         raise ValueError("at least one sweep case is required")
@@ -121,30 +121,12 @@ def run_sweep(
     if reducer is None:
         raise ValueError("run_sweep requires reduce= (see repro.analysis.reducers)")
     spec = resolve_cache(cache)
-    record = (
-        reducer.needs_probabilities
-        if record_probabilities is None
-        else record_probabilities
-    )
+    store = spec.resolve_store() if spec.enabled else None
+    hits_before = store.hits if store is not None else 0
 
     results: dict[str, Any] = {}
-    cells_total = 0
-    cells_cached = 0
     started = time.perf_counter()
     for case in cases:
-        cells_total += case.runs
-        if spec.mode == "reuse":
-            store = spec.resolve_store()
-            keys = grid_keys(
-                case.scenario,
-                base_seed=case.base_seed,
-                runs=case.runs,
-                record_probabilities=record,
-                reducer=reducer,
-            )
-            cells_cached += sum(
-                1 for key in keys if store.contains(key.fingerprint)
-            )
         case_progress = (
             (lambda done, total, _name=case.name: progress(_name, done, total))
             if progress is not None
@@ -160,9 +142,10 @@ def run_sweep(
             chunksize=chunksize,
             record_probabilities=record_probabilities,
             progress=case_progress,
-            array_module=array_module,
-            cache=spec if spec.enabled else "off",
+            cache=CacheSpec(spec.mode, store=store),
         )
+    cells_total = sum(case.runs for case in cases)
+    cells_cached = store.hits - hits_before if store is not None else 0
     return SweepReport(
         results=results,
         cells_total=cells_total,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.registry import kernel_for_policy
-from repro.xp import get_array_module
 
 #: Per-row execution class, fixed for the whole run (the *group* a kernel row
 #: belongs to changes with its visible set; its class never does).
@@ -36,17 +35,15 @@ def equal_share_feedback(
     observes (bandwidth shared among its current clients); ``join_gain[c]``
     the gain a newcomer would observe (shared among current clients plus
     itself).  Matches :meth:`WirelessEnvironment.counterfactual_gains`
-    element for element on the equal-share model.  Array math routes through
-    the :mod:`repro.xp` seam (NumPy by default).
+    element for element on the equal-share model.
     """
-    xp = get_array_module()
-    member = xp.minimum(
-        xp.where(counts <= 1, bandwidths, bandwidths / xp.maximum(counts, 1))
+    member = np.minimum(
+        np.where(counts <= 1, bandwidths, bandwidths / np.maximum(counts, 1))
         / scale_ref,
         1.0,
     )
-    join = xp.minimum(
-        xp.where(counts == 0, bandwidths, bandwidths / (counts + 1)) / scale_ref,
+    join = np.minimum(
+        np.where(counts == 0, bandwidths, bandwidths / (counts + 1)) / scale_ref,
         1.0,
     )
     return member, join

@@ -24,6 +24,20 @@ recorded as :attr:`SimulationResult.seed` for provenance.  A direct
 ``run_simulation(scenario, seed=k)`` keeps the historical integer-seeded
 streams (``default_rng(k)``).
 
+One run loop
+------------
+
+Every ``run_many`` call goes through the same steps.  Registry hits (with
+``cache="reuse"``) are loaded first; the remaining run indices — all of
+them when the cache is off — execute through :func:`_run_one`, either
+serially in this process or on a process pool; each fresh payload is
+stored in the registry as it arrives; and one left fold in run-index order
+produces the result.  A payload is the full
+:class:`~repro.sim.metrics.SimulationResult`, or — when ``reduce=`` is
+given — only the reducer's kilobyte payload (:meth:`Reducer.map
+<repro.analysis.reducers.Reducer.map>` runs where the run executes), so a
+reduced experiment holds one full record at a time regardless of ``runs``.
+
 IPC contract of the parallel path
 ---------------------------------
 
@@ -38,16 +52,11 @@ backends registered via ``register_backend`` do not depend on the worker's
 freshly imported registry; on spawn/forkserver platforms this still requires
 the executor class to be picklable, i.e. importable by module path in the
 worker (a class defined in a REPL is not).
-
-On the way back, a worker returns either the full
-:class:`~repro.sim.metrics.SimulationResult` (columnar blocks, pickled
-wholesale) or — when ``reduce=`` is given — only the reducer's kilobyte
-payload (:meth:`~repro.analysis.reducers.Reducer.map` runs in the worker),
-so peak memory in the parent stays O(one run) regardless of ``runs``.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -55,11 +64,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.sim.backends import DEFAULT_BACKEND, RunSeed, SlotExecutor, get_backend
+from repro.sim.backends import (
+    DEFAULT_BACKEND,
+    RunSeed,
+    SlotExecutor,
+    available_backends,
+    get_backend,
+)
 from repro.sim.metrics import SimulationResult
 from repro.sim.scenario import Scenario
 from repro.telemetry import get_telemetry
-from repro.xp import array_module_name, set_array_module
 
 
 def run_simulation(
@@ -67,21 +81,13 @@ def run_simulation(
     seed: int = 0,
     backend: str = DEFAULT_BACKEND,
     record_probabilities: bool = True,
-    array_module: str | None = None,
 ) -> SimulationResult:
     """Execute one run of ``scenario`` and return its full slot-by-slot record.
 
     ``record_probabilities=False`` skips the per-slot probability tensor (the
     dominant share of a run's footprint); all other result blocks stay
-    bit-identical.  ``array_module`` selects the array namespace the batched
-    kernels compute in (:mod:`repro.xp`): ``None`` leaves the process-global
-    seam untouched (NumPy unless something set it), any other value —
-    ``"numpy"``, ``"cupy"``, a module — is resolved once here and stays
-    active for the process.  Only NumPy is bit-exact; alternate namespaces
-    are distribution-exact.
+    bit-identical.
     """
-    if array_module is not None:
-        set_array_module(array_module)
     return get_backend(backend).execute(
         scenario, seed, record_probabilities=record_probabilities
     )
@@ -100,32 +106,10 @@ def _spawned_run_seed(base_seed: int, index: int) -> RunSeed:
     )
 
 
-def _map_payload(
-    executor: SlotExecutor,
-    scenario: Scenario,
-    seed,
-    reducer,
-    record_probabilities: bool,
-):
-    """One run's payload: the full result, or its reduction.
-
-    Executors that can reduce *inside* their execution (the sharded
-    backend's windowed in-shard reduction) expose ``map_reduced``; the
-    payload is identical to ``reducer.map(full_result)`` either way.
-    """
-    mapper = getattr(executor, "map_reduced", None)
-    if reducer is not None and mapper is not None:
-        return mapper(scenario, seed, reducer, record_probabilities)
-    result = executor.execute(
-        scenario, seed, record_probabilities=record_probabilities
-    )
-    return result if reducer is None else reducer.map(result)
-
-
 class RunFailure(RuntimeError):
     """One run of a multi-run experiment failed.
 
-    Raised in place of the worker's bare exception so the error message
+    Raised in place of the run's bare exception so the error message
     carries the failing cell's coordinates — run index, seed label and
     scenario name — making a failed sweep cell identifiable and
     re-schedulable from the parent process (a raw pool traceback names
@@ -154,94 +138,66 @@ class RunFailure(RuntimeError):
         )
 
 
-def _cell_payload(
-    executor: SlotExecutor,
-    scenario: Scenario,
-    index: int,
-    base_seed: int,
-    reducer,
-    record_probabilities: bool,
+def validate_execution(
+    backend: str,
+    workers: int | None = None,
+    chunksize: int | None = None,
+    shards: int | None = None,
+    checkpoint=None,
+    resume_from=None,
+    cache="off",
+    scenario: Scenario | None = None,
 ):
-    """One run's payload, with failures wrapped into :class:`RunFailure`."""
-    run_seed = _spawned_run_seed(base_seed, index)
-    try:
-        return _map_payload(
-            executor, scenario, run_seed, reducer, record_probabilities
+    """Check ``run_many``'s execution options; returns the resolved cache.
+
+    ``run_many`` and :class:`~repro.experiments.common.ExperimentConfig`
+    both call this, so an invalid combination fails the same way when a
+    config is built as when a run starts.  The shard count is checked
+    against the device count only when ``scenario`` is given, and a backend
+    is constructed (to ask whether it supports ``shards=``) only when
+    ``shards`` is set.
+    """
+    if backend not in available_backends():
+        raise ValueError(
+            f"unknown backend {backend!r}; "
+            f"available: {', '.join(available_backends())}"
         )
-    except RunFailure:
-        raise
-    except Exception as exc:
-        raise RunFailure(
-            f"run {index} (seed {run_seed.label}) of scenario "
-            f"{scenario.name!r} failed: {type(exc).__name__}: {exc}",
-            run_index=index,
-            seed_label=run_seed.label,
-            scenario_name=scenario.name,
-        ) from exc
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if chunksize is not None and chunksize < 1:
+        raise ValueError(f"chunksize must be >= 1, got {chunksize}")
+    if shards is not None:
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
+        if not hasattr(get_backend(backend), "with_shards"):
+            raise ValueError(
+                f"backend {backend!r} does not support shards=; "
+                "use backend='sharded'"
+            )
+        if scenario is not None and shards > len(scenario.device_specs):
+            num_devices = len(scenario.device_specs)
+            raise ValueError(
+                f"shards={shards} exceeds the scenario's {num_devices} "
+                "device(s); every shard needs at least one device — use "
+                f"shards<={num_devices}"
+            )
+        if workers is not None and workers > shards:
+            raise ValueError(
+                f"workers={workers} exceeds shards={shards}: each worker "
+                "process drives at least one whole shard, so the extra "
+                f"workers would sit idle — use workers<={shards} or raise "
+                "shards="
+            )
+    elif checkpoint is not None or resume_from is not None:
+        raise ValueError(
+            "checkpoint=/resume_from= require shards= — durability is "
+            "implemented by the sharded backend (runs execute serially and "
+            "workers= parallelizes inside each run)"
+        )
+    # Imported lazily: the registry imports this module.
+    from repro.registry.store import resolve_cache
 
-
-#: Per-worker run context, installed once per process by :func:`_init_worker`.
-_WORKER_CONTEXT: dict = {}
-
-
-def _init_worker(
-    scenario: Scenario,
-    executor: SlotExecutor,
-    reducer,
-    record_probabilities: bool,
-    base_seed: int,
-    array_module: str = "numpy",
-) -> None:
-    """Pool initializer: receive the run context once per worker process.
-
-    The array-module seam is process-global, so it travels by *name* (modules
-    do not pickle) and is re-resolved in each worker — fork inherits the
-    parent's setting anyway, spawn/forkserver need the explicit install.
-    """
-    set_array_module(array_module)
-    _WORKER_CONTEXT["scenario"] = scenario
-    _WORKER_CONTEXT["executor"] = executor
-    _WORKER_CONTEXT["reducer"] = reducer
-    _WORKER_CONTEXT["record_probabilities"] = record_probabilities
-    _WORKER_CONTEXT["base_seed"] = base_seed
-
-
-def _run_index(index: int):
-    """Pool job: one run of the worker-resident scenario for run ``index``."""
-    context = _WORKER_CONTEXT
-    return _cell_payload(
-        context["executor"],
-        context["scenario"],
-        index,
-        context["base_seed"],
-        context["reducer"],
-        context["record_probabilities"],
-    )
-
-
-def _run_cell(index: int):
-    """Pool job for cached sweeps: ``(index, payload, wall_seconds)``.
-
-    The wall time travels back with the payload so the registry can record
-    how expensive the artifact was to produce.
-    """
-    context = _WORKER_CONTEXT
-    started = time.perf_counter()
-    payload = _cell_payload(
-        context["executor"],
-        context["scenario"],
-        index,
-        context["base_seed"],
-        context["reducer"],
-        context["record_probabilities"],
-    )
-    return index, payload, time.perf_counter() - started
-
-
-def _default_chunksize(runs: int, pool_width: int) -> int:
-    """Seeds per pool dispatch: ~4 chunks per worker, like ``Pool.map``."""
-    chunksize, extra = divmod(runs, pool_width * 4)
-    return chunksize + 1 if extra else max(chunksize, 1)
+    return resolve_cache(cache)
 
 
 def _durable_executor(
@@ -281,105 +237,93 @@ def _durable_executor(
     )
 
 
-def _run_many_cached(
+def _run_one(
+    index: int,
     scenario: Scenario,
-    runs: int,
-    base_seed: int,
     executor: SlotExecutor,
     reducer,
     record_probabilities: bool,
-    pool_workers: int | None,
-    chunksize: int | None,
-    progress,
+    base_seed: int,
+    runs: int,
     checkpoint,
     resume_from,
-    cache_spec,
 ):
-    """``run_many`` through the run registry: execute only the missing cells.
+    """Run ``index`` as ``(index, payload, wall_seconds)``.
 
-    Every (config × seed) cell is fingerprinted; committed artifacts are
-    loaded (``"reuse"``) instead of simulated, the remaining indices go
-    through the usual pool/serial machinery, fresh payloads are committed
-    to the store, and all payloads merge strictly in run-index order — so
-    the finalized output is bit-identical to a fully cold run.  Payloads
-    are kilobyte-scale by the reducer contract, so holding ``runs`` of them
-    while merging stays negligible.
+    The payload is the full result, or its reduction.  Executors that can
+    reduce *inside* their execution (the sharded backend's windowed
+    in-shard reduction) expose ``map_reduced``; the payload is identical to
+    ``reducer.map(full_result)`` either way.  Failures are wrapped into
+    :class:`RunFailure`; the wall time lets the registry record how
+    expensive the artifact was to produce.
     """
-    from repro.registry.fingerprint import grid_keys
-    from repro.registry.store import MISS
-
-    store = cache_spec.resolve_store()
-    keys = grid_keys(
-        scenario,
-        base_seed=base_seed,
-        runs=runs,
-        record_probabilities=record_probabilities,
-        reducer=reducer,
-    )
-    payloads: dict = {}
-    if cache_spec.mode == "reuse":
-        for index, key in enumerate(keys):
-            hit = store.load(key.fingerprint)  # raises CacheError when corrupt
-            if hit is not MISS:
-                payloads[index] = hit
-    missing = [index for index in range(runs) if index not in payloads]
-    done = runs - len(missing)
-    if progress is not None and done:
-        progress(done, runs)
-
-    if pool_workers is not None and pool_workers > 1 and len(missing) > 1:
-        pool_width = min(pool_workers, len(missing))
-        if chunksize is None:
-            chunksize = _default_chunksize(len(missing), pool_width)
-        with ProcessPoolExecutor(
-            max_workers=pool_width,
-            initializer=_init_worker,
-            initargs=(
-                scenario,
-                executor,
-                reducer,
-                record_probabilities,
-                base_seed,
-                array_module_name(),
-            ),
-        ) as pool:
-            for index, payload, seconds in pool.map(
-                _run_cell, missing, chunksize=chunksize
-            ):
-                payloads[index] = payload
-                store.store(keys[index], payload, wall_seconds=seconds)
-                done += 1
-                if progress is not None:
-                    progress(done, runs)
-    else:
-        for index in missing:
-            run_executor = _durable_executor(
-                executor, checkpoint, resume_from, runs, index
+    run_seed = _spawned_run_seed(base_seed, index)
+    executor = _durable_executor(executor, checkpoint, resume_from, runs, index)
+    started = time.perf_counter()
+    try:
+        mapper = getattr(executor, "map_reduced", None)
+        if reducer is not None and mapper is not None:
+            payload = mapper(scenario, run_seed, reducer, record_probabilities)
+        else:
+            payload = executor.execute(
+                scenario, run_seed, record_probabilities=record_probabilities
             )
-            started = time.perf_counter()
-            payload = _cell_payload(
-                run_executor,
-                scenario,
-                index,
-                base_seed,
-                reducer,
-                record_probabilities,
-            )
-            store.store(
-                keys[index], payload, wall_seconds=time.perf_counter() - started
-            )
-            payloads[index] = payload
-            done += 1
-            if progress is not None:
-                progress(done, runs)
-
-    merged = payloads[0]
-    for index in range(1, runs):
-        merged = reducer.merge(merged, payloads[index])
-    return reducer.finalize(merged)
+            if reducer is not None:
+                payload = reducer.map(payload)
+    except RunFailure:
+        raise
+    except Exception as exc:
+        raise RunFailure(
+            f"run {index} (seed {run_seed.label}) of scenario "
+            f"{scenario.name!r} failed: {type(exc).__name__}: {exc}",
+            run_index=index,
+            seed_label=run_seed.label,
+            scenario_name=scenario.name,
+        ) from exc
+    return index, payload, time.perf_counter() - started
 
 
-def _run_many_impl(
+#: Per-worker run context, installed once per process by :func:`_init_worker`.
+_WORKER_CONTEXT: dict = {}
+
+
+def _init_worker(context: dict) -> None:
+    """Pool initializer: receive the run context once per worker process."""
+    _WORKER_CONTEXT.update(context)
+
+
+def _run_index(index: int):
+    """Pool job: :func:`_run_one` on the worker-resident context."""
+    return _run_one(index, **_WORKER_CONTEXT)
+
+
+def _default_chunksize(runs: int, pool_width: int) -> int:
+    """Seeds per pool dispatch: ~4 chunks per worker, like ``Pool.map``."""
+    chunksize, extra = divmod(runs, pool_width * 4)
+    return chunksize + 1 if extra else max(chunksize, 1)
+
+
+def _finished_runs(indices, context: dict, workers, chunksize):
+    """``_run_one`` over ``indices`` in order: pooled or in this process.
+
+    More than one worker and more than one index fan the runs out over a
+    ``ProcessPoolExecutor``; otherwise they run serially, each one finished
+    (and, when reducing, reduced) before the next one starts.
+    """
+    if workers is None or workers <= 1 or len(indices) <= 1:
+        for index in indices:
+            yield _run_one(index, **context)
+        return
+    pool_width = min(workers, len(indices))
+    if chunksize is None:
+        chunksize = _default_chunksize(len(indices), pool_width)
+    with ProcessPoolExecutor(
+        max_workers=pool_width, initializer=_init_worker, initargs=(context,)
+    ) as pool:
+        yield from pool.map(_run_index, indices, chunksize=chunksize)
+
+
+def run_many(
     scenario: Scenario,
     runs: int,
     base_seed: int = 0,
@@ -392,7 +336,6 @@ def _run_many_impl(
     progress: Callable[[int, int], None] | None = None,
     checkpoint=None,
     resume_from=None,
-    array_module: str | None = None,
     cache="off",
 ):
     """Run ``scenario`` ``runs`` times with independently spawned seeds.
@@ -413,9 +356,9 @@ def _run_many_impl(
         :class:`~repro.analysis.reducers.Reducer` instance (or built-in
         reducer name, e.g. ``"summary"``) is applied to each run *where it
         executes* — inside the pool worker, inside the sharded engine's
-        shards (shard-capable reducers), or between serial runs — and
+        shards (shard-capable reducers), or right after a serial run — and
         ``run_many`` returns the reducer's finalized merge instead of a
-        list, keeping peak memory at O(one run) or below.
+        list, keeping peak memory at O(one run) plus kilobyte payloads.
     chunksize:
         Seeds per pool dispatch (parallel path only).  Defaults to ~4 chunks
         per worker.
@@ -425,12 +368,14 @@ def _run_many_impl(
         ``needs_probabilities`` when reducing.
     shards:
         Shard the device population of every run into this many blocks
-        (requires ``backend="sharded"``; see :mod:`repro.sim.sharded`).
+        (requires a backend that supports it, i.e. ``backend="sharded"``;
+        see :mod:`repro.sim.sharded`).
     progress:
-        ``progress(done, total)`` is invoked after each completed run — in
-        run order (the parallel path yields results in submission order, so
-        a slow early run delays the callback even while later runs finish) —
-        making multi-minute experiments observable.
+        ``progress(done, total)`` is invoked once for the registry hits, if
+        any, then after each completed run — in run order (the parallel
+        path yields results in submission order, so a slow early run delays
+        the callback even while later runs finish) — making multi-minute
+        experiments observable.
     checkpoint:
         A :class:`~repro.sim.sharded.CheckpointConfig` enabling periodic
         shard-state snapshots (requires ``shards=``).  With ``runs > 1``
@@ -441,11 +386,6 @@ def _run_many_impl(
         invocation with the *same* scenario/seed/shard configuration
         (requires ``shards=``).  Completed slots are not re-executed and
         the resumed results are bit-identical to an uninterrupted run.
-    array_module:
-        Array namespace for the batched kernels (:mod:`repro.xp`): ``None``
-        leaves the process-global seam untouched; ``"numpy"``, ``"cupy"`` or
-        a module name is resolved once up front, installed in every pool
-        worker, and stays active for the process.  Only NumPy is bit-exact.
     cache:
         ``"off"`` (default) always simulates.  ``"reuse"`` consults the run
         registry (:mod:`repro.registry`): cells whose canonical fingerprint
@@ -457,174 +397,47 @@ def _run_many_impl(
         :class:`~repro.registry.CacheSpec` selects an explicit store root.
         Requires ``reduce=`` — the registry persists reducer payloads, not
         full slot-by-slot records.
+
+    Invalid options raise ``ValueError`` before any run starts (see
+    :func:`validate_execution`); a failing run raises :class:`RunFailure`
+    naming its run index, seed label and scenario.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if workers is not None and workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    if chunksize is not None and chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-    if shards is not None and shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards is not None:
-        num_devices = len(scenario.device_specs)
-        if shards > num_devices:
-            raise ValueError(
-                f"shards={shards} exceeds the scenario's {num_devices} "
-                "device(s); every shard needs at least one device — use "
-                f"shards<={num_devices}"
-            )
-        if workers is not None and workers > shards:
-            raise ValueError(
-                f"workers={workers} exceeds shards={shards}: each worker "
-                "process drives at least one whole shard, so the extra "
-                f"workers would sit idle — use workers<={shards} or raise "
-                "shards="
-            )
-    if (checkpoint is not None or resume_from is not None) and shards is None:
-        raise ValueError(
-            "checkpoint=/resume_from= require shards= — durability is "
-            "implemented by the sharded backend (runs execute serially and "
-            "workers= parallelizes inside each run)"
-        )
-    if array_module is not None:
-        set_array_module(array_module)
+    cache_spec = validate_execution(
+        backend,
+        workers=workers,
+        chunksize=chunksize,
+        shards=shards,
+        checkpoint=checkpoint,
+        resume_from=resume_from,
+        cache=cache,
+        scenario=scenario,
+    )
     # Imported lazily: repro.analysis modules import repro.sim.metrics, so a
     # top-level import here would be circular through repro.sim.__init__.
     from repro.analysis.reducers import resolve_reducer
 
     reducer = resolve_reducer(reduce)
+    if cache_spec.enabled and reducer is None:
+        raise ValueError(
+            "cache='reuse'/'refresh' requires reduce= — the run registry "
+            "persists reducer payloads, not full slot-by-slot results"
+        )
     if record_probabilities is None:
         record_probabilities = (
             reducer.needs_probabilities if reducer is not None else True
         )
-
-    executor = get_backend(backend)  # resolve (and validate) in the parent
+    executor = get_backend(backend)
     pool_workers = workers
     if shards is not None:
-        with_shards = getattr(executor, "with_shards", None)
-        if with_shards is None:
-            raise ValueError(
-                f"backend {backend!r} does not support shards=; "
-                "use backend='sharded'"
-            )
         # The worker budget parallelizes within each sharded run; the run
         # loop itself goes serial (nesting both pools would oversubscribe).
-        executor = with_shards(
+        executor = executor.with_shards(
             shards, workers=workers if workers and workers > 1 else None
         )
         pool_workers = None
 
-    if cache is not None and cache != "off":
-        from repro.registry.store import resolve_cache
-
-        cache_spec = resolve_cache(cache)
-        if cache_spec.enabled:
-            if reducer is None:
-                raise ValueError(
-                    "cache='reuse'/'refresh' requires reduce= — the run "
-                    "registry persists reducer payloads, not full "
-                    "slot-by-slot results"
-                )
-            return _run_many_cached(
-                scenario,
-                runs,
-                base_seed,
-                executor,
-                reducer,
-                record_probabilities,
-                pool_workers,
-                chunksize,
-                progress,
-                checkpoint,
-                resume_from,
-                cache_spec,
-            )
-
-    indices = range(runs)
-    if pool_workers is not None and pool_workers > 1 and runs > 1:
-        pool_width = min(pool_workers, runs)
-        if chunksize is None:
-            chunksize = _default_chunksize(runs, pool_width)
-        with ProcessPoolExecutor(
-            max_workers=pool_width,
-            initializer=_init_worker,
-            initargs=(
-                scenario,
-                executor,
-                reducer,
-                record_probabilities,
-                base_seed,
-                array_module_name(),
-            ),
-        ) as pool:
-            payloads = []
-            for payload in pool.map(_run_index, indices, chunksize=chunksize):
-                payloads.append(payload)
-                if progress is not None:
-                    progress(len(payloads), runs)
-        if reducer is None:
-            return payloads
-        merged = payloads[0]
-        for payload in payloads[1:]:
-            merged = reducer.merge(merged, payload)
-        return reducer.finalize(merged)
-
-    if reducer is None:
-        results = []
-        for index in indices:
-            run_executor = _durable_executor(
-                executor, checkpoint, resume_from, runs, index
-            )
-            results.append(
-                run_executor.execute(
-                    scenario,
-                    _spawned_run_seed(base_seed, index),
-                    record_probabilities=record_probabilities,
-                )
-            )
-            if progress is not None:
-                progress(index + 1, runs)
-        return results
-    # Serial streaming: each run is reduced before the next one is executed,
-    # so only one full record is alive at any time.
-    merged = None
-    for index in indices:
-        run_executor = _durable_executor(
-            executor, checkpoint, resume_from, runs, index
-        )
-        payload = _map_payload(
-            run_executor,
-            scenario,
-            _spawned_run_seed(base_seed, index),
-            reducer,
-            record_probabilities,
-        )
-        merged = payload if merged is None else reducer.merge(merged, payload)
-        if progress is not None:
-            progress(index + 1, runs)
-    return reducer.finalize(merged)
-
-
-def run_many(
-    scenario: Scenario,
-    runs: int,
-    base_seed: int = 0,
-    backend: str = DEFAULT_BACKEND,
-    workers: int | None = None,
-    reduce=None,
-    chunksize: int | None = None,
-    record_probabilities: bool | None = None,
-    shards: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    checkpoint=None,
-    resume_from=None,
-    array_module: str | None = None,
-    cache="off",
-):
-    # Telemetry shim around the real implementation: the experiment-level
-    # run_many_start/run_many_end events bracket the whole grid (pool,
-    # cache and serial paths alike) with a single pair of emit points.
     telemetry = get_telemetry()
     if telemetry is not None:
         telemetry.event(
@@ -636,21 +449,55 @@ def run_many(
             shards=shards,
         )
         started = time.perf_counter()
-    result = _run_many_impl(
-        scenario,
-        runs,
-        base_seed=base_seed,
-        backend=backend,
-        workers=workers,
-        reduce=reduce,
-        chunksize=chunksize,
-        record_probabilities=record_probabilities,
-        shards=shards,
-        progress=progress,
-        checkpoint=checkpoint,
-        resume_from=resume_from,
-        array_module=array_module,
-        cache=cache,
+
+    payloads: dict = {}
+    store = None
+    if cache_spec.enabled:
+        from repro.registry.fingerprint import grid_keys
+        from repro.registry.store import MISS
+
+        store = cache_spec.resolve_store()
+        keys = grid_keys(
+            scenario,
+            base_seed=base_seed,
+            runs=runs,
+            record_probabilities=record_probabilities,
+            reducer=reducer,
+        )
+        if cache_spec.mode == "reuse":
+            for index, key in enumerate(keys):
+                hit = store.load(key.fingerprint)  # CacheError when corrupt
+                if hit is not MISS:
+                    payloads[index] = hit
+    missing = [index for index in range(runs) if index not in payloads]
+    done = runs - len(missing)
+    if progress is not None and done:
+        progress(done, runs)
+    context = {
+        "scenario": scenario,
+        "executor": executor,
+        "reducer": reducer,
+        "record_probabilities": record_probabilities,
+        "base_seed": base_seed,
+        "runs": runs,
+        "checkpoint": checkpoint,
+        "resume_from": resume_from,
+    }
+    for index, payload, seconds in _finished_runs(
+        missing, context, pool_workers, chunksize
+    ):
+        payloads[index] = payload
+        if store is not None:
+            store.store(keys[index], payload, wall_seconds=seconds)
+        done += 1
+        if progress is not None:
+            progress(done, runs)
+
+    ordered = [payloads[index] for index in range(runs)]
+    result = (
+        ordered
+        if reducer is None
+        else reducer.finalize(functools.reduce(reducer.merge, ordered))
     )
     if telemetry is not None:
         telemetry.event(
@@ -659,9 +506,6 @@ def run_many(
             seconds=round(time.perf_counter() - started, 6),
         )
     return result
-
-
-run_many.__doc__ = _run_many_impl.__doc__
 
 
 def run_policies(

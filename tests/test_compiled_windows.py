@@ -1,4 +1,4 @@
-"""Compiled-window, array-seam and profiling coverage.
+"""Compiled-window and profiling coverage.
 
 Three contracts from the compiled-fast-path layer:
 
@@ -15,16 +15,13 @@ Three contracts from the compiled-fast-path layer:
   recording keeps the per-slot path.
 * **Requesting compilation without numba degrades gracefully**: one logged
   warning, per-slot execution, results still bit-exact.
-* **The array-module seam is real**: kernel math routes every namespace
-  access through :func:`repro.xp.get_array_module`, proven with a tracing
-  proxy module, and the profiling hooks emit per-phase JSON when enabled.
+* **The profiling hooks emit per-phase JSON** when enabled.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import replace
-from types import ModuleType
 
 import numpy as np
 import pytest
@@ -42,7 +39,6 @@ from repro.algorithms.kernels.exp3 import EXP3Kernel
 from repro.sim.delay import ConstantDelayModel
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import setting1_scenario
-from repro.xp import using_array_module
 
 from tests.test_backends import assert_results_identical
 
@@ -198,42 +194,6 @@ class TestGracefulSkip:
         monkeypatch.setenv("REPRO_COMPILED", "0")
         assert not compiled_requested()
         assert not compiled_enabled()
-
-
-class TestArrayModuleSeam:
-    def test_kernel_math_routes_through_the_seam(self):
-        # A tracing namespace: a real module object (resolve_array_module
-        # accepts modules as-is) delegating every attribute to NumPy while
-        # recording the names the kernels actually pull through the seam.
-        accessed: set[str] = set()
-        tracer = ModuleType("tracing_numpy")
-        tracer.__getattr__ = lambda name: (
-            accessed.add(name) or getattr(np, name)
-        )
-
-        scenario = setting1_scenario(
-            policy="exp3", num_devices=6, horizon_slots=60
-        )
-        reference = run_simulation(scenario, seed=2, backend="vectorized")
-        with using_array_module(tracer):
-            traced = run_simulation(scenario, seed=2, backend="vectorized")
-        # Delegating to NumPy must keep results bit-exact...
-        assert_results_identical(reference, traced)
-        # ...and the hot path must genuinely consult the seam.
-        assert "asarray" in accessed
-        assert {"exp", "bincount"} & accessed, accessed
-
-    def test_unknown_module_fails_fast(self):
-        from repro.xp import resolve_array_module
-
-        with pytest.raises(ImportError, match="no_such_array_library"):
-            resolve_array_module("no_such_array_library")
-
-    def test_experiment_config_validates_array_module(self):
-        from repro.experiments.common import ExperimentConfig
-
-        with pytest.raises(ImportError, match="definitely_not_installed"):
-            ExperimentConfig(array_module="definitely_not_installed")
 
 
 class TestProfiling:

@@ -101,7 +101,6 @@ class TestPayloadShape:
         assert set(payload["provenance"]) == {
             "cpu_count",
             "numpy_version",
-            "array_module",
             "numba_version",
             "compiled_kernels",
         }
@@ -111,7 +110,6 @@ class TestPayloadShape:
         provenance = run_provenance()
         assert provenance["cpu_count"] == os.cpu_count()
         assert isinstance(provenance["numpy_version"], str)
-        assert provenance["array_module"] == "numpy"
 
 
 class TestGating:

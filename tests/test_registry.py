@@ -4,8 +4,8 @@ skip-if-cached ``run_many`` and incremental sweeps.
 The invariants pinned here are the registry's contract:
 
 * the cell fingerprint covers exactly the result-determining configuration
-  — identical across ``backend``/``workers``/``shards``/``array_module``/
-  checkpoint settings and dict-ordering permutations, different for any
+  — identical across ``backend``/``workers``/``shards``/checkpoint
+  settings and dict-ordering permutations, different for any
   result-affecting change (seed, horizon, gain model, recording options,
   reducer parameters);
 * a cache hit returns value-bit-identical reducer output to a cold run;
@@ -271,8 +271,8 @@ class TestCachedRunMany:
         assert _canonical(warm) == _canonical(off)
 
     def test_execution_knobs_share_the_cache(self, tiny_setting1, store, spec):
-        """backend / workers / shards / chunksize / array_module / checkpoint
-        settings address the same cells — the equivalence suite guarantees
+        """backend / workers / shards / chunksize / checkpoint settings
+        address the same cells — the equivalence suite guarantees
         they cannot change results."""
         baseline = run_many(
             tiny_setting1, 2, reduce="summary", backend="event", cache=spec
@@ -280,7 +280,7 @@ class TestCachedRunMany:
         assert store.stored == 2
         variants = [
             dict(backend="vectorized", workers=2, chunksize=1),
-            dict(backend="vectorized", array_module="numpy"),
+            dict(backend="vectorized"),
             dict(backend="sharded", shards=2),
         ]
         for knobs in variants:
@@ -295,10 +295,11 @@ class TestCachedRunMany:
             assert fresh.hits == 2 and fresh.misses == 0 and fresh.stored == 0
             assert _canonical(warm) == _canonical(baseline)
 
-    def test_partial_warm_runs_only_missing_cells(self, tiny_setting1, store, spec):
-        cold = run_many(tiny_setting1, 4, reduce="summary", cache=spec)
+    @staticmethod
+    def _check_partial_warm(scenario, store, spec, workers):
+        cold = run_many(scenario, 4, reduce="summary", cache=spec)
         keys = grid_keys(
-            tiny_setting1,
+            scenario,
             base_seed=0,
             runs=4,
             record_probabilities=False,
@@ -307,15 +308,28 @@ class TestCachedRunMany:
         for key in keys[1:3]:
             assert store.delete(key.fingerprint)
         partial_store = RunStore(store.root)
+        calls = []
         partial = run_many(
-            tiny_setting1,
+            scenario,
             4,
             reduce="summary",
+            workers=workers,
+            progress=lambda done, total: calls.append((done, total)),
             cache=CacheSpec(mode="reuse", store=partial_store),
         )
+        # The hits are reported first, then one call per computed run.
+        assert calls == [(2, 4), (3, 4), (4, 4)]
         assert partial_store.hits == 2
         assert partial_store.stored == 2  # exactly the deleted cells
         assert _canonical(partial) == _canonical(cold)
+
+    def test_partial_warm_runs_only_missing_cells(self, tiny_setting1, store, spec):
+        self._check_partial_warm(tiny_setting1, store, spec, workers=None)
+
+    def test_partial_warm_pool_runs_only_missing_cells(
+        self, tiny_setting1, store, spec
+    ):
+        self._check_partial_warm(tiny_setting1, store, spec, workers=2)
 
     def test_corrupt_entry_refused_then_refresh_recovers(
         self, tiny_setting1, store, spec
@@ -412,6 +426,27 @@ class TestSweep:
         for name in ("devices=4", "devices=6"):
             assert _canonical(report.results[name]) == _canonical(
                 cold.results[name]
+            )
+
+    def test_second_sweep_on_the_default_store_computes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.sim.runner as runner
+
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+        cases = self._cases()
+        first = run_sweep(cases, reduce="summary", cache="reuse")
+        assert first.cells_cached == 0 and first.cells_computed == 4
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a cached cell was simulated")
+
+        monkeypatch.setattr(runner, "_run_one", no_simulation)
+        second = run_sweep(cases, reduce="summary", cache="reuse")
+        assert second.cells_cached == 4 and second.cells_computed == 0
+        for name in ("devices=4", "devices=6"):
+            assert _canonical(second.results[name]) == _canonical(
+                first.results[name]
             )
 
     def test_run_sweep_requires_reduce_and_cases(self, spec):

@@ -149,21 +149,30 @@ class _ExplodingReducer(RowsReducer):
 
 
 class TestRunFailure:
-    def test_pool_failure_names_the_cell(self, tiny_setting1):
+    @staticmethod
+    def _failure(scenario, workers) -> RunFailure:
         with pytest.raises(RunFailure) as excinfo:
             run_many(
-                tiny_setting1,
+                scenario,
                 runs=3,
                 base_seed=10,
-                workers=2,
+                workers=workers,
                 reduce=_ExplodingReducer(fail_seed=11),
             )
         err = excinfo.value
         assert err.run_index == 1
         assert err.seed_label == 11
-        assert err.scenario_name == tiny_setting1.name
+        assert err.scenario_name == scenario.name
         assert "seed 11" in str(err)
         assert "RuntimeError" in str(err)
+        return err
+
+    def test_pool_failure_names_the_cell(self, tiny_setting1):
+        self._failure(tiny_setting1, workers=2)
+
+    def test_serial_failure_names_the_cell(self, tiny_setting1):
+        err = self._failure(tiny_setting1, workers=None)
+        assert type(err.__cause__) is RuntimeError
 
     def test_run_failure_survives_pool_pickling(self):
         err = RunFailure(

@@ -212,7 +212,7 @@ class TestInstrumentation:
         start = events[0]
         assert start["devices"] == 6 and start["slots"] == 80
         profile = next(e for e in events if e["type"] == "phase_profile")
-        assert profile["provenance"]["array_module"] == "numpy"
+        assert "numpy_version" in profile["provenance"]
         assert 0.99 <= sum(profile["share"].values()) <= 1.01
 
     def test_sharded_serial_run_events(self, tmp_path, tiny_setting1):
