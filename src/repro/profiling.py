@@ -62,12 +62,13 @@ def profiling_enabled() -> bool:
 
 
 def run_provenance() -> dict:
-    """``bench_header()``-shaped toolchain provenance for emitted profiles.
+    """Toolchain provenance for emitted profiles and bench records.
 
     Pins down what produced the numbers — core count, numpy version and
-    the compiled-kernel tier — so profile lines from different
-    machines/configs compare like with like.  Imports are local: profiling
-    must stay importable before the kernel layer.
+    the compiled-kernel tier — so profile lines and the floor runner's
+    records from different machines/configs compare like with like.
+    Imports are local: profiling must stay importable before the kernel
+    layer.
     """
     import numpy
 

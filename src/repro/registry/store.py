@@ -108,12 +108,11 @@ class RunStore:
         self.stored = 0
 
     def _emit(self, op: str, **fields) -> None:
-        """One ``registry`` telemetry event + counter per cache operation."""
+        """One ``registry`` telemetry event per cache operation."""
         from repro.telemetry import get_telemetry
 
         telemetry = get_telemetry()
         if telemetry is not None:
-            telemetry.counter(f"registry.{op}").inc()
             telemetry.event("registry", op=op, **fields)
 
     # ------------------------------------------------------------ addressing

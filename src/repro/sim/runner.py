@@ -73,7 +73,7 @@ from repro.sim.backends import (
 )
 from repro.sim.metrics import SimulationResult
 from repro.sim.scenario import Scenario
-from repro.telemetry import get_telemetry
+from repro.telemetry import get_telemetry, take_run_summary
 
 
 def run_simulation(
@@ -457,6 +457,9 @@ def run_many(
         from repro.registry.store import MISS
 
         store = cache_spec.resolve_store()
+        # RunStore.store attaches the last recorded run summary; one that an
+        # earlier, uncached run left behind belongs to no entry of this call.
+        take_run_summary()
         keys = grid_keys(
             scenario,
             base_seed=base_seed,

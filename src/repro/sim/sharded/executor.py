@@ -294,8 +294,6 @@ def run_lockstep(
             devices=group_devices,
             attempt=params.attempt,
         )
-        slot_gauge = tele.gauge(f"worker{worker_index}.slot")
-        rate_gauge = tele.gauge(f"worker{worker_index}.device_slots_per_second")
     elif tele is not None:
         tele.event(
             "run_start",
@@ -457,9 +455,8 @@ def run_lockstep(
         if fault_plan is not None:
             _maybe_inject_kill(params, worker_index, slot, "end", allow_hard_exit)
 
-        # Heartbeats: a telemetry-enabled run emits `progress` events (plus
-        # live gauges) instead of the old ad-hoc log line, which remains the
-        # fallback for log-only runs.
+        # Heartbeats: a telemetry-enabled run emits `progress` events; a
+        # log-only run logs one line instead.
         if params.heartbeat_seconds is not None and (
             log_heartbeat or tele is not None
         ):
@@ -468,8 +465,6 @@ def run_lockstep(
                 elapsed = now - started
                 rate = group_devices * slot / max(elapsed, 1e-9)
                 if tele is not None and worker_events:
-                    slot_gauge.set(slot)
-                    rate_gauge.set(rate)
                     tele.event(
                         "progress",
                         worker=worker_index,

@@ -1,9 +1,9 @@
-"""Unified run telemetry: metrics, spans, structured events, fleet monitor.
+"""Unified run telemetry: spans, structured events, fleet monitor.
 
 Three pieces:
 
-* :mod:`repro.telemetry.core` — counters, gauges, fixed-bucket histograms
-  and the per-process :func:`get_telemetry` singleton, compiled to a no-op
+* :mod:`repro.telemetry.core` — fixed-bucket histograms and the
+  per-process :func:`get_telemetry` singleton, compiled to a no-op
   (``None``) when ``REPRO_TELEMETRY_DIR`` is unset;
 * :mod:`repro.telemetry.events` — the versioned JSONL event log, one file
   per process, merged by the reader;
@@ -15,8 +15,6 @@ See ``README.md`` § Observability for the env vars and event schema.
 
 from repro.telemetry.core import (
     BARRIER_WAIT_BOUNDS_S,
-    Counter,
-    Gauge,
     Histogram,
     TELEMETRY_DIR_ENV,
     Telemetry,
@@ -41,10 +39,8 @@ from repro.telemetry.events import (
 
 __all__ = [
     "BARRIER_WAIT_BOUNDS_S",
-    "Counter",
     "EVENT_TYPES",
     "EventLog",
-    "Gauge",
     "Histogram",
     "SCHEMA_VERSION",
     "SchemaError",

@@ -1,19 +1,18 @@
-"""Telemetry core: counters, gauges, fixed-bucket histograms, event hook.
+"""Telemetry core: the event hook and fixed-bucket histograms.
 
 Enabled iff ``REPRO_TELEMETRY_DIR`` is set — :func:`get_telemetry` then
-returns the process's :class:`Telemetry` instance (event log + metric
-registry); otherwise it returns ``None``, so every instrumented hot loop
-keeps the executors' single-``is None``-check discipline::
+returns the process's :class:`Telemetry` instance (its event log);
+otherwise it returns ``None``, so every instrumented hot loop keeps the
+executors' single-``is None``-check discipline::
 
     tele = get_telemetry()
     ...
     if tele is not None:
         tele.event("progress", ...)
 
-The metric primitives are allocation-free in the hot loop: a counter
-increment is one int add, a histogram observation is one ``bisect`` over a
-fixed bounds tuple plus an int add — no dict churn, no string formatting,
-nothing emitted until an event explicitly snapshots them.
+A histogram observation is allocation-free in the hot loop: one
+``bisect`` over a fixed bounds tuple plus an int add — no dict churn, no
+string formatting, nothing emitted until an event snapshots it.
 
 Worker processes inherit ``REPRO_TELEMETRY_DIR`` through the environment
 and lazily open their own ``events-<pid>.jsonl``, so a sharded or pooled
@@ -64,33 +63,7 @@ def set_telemetry_dir(directory: str | os.PathLike | None) -> None:
     _INSTANCE_KEY = None
 
 
-# ------------------------------------------------------------------ metrics
-
-
-class Counter:
-    """A monotonically increasing integer."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-
-class Gauge:
-    """A last-value-wins scalar."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
+# --------------------------------------------------------------- histograms
 
 
 class Histogram:
@@ -102,10 +75,9 @@ class Histogram:
     tuple plus integer adds — safe inside per-slot loops.
     """
 
-    __slots__ = ("name", "bounds", "counts", "count", "total", "max")
+    __slots__ = ("bounds", "counts", "count", "total", "max")
 
-    def __init__(self, bounds=BARRIER_WAIT_BOUNDS_S, name: str = "") -> None:
-        self.name = name
+    def __init__(self, bounds=BARRIER_WAIT_BOUNDS_S) -> None:
         self.bounds = tuple(float(bound) for bound in bounds)
         self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
@@ -165,52 +137,15 @@ def merge_histogram_payloads(payloads) -> dict | None:
 
 
 class Telemetry:
-    """One process's telemetry surface: metric registry + event stream."""
+    """One process's telemetry surface: its event stream."""
 
     def __init__(self, directory: str, proc: str | None = None) -> None:
         self.directory = directory
         self.proc = proc or f"pid{os.getpid()}"
         self.log = EventLog(directory, self.proc)
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    # Registries hand out live primitives: call sites keep the reference and
-    # update it allocation-free; nothing is written until an event snapshots.
-
-    def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name)
-        return gauge
-
-    def histogram(self, name: str, bounds=BARRIER_WAIT_BOUNDS_S) -> Histogram:
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(bounds, name)
-        return histogram
 
     def event(self, kind: str, /, **fields) -> dict:
         return self.log.emit(kind, **fields)
-
-    def metrics_payload(self) -> dict:
-        return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: h.payload() for n, h in sorted(self._histograms.items())
-            },
-        }
-
-    def emit_metrics(self) -> dict:
-        """Snapshot every registered metric into one ``metrics`` event."""
-        return self.event("metrics", **self.metrics_payload())
 
 
 _INSTANCE: Telemetry | None = None

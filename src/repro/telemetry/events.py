@@ -65,8 +65,6 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
     "fault_injected": ("kind", "worker", "slot"),
     # -- run registry traffic
     "registry": ("op",),
-    # -- metric snapshots
-    "metrics": ("counters", "gauges"),
 }
 
 

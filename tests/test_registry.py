@@ -331,6 +331,43 @@ class TestCachedRunMany:
     ):
         self._check_partial_warm(tiny_setting1, store, spec, workers=2)
 
+    @staticmethod
+    def _stored_run_summaries(store, tmp_path, backend, workers, runs):
+        """The ``telemetry`` meta of every entry a cached call stores right
+        after an uncached run left its phase summary behind."""
+        from repro.telemetry import set_telemetry_dir
+
+        set_telemetry_dir(tmp_path / "events")
+        try:
+            earlier = setting1_scenario(policy="exp3", num_devices=6, horizon_slots=30)
+            run_many(earlier, 1, backend="vectorized")
+            scenario = setting1_scenario(policy="greedy", num_devices=5, horizon_slots=20)
+            run_many(
+                scenario,
+                runs,
+                backend=backend,
+                workers=workers,
+                reduce="summary",
+                cache=CacheSpec(mode="reuse", store=store),
+            )
+        finally:
+            set_telemetry_dir(None)
+        return [meta.get("telemetry") for _, meta, _ in store.entries()]
+
+    def test_serial_entry_carries_no_earlier_run_summary(self, store, tmp_path):
+        """The event backend records no summary, so its entry carries none."""
+        summaries = self._stored_run_summaries(
+            store, tmp_path, backend="event", workers=None, runs=1
+        )
+        assert summaries == [None]
+
+    def test_pool_entries_carry_no_earlier_run_summary(self, store, tmp_path):
+        """Pool workers' summaries stay in the workers; the parent stores none."""
+        summaries = self._stored_run_summaries(
+            store, tmp_path, backend="vectorized", workers=2, runs=3
+        )
+        assert summaries == [None, None, None]
+
     def test_corrupt_entry_refused_then_refresh_recovers(
         self, tiny_setting1, store, spec
     ):

@@ -18,9 +18,7 @@ from repro.sim.runner import run_many, run_simulation
 from repro.sim.scenario import setting1_scenario
 from repro.telemetry import (
     BARRIER_WAIT_BOUNDS_S,
-    Counter,
     EventLog,
-    Gauge,
     Histogram,
     SCHEMA_VERSION,
     SchemaError,
@@ -44,16 +42,6 @@ def types_of(events):
 
 
 class TestMetrics:
-    def test_counter_and_gauge(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        gauge = Gauge("g")
-        gauge.set(2.5)
-        gauge.set(1.0)
-        assert gauge.value == 1.0
-
     def test_histogram_buckets_and_overflow(self):
         hist = Histogram(bounds=(0.1, 1.0))
         for value in (0.05, 0.1, 0.5, 2.0, 30.0):
