@@ -6,6 +6,7 @@
 ``kernels``    batched policy kernels vs the scalar path at fig06 scale
 ``results``    RSS growth of a summary-reduced sweep; columnar vs dict result assembly
 ``churn``      vectorized vs event with a join or a departure on every slot
+``stack``      run_many's stacked runs vs the same runs one at a time
 ``compiled``   numba windows vs the per-slot path on a 100k-device population
 ``shard``      sharded vs vectorized at 100k devices, plus checkpoint overhead
 ``faults``     kill and recover byte-identically, refuse a corrupt checkpoint, catch a hang
@@ -34,9 +35,12 @@ import time
 from typing import Callable, NamedTuple
 from unittest import mock
 
+import numpy as np
+
 from repro.analysis.reducers import SummaryReducer
 from repro.experiments.megascale import peak_rss_bytes
 from repro.profiling import run_provenance
+from repro.sim.backends import RunSeed, get_backend
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import run_many, run_simulation
 from repro.sim.scenario import (
@@ -287,6 +291,57 @@ def measure_churn(policies, devices, repeats):
     horizon = per_slot_churn_windows(devices)[1]
     scenario = f"per_slot_churn ({devices} devices, {horizon} slots, join/leave every slot)"
     return scenario, rows, {"churn_speedup": _exp3_or_weakest(speedups)}, {}
+
+
+def measure_stack(policies, devices, runs, slots, repeats):
+    """Stacked ``run_many`` vs the same runs one at a time.
+
+    Each policy's ``runs`` setting-1 runs go through ``run_many(...,
+    reduce="summary")``, which advances them as row blocks of one engine;
+    the baseline runs the same spawned seeds one at a time through the
+    vectorized executor and reduces them the same way.  The summaries must
+    be identical.
+    """
+    reducer = SummaryReducer()
+    executor = get_backend("vectorized")
+    seeds = [
+        RunSeed(root, label)
+        for label, root in enumerate(np.random.SeedSequence(0).spawn(runs))
+    ]
+    rows, identical, solo_total, stacked_total = [], True, 0.0, 0.0
+    for policy in policies:
+        scenario = setting1_scenario(
+            policy=policy, num_devices=devices, horizon_slots=slots
+        )
+        outputs = {}
+
+        def solo():
+            outputs["solo"] = reducer.reduce_all(
+                executor.execute(scenario, seed, record_probabilities=False)
+                for seed in seeds
+            )
+
+        def stacked():
+            outputs["stacked"] = run_many(
+                scenario, runs, backend="vectorized", reduce=reducer
+            )
+
+        solo_seconds = _best_seconds(solo, repeats)
+        stacked_seconds = _best_seconds(stacked, repeats)
+        identical &= outputs["solo"].rows == outputs["stacked"].rows
+        solo_total += solo_seconds
+        stacked_total += stacked_seconds
+        for mode, seconds in (("solo", solo_seconds), ("stacked", stacked_seconds)):
+            rows.append({
+                "policy": policy,
+                "mode": f"{mode}, {runs} runs, reduce=summary",
+                "seconds": seconds,
+                "device_slots_per_second": runs * devices * slots / seconds,
+            })
+        rows[-1]["speedup"] = solo_seconds / stacked_seconds
+    values = {"identical": identical, "stack_speedup": solo_total / stacked_total}
+    scenario = f"setting1 ({devices} devices, {slots} slots, {runs} runs)"
+    return scenario, rows, values, {}
 
 
 def measure_compiled(policy, devices, slots, repeats):
@@ -674,6 +729,13 @@ SUITES: dict[str, Suite] = {
         measure_churn,
         {"policies": ("exp3", "smart_exp3"), "devices": 100, "repeats": 3, "floor": 5.0},
         (Gate("churn_speedup", "min", "floor", FLOOR_MIN_CPUS),),
+    ),
+    "stack": Suite(
+        measure_stack,
+        {"policies": ("exp3", "smart_exp3"), "devices": 20, "runs": 10,
+         "slots": 300, "repeats": 3, "floor": 2.5},
+        (Gate("identical", "true"),
+         Gate("stack_speedup", "min", "floor", FLOOR_MIN_CPUS)),
     ),
     "compiled": Suite(
         measure_compiled,

@@ -31,6 +31,8 @@ import os
 
 import numpy as np
 
+from repro.telemetry.core import get_telemetry
+
 logger = logging.getLogger("repro.compiled")
 
 #: Environment variables that opt a run into the compiled path.
@@ -45,6 +47,8 @@ except ImportError:
     NUMBA_AVAILABLE = False
 
 _warned_unavailable = False
+#: The event stream the unavailable tier was last reported to.
+_reported_to = None
 
 
 def numba_version() -> str | None:
@@ -69,12 +73,13 @@ def compiled_requested() -> bool:
 def compiled_enabled() -> bool:
     """Whether compiled window kernels should actually engage.
 
-    Requested *and* available.  A request without numba logs one warning and
+    Requested *and* available.  A request without numba logs one warning,
+    records one ``path_fallback`` telemetry event per event stream, and
     gracefully degrades to the per-slot path (the behaviour the
     graceful-skip test asserts), so `REPRO_BENCH_COMPILED=1` is always safe
     to export.
     """
-    global _warned_unavailable
+    global _warned_unavailable, _reported_to
     if not compiled_requested():
         return False
     if not NUMBA_AVAILABLE:
@@ -85,6 +90,14 @@ def compiled_enabled() -> bool:
                 "/".join(COMPILED_ENV_VARS),
             )
             _warned_unavailable = True
+        telemetry = get_telemetry()
+        if telemetry is not None and telemetry is not _reported_to:
+            telemetry.event(
+                "path_fallback",
+                kind="compiled_tier",
+                reason="numba not installed",
+            )
+            _reported_to = telemetry
         return False
     return True
 

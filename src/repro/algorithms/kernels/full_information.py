@@ -57,12 +57,12 @@ class FullInformationKernel(BatchKernel):
 
     def _feedback_matrix(self, feedback: SlotFeedback) -> np.ndarray:
         if feedback.member_gain is not None:
-            gains = np.broadcast_to(
-                feedback.join_gain[self.cols], (self.size, self.num_networks)
-            ).copy()
-            chosen_cols = self.cols[self._last_local]
+            # Each row reads its own run's cells (one run: base 0).
+            base = feedback.row_base[self.rows]
+            gains = feedback.join_gain[base[:, None] + self.cols]
+            chosen_cells = base + self.cols[self._last_local]
             gains[self._arange, self._last_local] = feedback.member_gain[
-                chosen_cols
+                chosen_cells
             ]
             return gains
         # Generic physics path: the environment's dict API, one row per device

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import run_many, validate_execution
 from repro.sim.scenario import Scenario
+from repro.telemetry import scoped_telemetry_dir
 
 #: The policies of Table II and Table III, in the order the paper lists them.
 ALL_POLICIES: tuple[str, ...] = (
@@ -93,11 +94,13 @@ class ExperimentConfig:
         Validated eagerly; only applies to reduced runs (``reduce=``).
     telemetry_dir:
         Directory for the run's telemetry event streams
-        (:mod:`repro.telemetry`): sets ``REPRO_TELEMETRY_DIR`` for the
-        experiment (inherited by worker processes), so every run emits
-        structured events the monitor CLI can merge.  ``None`` (default)
-        leaves the environment untouched — telemetry stays off unless the
-        caller exported the variable themselves.
+        (:mod:`repro.telemetry`): sets ``REPRO_TELEMETRY_DIR`` while each
+        of the experiment's ``run_many`` calls runs (inherited by worker
+        processes), so every run emits structured events the monitor CLI
+        can merge, and restores the caller's setting, set or unset,
+        afterwards.  ``None`` (default) leaves the environment untouched —
+        telemetry stays off unless the caller exported the variable
+        themselves.
     """
 
     runs: int = 5
@@ -165,23 +168,20 @@ def run_with_config(scenario: Scenario, config: ExperimentConfig, reduce=None):
     slot-by-slot records, and the return value is the reducer's finalized
     output instead of a result list.
     """
-    if config.telemetry_dir is not None:
-        from repro.telemetry import set_telemetry_dir
-
-        set_telemetry_dir(config.telemetry_dir)
-    return run_many(
-        scenario,
-        config.runs,
-        config.base_seed,
-        backend=config.backend,
-        workers=config.workers,
-        reduce=reduce,
-        chunksize=config.chunksize,
-        shards=config.shards,
-        checkpoint=config.checkpoint,
-        resume_from=config.resume_from,
-        cache=config.cache,
-    )
+    with scoped_telemetry_dir(config.telemetry_dir):
+        return run_many(
+            scenario,
+            config.runs,
+            config.base_seed,
+            backend=config.backend,
+            workers=config.workers,
+            reduce=reduce,
+            chunksize=config.chunksize,
+            shards=config.shards,
+            checkpoint=config.checkpoint,
+            resume_from=config.resume_from,
+            cache=config.cache,
+        )
 
 
 def run_scenario(scenario: Scenario, config: ExperimentConfig, reduce=None):

@@ -38,6 +38,7 @@ from repro.sim.sharded import (
     HomogeneousPopulation,
     ShardedSlotExecutor,
 )
+from repro.telemetry import scoped_telemetry_dir
 
 #: Scaled-down defaults (the full-scale acceptance run is CLI-driven).
 DEFAULT_DEVICES = 5000
@@ -88,15 +89,12 @@ def run(
     (``REPRO_TELEMETRY_DIR``; see ``README.md`` § Observability): every
     process appends structured events there, and
     ``python -m repro.telemetry report`` reconstructs per-shard progress,
-    barrier waits and phase shares from the merged streams.
+    barrier waits and phase shares from the merged streams.  The caller's
+    setting comes back once the run ends.
     """
     config = config or ExperimentConfig(runs=1, horizon_slots=None)
     if telemetry_dir is None:
         telemetry_dir = config.telemetry_dir
-    if telemetry_dir is not None:
-        from repro.telemetry import set_telemetry_dir
-
-        set_telemetry_dir(telemetry_dir)
     slots = horizon_slots or config.horizon_slots or DEFAULT_SLOTS
     cpus = os.cpu_count() or 1
     if shards is None:
@@ -125,7 +123,8 @@ def run(
 
     baseline_rss = peak_rss_bytes()
     started = time.perf_counter()
-    payload = executor.execute_population(population, seed, reducer)
+    with scoped_telemetry_dir(telemetry_dir):
+        payload = executor.execute_population(population, seed, reducer)
     seconds = time.perf_counter() - started
     peak_rss = peak_rss_bytes()
 

@@ -3,12 +3,16 @@
 A sweep is a list of :class:`SweepCase` cells — a named scenario to run
 ``runs`` times from ``base_seed`` — typically expanded from a parameter
 grid with :func:`expand_grid`.  :func:`run_sweep` partitions every case's
-(config × seed) cells into cached-hit vs missing against the registry,
-schedules **only the missing cells** through the existing
-:func:`~repro.sim.runner.run_many` worker pool, commits the fresh payloads
-and merges cached and fresh reducer states with the associative
-``merge`` — in run-index order, so the per-case output is bit-identical to
-a fully cold sweep.
+(config × seed) cells into cached-hit vs missing against the registry and
+feeds **only the missing cells of all its cases** into the one run loop
+(:func:`~repro.sim.runner.run_cells`, the loop ``run_many`` uses): missing
+cells of different cases with identical physics — one network map, delay
+model, slot length and horizon, e.g. every policy and device count of one
+network count — advance as row blocks of one engine, or run solo on a pool
+or a backend without stacking.  Fresh payloads are committed as they land,
+and cached and fresh reducer states merge with the associative ``merge`` —
+in run-index order, so the per-case output is bit-identical to a fully
+cold sweep, or to a cold ``run_many`` per case.
 
 A fully warm case never constructs a process pool: its cells load straight
 from the store and the sweep degenerates to a directory read.
@@ -23,8 +27,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.analysis.reducers import resolve_reducer
 from repro.registry.store import CacheSpec, resolve_cache
-from repro.sim.backends import DEFAULT_BACKEND
-from repro.sim.runner import run_many
+from repro.sim.backends import DEFAULT_BACKEND, get_backend
+from repro.sim.runner import RunCells, run_cells, validate_execution
 from repro.sim.scenario import Scenario
 
 
@@ -117,33 +121,41 @@ def run_sweep(
     """
     if not cases:
         raise ValueError("at least one sweep case is required")
+    validate_execution(backend, workers=workers, chunksize=chunksize)
     reducer = resolve_reducer(reduce)
     if reducer is None:
         raise ValueError("run_sweep requires reduce= (see repro.analysis.reducers)")
+    if record_probabilities is None:
+        record_probabilities = reducer.needs_probabilities
     spec = resolve_cache(cache)
     store = spec.resolve_store() if spec.enabled else None
     hits_before = store.hits if store is not None else 0
 
-    results: dict[str, Any] = {}
     started = time.perf_counter()
-    for case in cases:
-        case_progress = (
-            (lambda done, total, _name=case.name: progress(_name, done, total))
-            if progress is not None
-            else None
-        )
-        results[case.name] = run_many(
+    groups = [
+        RunCells(
             case.scenario,
             case.runs,
             case.base_seed,
-            backend=backend,
-            workers=workers,
-            reduce=reducer,
-            chunksize=chunksize,
-            record_probabilities=record_probabilities,
-            progress=case_progress,
-            cache=CacheSpec(spec.mode, store=store),
+            (lambda done, total, _name=case.name: progress(_name, done, total))
+            if progress is not None
+            else None,
         )
+        for case in cases
+    ]
+    run_cells(
+        groups,
+        get_backend(backend),
+        reducer,
+        record_probabilities,
+        workers=workers,
+        chunksize=chunksize,
+        store=store,
+        reuse=spec.mode == "reuse",
+    )
+    results = {
+        case.name: group.output(reducer) for case, group in zip(cases, groups)
+    }
     cells_total = sum(case.runs for case in cases)
     cells_cached = store.hits - hits_before if store is not None else 0
     return SweepReport(

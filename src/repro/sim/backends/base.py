@@ -265,9 +265,26 @@ class SlotRecorder:
         scenario: Scenario,
         seed: int,
         runtimes: dict[int, DeviceRuntime],
+        rows: slice | None = None,
     ) -> SimulationResult:
-        """Assemble the final :class:`SimulationResult` from the blocks."""
+        """Assemble the final :class:`SimulationResult` from the blocks.
+
+        ``rows`` selects one run's row block of a recorder shared by stacked
+        runs; the result then holds views of those rows.
+        """
+        blocks = (
+            self.choices,
+            self.rates,
+            self.delays,
+            self.switches,
+            self.active,
+            self.probabilities,
+        )
         device_ids = self.device_ids
+        if rows is not None:
+            device_ids = device_ids[rows]
+            blocks = tuple(None if b is None else b[rows] for b in blocks)
+        choices, rates, delays, switches, active, probabilities = blocks
         return SimulationResult(
             scenario_name=scenario.name,
             seed=seed,
@@ -276,12 +293,12 @@ class SlotRecorder:
             networks=dict(scenario.network_map),
             device_ids=device_ids,
             policy_names={d: runtimes[d].spec.policy for d in device_ids},
-            choices_2d=self.choices,
-            rates_2d=self.rates,
-            delays_2d=self.delays,
-            switches_2d=self.switches,
-            active_2d=self.active,
-            probabilities_3d=self.probabilities,
+            choices_2d=choices,
+            rates_2d=rates,
+            delays_2d=delays,
+            switches_2d=switches,
+            active_2d=active,
+            probabilities_3d=probabilities,
             resets={d: runtimes[d].policy.reset_count for d in device_ids},
         )
 

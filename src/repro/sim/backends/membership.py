@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.registry import kernel_for_policy
+from repro.telemetry import get_telemetry
 
 #: Per-row execution class, fixed for the whole run (the *group* a kernel row
 #: belongs to changes with its visible set; its class never does).
@@ -49,6 +50,18 @@ def equal_share_feedback(
     return member, join
 
 
+def _report_scalar_fallback(row: int, policy) -> None:
+    """Record that a row whose policy has a kernel runs on the scalar path."""
+    telemetry = get_telemetry()
+    if telemetry is not None:
+        telemetry.event(
+            "path_fallback",
+            kind="scalar_policy",
+            reason=f"{type(policy).__name__} has no kernel group key",
+            row=row,
+        )
+
+
 class MembershipState:
     """Execution classes, kernel groups and frozen bookkeeping for one run."""
 
@@ -74,15 +87,15 @@ class MembershipState:
         for row, policy in enumerate(self.policies_by_row):
             if policy.stationary and not policy.needs_full_feedback:
                 self.category[row] = FROZEN
+                continue
+            kernel_cls = kernel_for_policy(policy) if use_kernels else None
+            if kernel_cls is None:
+                self.category[row] = FALLBACK
+            elif kernel_cls.group_key(policy) is None:
+                self.category[row] = FALLBACK
+                _report_scalar_fallback(row, policy)
             else:
-                kernel_cls = kernel_for_policy(policy) if use_kernels else None
-                if (
-                    kernel_cls is not None
-                    and kernel_cls.group_key(policy) is not None
-                ):
-                    self.category[row] = KERNEL
-                else:
-                    self.category[row] = FALLBACK
+                self.category[row] = KERNEL
 
         self.active = np.zeros(num_devices, dtype=bool)
         self.kernels_by_key: dict = {}  # (kernel class, group key) -> kernel
@@ -91,14 +104,19 @@ class MembershipState:
         self.frozen_dirty: set[int] = set()
 
     def attach_kernel_row(self, row: int, pending: dict) -> None:
-        """Queue a kernel-class row for (re-)gathering into its group."""
+        """Queue a kernel-class row for (re-)gathering into its group.
+
+        A row whose kernel refuses it (e.g. a custom ``group_key`` vetoing
+        this config) moves to the scalar path for the rest of the run.
+        """
         runtime = self.runtimes_by_row[row]
         policy = runtime.policy
         kernel_cls = kernel_for_policy(policy)
         key = kernel_cls.group_key(policy) if kernel_cls is not None else None
-        if key is None:  # e.g. a custom group_key vetoing this config
+        if key is None:
             self.category[row] = FALLBACK
             self.fallback_rows.add(row)
+            _report_scalar_fallback(row, policy)
             return
         pending.setdefault((kernel_cls, key), []).append((row, runtime, policy))
 

@@ -23,9 +23,15 @@ supervision or durability — which batches all of that:
 * with the compiled tier on, a lone EXP3 kernel hands whole draw windows to
   its compiled loop.
 
+:meth:`VectorizedSlotExecutor.execute_stack` runs several runs with
+identical physics as contiguous row blocks of one engine, so a kernel call
+serves every stacked run's rows; ``run_many`` and ``run_sweep`` feed their
+cells to it (see :mod:`repro.sim.runner`).
+
 Bit-exactness with the event backend is preserved because the RNG streams
 are consumed in the identical order (see :mod:`repro.sim.backends.base` and
-the kernel contract in :mod:`repro.algorithms.kernels`).
+the kernel contract in :mod:`repro.algorithms.kernels`), per run when runs
+are stacked.
 """
 
 from __future__ import annotations
@@ -55,10 +61,21 @@ class VectorizedSlotExecutor(SlotExecutor):
         seed=0,
         record_probabilities: bool = True,
     ) -> SimulationResult:
+        return self.execute_stack([(scenario, seed)], record_probabilities)[0]
+
+    def execute_stack(
+        self, cells, record_probabilities: bool = True
+    ) -> list[SimulationResult]:
+        """Several runs as row blocks of one engine, one result per cell.
+
+        ``cells`` lists ``(scenario, seed)`` pairs whose scenarios share
+        :func:`~repro.sim.sharded.executor.stack_physics` on equal-share
+        physics; each result is bit-identical to the cell's :meth:`execute`.
+        """
         # Imported lazily: the sharded package imports this package's base
         # module, so a top-level import would race the backend registry.
-        from repro.sim.sharded.executor import run_in_process
+        from repro.sim.sharded.executor import run_stacked
 
-        return run_in_process(
-            scenario, seed, record_probabilities, self.use_kernels, self.name
+        return run_stacked(
+            cells, record_probabilities, self.use_kernels, self.name
         )

@@ -3,13 +3,13 @@
 ``run_simulation`` performs a single run through a pluggable execution
 backend (see :mod:`repro.sim.backends`) and returns a
 :class:`repro.sim.metrics.SimulationResult`; ``run_many`` repeats it with
-independent seeds — serially or on a process pool — which is how every
-multi-run experiment of the paper is produced.
+independent seeds — stacked into one engine, one at a time or on a process
+pool — which is how every multi-run experiment of the paper is produced.
 
 Every backend is bit-exact: for a fixed seed, ``backend="event"``,
 ``backend="vectorized"`` and ``backend="sharded"`` return identical
-results, and a parallel ``run_many`` returns exactly what the serial loop
-would.
+results, and a stacked or parallel ``run_many`` returns exactly what runs
+one at a time would.
 
 Seeding
 -------
@@ -24,19 +24,32 @@ recorded as :attr:`SimulationResult.seed` for provenance.  A direct
 ``run_simulation(scenario, seed=k)`` keeps the historical integer-seeded
 streams (``default_rng(k)``).
 
-One run loop
-------------
+One run loop, over cells
+------------------------
 
-Every ``run_many`` call goes through the same steps.  Registry hits (with
-``cache="reuse"``) are loaded first; the remaining run indices — all of
-them when the cache is off — execute through :func:`_run_one`, either
-serially in this process or on a process pool; each fresh payload is
-stored in the registry as it arrives; and one left fold in run-index order
-produces the result.  A payload is the full
+A cell is one (scenario, run index) pair.  ``run_many`` hands its cells,
+and :func:`~repro.registry.sweep.run_sweep` the cells of all its cases, to
+one loop, :func:`run_cells`.  Registry hits (with ``cache="reuse"``) are
+loaded first.  The missing cells then execute: cells whose scenarios share
+their physics (:func:`~repro.sim.sharded.executor.stack_physics`: one
+network map, equal-share rates, one delay model, slot length and horizon)
+advance together as row blocks of one engine
+(:meth:`~repro.sim.backends.vectorized.VectorizedSlotExecutor.execute_stack`),
+in stacks of at most :data:`STACK_BUDGET_BYTES` of records, so each kernel
+call serves every stacked run.  A cell stays solo, through
+:func:`_run_one`, on a process pool, on a backend without stacking
+(``event``, ``sharded``), on another gain model, where the compiled tier
+would fast-forward, or above the budget; the reason is a ``run_solo``
+telemetry event, and each stack a ``run_stack`` event.  Stacking is
+decided from the cells alone — there is no option — and every stacked
+run's result is bit-identical to its solo result.  Each fresh payload is
+stored in the registry as it arrives, and one left fold in run-index order
+produces each case's output.  A payload is the full
 :class:`~repro.sim.metrics.SimulationResult`, or — when ``reduce=`` is
 given — only the reducer's kilobyte payload (:meth:`Reducer.map
 <repro.analysis.reducers.Reducer.map>` runs where the run executes), so a
-reduced experiment holds one full record at a time regardless of ``runs``.
+reduced experiment holds one stack of records at a time regardless of
+``runs``.
 
 IPC contract of the parallel path
 ---------------------------------
@@ -64,6 +77,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.algorithms.kernels.compiled import compiled_enabled
+from repro.game.gain import EqualShareModel
 from repro.sim.backends import (
     DEFAULT_BACKEND,
     RunSeed,
@@ -273,14 +288,20 @@ def _run_one(
     except RunFailure:
         raise
     except Exception as exc:
-        raise RunFailure(
-            f"run {index} (seed {run_seed.label}) of scenario "
-            f"{scenario.name!r} failed: {type(exc).__name__}: {exc}",
-            run_index=index,
-            seed_label=run_seed.label,
-            scenario_name=scenario.name,
-        ) from exc
+        raise _cell_failure(exc, index, run_seed, scenario) from exc
     return index, payload, time.perf_counter() - started
+
+
+def _cell_failure(
+    exc: Exception, index: int, run_seed: RunSeed, scenario: Scenario
+) -> RunFailure:
+    return RunFailure(
+        f"run {index} (seed {run_seed.label}) of scenario "
+        f"{scenario.name!r} failed: {type(exc).__name__}: {exc}",
+        run_index=index,
+        seed_label=run_seed.label,
+        scenario_name=scenario.name,
+    )
 
 
 #: Per-worker run context, installed once per process by :func:`_init_worker`.
@@ -323,6 +344,228 @@ def _finished_runs(indices, context: dict, workers, chunksize):
         yield from pool.map(_run_index, indices, chunksize=chunksize)
 
 
+class RunCells:
+    """One scenario's ``runs`` cells in the run loop (:func:`run_cells`).
+
+    Holds the registry keys (when caching) and the payloads as they land,
+    reporting ``progress(done, runs)`` after each one.
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        runs: int,
+        base_seed: int = 0,
+        progress: Callable[[int, int], None] | None = None,
+    ) -> None:
+        self.scenario = scenario
+        self.runs = runs
+        self.base_seed = base_seed
+        self.progress = progress
+        self.keys: list = []
+        self.payloads: dict = {}
+
+    def missing(self) -> list[int]:
+        return [index for index in range(self.runs) if index not in self.payloads]
+
+    def finish(self, index: int, payload, seconds: float, store) -> None:
+        self.payloads[index] = payload
+        if store is not None:
+            store.store(self.keys[index], payload, wall_seconds=seconds)
+        if self.progress is not None:
+            self.progress(len(self.payloads), self.runs)
+
+    def output(self, reducer):
+        """The payloads in run order, or the reducer's finalized left fold."""
+        ordered = [self.payloads[index] for index in range(self.runs)]
+        if reducer is None:
+            return ordered
+        return reducer.finalize(functools.reduce(reducer.merge, ordered))
+
+
+#: Recorder bytes one stack of runs may hold.  Missing cells with identical
+#: physics run as row blocks of one engine up to this size, so a reduced run
+#: loop peaks at one stack's records; a run larger than this stays solo.
+STACK_BUDGET_BYTES = 32 * 2**20
+
+
+def _recorder_bytes(scenario: Scenario, record_probabilities: bool) -> int:
+    """A run's recorder: int64 choices, float64 rates and delays, boolean
+    switches and activity, and a float64 per network with probabilities."""
+    per_cell = 26 + (8 * len(scenario.networks) if record_probabilities else 0)
+    return scenario.num_devices * scenario.horizon_slots * per_cell
+
+
+def _solo_reason(scenario: Scenario, executor, pool: bool, size: int) -> str | None:
+    """Why ``scenario``'s cells cannot stack, or ``None`` when they can."""
+    if pool:
+        return "pool"
+    if not hasattr(executor, "execute_stack"):
+        return "backend"
+    if type(scenario.gain_model) is not EqualShareModel:
+        return "gain_model"
+    if scenario.delay_model.stream_free and compiled_enabled():
+        # The compiled tier fast-forwards a lone kernel over one run's
+        # occupancy; a stack would take that path away from it.
+        return "compiled_tier"
+    if size > STACK_BUDGET_BYTES:
+        return "budget"
+    return None
+
+
+class _Stack:
+    """Cells of one physics waiting to run as one engine."""
+
+    def __init__(self, physics) -> None:
+        self.physics = physics
+        self.cells: list[tuple[RunCells, int]] = []
+        self.bytes = 0
+
+
+def _run_stack(stack: _Stack, executor, reducer, record_probabilities, store):
+    """Execute one stack and finish each of its cells in stack order."""
+    cells = [
+        (group.scenario, _spawned_run_seed(group.base_seed, index))
+        for group, index in stack.cells
+    ]
+    telemetry = get_telemetry()
+    if telemetry is not None:
+        telemetry.event(
+            "run_stack",
+            runs=len(cells),
+            rows=sum(scenario.num_devices for scenario, _ in cells),
+            scenarios=len({id(group) for group, _ in stack.cells}),
+        )
+    started = time.perf_counter()
+    try:
+        results = executor.execute_stack(cells, record_probabilities)
+    except Exception:
+        # Name the failing cell: replayed alone, it raises its RunFailure.
+        for group, index in stack.cells:
+            _run_one(
+                index,
+                group.scenario,
+                executor,
+                reducer=None,
+                record_probabilities=record_probabilities,
+                base_seed=group.base_seed,
+                runs=group.runs,
+                checkpoint=None,
+                resume_from=None,
+            )
+        raise
+    seconds = (time.perf_counter() - started) / len(cells)
+    for (group, index), (scenario, run_seed), payload in zip(
+        stack.cells, cells, results
+    ):
+        if reducer is not None:
+            try:
+                payload = reducer.map(payload)
+            except Exception as exc:
+                raise _cell_failure(exc, index, run_seed, scenario) from exc
+        group.finish(index, payload, seconds, store)
+
+
+def run_cells(
+    groups: Sequence[RunCells],
+    executor: SlotExecutor,
+    reducer=None,
+    record_probabilities: bool = True,
+    workers: int | None = None,
+    chunksize: int | None = None,
+    store=None,
+    reuse: bool = False,
+    checkpoint=None,
+    resume_from=None,
+) -> None:
+    """The run loop: every missing cell of ``groups``, solo or stacked.
+
+    With a ``store``, each group's cells are fingerprinted and, when
+    ``reuse``, loaded from it first; fresh payloads are stored as they
+    land.  The missing cells of groups whose physics match
+    (:func:`~repro.sim.sharded.executor.stack_physics`) execute as row
+    blocks of one engine (:meth:`execute_stack`), in stacks of at most
+    :data:`STACK_BUDGET_BYTES` of records; every payload equals the cell's
+    solo payload.  Cells stay solo on a process pool, on a backend
+    without stacking (``event``, ``sharded``), on another gain model than
+    equal share, where the compiled tier would fast-forward, or above the
+    budget — each one recorded as a ``run_solo`` telemetry event with its
+    reason, each stack as a ``run_stack`` event.
+    """
+    # Imported lazily: the sharded package imports the backends package.
+    from repro.sim.sharded.executor import stack_physics
+
+    if store is not None:
+        from repro.registry.fingerprint import grid_keys
+        from repro.registry.store import MISS
+
+        # RunStore.store attaches the last recorded run summary; one that an
+        # earlier, uncached run left behind belongs to no entry of this call.
+        take_run_summary()
+        for group in groups:
+            group.keys = grid_keys(
+                group.scenario,
+                base_seed=group.base_seed,
+                runs=group.runs,
+                record_probabilities=record_probabilities,
+                reducer=reducer,
+            )
+            if reuse:
+                for index, key in enumerate(group.keys):
+                    hit = store.load(key.fingerprint)  # CacheError when corrupt
+                    if hit is not MISS:
+                        group.payloads[index] = hit
+            if group.progress is not None and group.payloads:
+                group.progress(len(group.payloads), group.runs)
+
+    telemetry = get_telemetry()
+    pool = workers is not None and workers > 1
+    stacks: list[_Stack] = []
+    for group in groups:
+        missing = group.missing()
+        if not missing:
+            continue
+        size = _recorder_bytes(group.scenario, record_probabilities)
+        reason = _solo_reason(group.scenario, executor, pool, size)
+        if reason is not None:
+            if telemetry is not None:
+                for index in missing:
+                    telemetry.event(
+                        "run_solo",
+                        reason=reason,
+                        scenario=group.scenario.name,
+                        run_index=index,
+                    )
+            context = {
+                "scenario": group.scenario,
+                "executor": executor,
+                "reducer": reducer,
+                "record_probabilities": record_probabilities,
+                "base_seed": group.base_seed,
+                "runs": group.runs,
+                "checkpoint": checkpoint,
+                "resume_from": resume_from,
+            }
+            for index, payload, seconds in _finished_runs(
+                missing, context, workers, chunksize
+            ):
+                group.finish(index, payload, seconds, store)
+            continue
+        physics = stack_physics(group.scenario)
+        stack = next((s for s in stacks if s.physics == physics), None)
+        for index in missing:
+            if stack is None or stack.bytes + size > STACK_BUDGET_BYTES:
+                if stack is not None:
+                    stacks.remove(stack)
+                    _run_stack(stack, executor, reducer, record_probabilities, store)
+                stack = _Stack(physics)
+                stacks.append(stack)
+            stack.cells.append((group, index))
+            stack.bytes += size
+    for stack in stacks:
+        _run_stack(stack, executor, reducer, record_probabilities, store)
+
+
 def run_many(
     scenario: Scenario,
     runs: int,
@@ -345,11 +588,14 @@ def run_many(
     backend:
         Execution backend for every run (see :func:`repro.sim.backends.available_backends`).
     workers:
-        ``None``, ``0`` or ``1`` runs serially in-process.  Any larger value
-        fans the *runs* out over a ``ProcessPoolExecutor`` with up to that
-        many workers; results come back in run order and are bit-identical
-        to a serial run.  With ``shards=`` set, the budget moves *inside*
-        each run instead: runs execute serially and ``workers`` becomes the
+        ``None``, ``0`` or ``1`` runs in-process: on the ``vectorized``
+        backend, equal-share runs advance stacked as row blocks of one
+        engine (see "One run loop, over cells" above), otherwise one at a
+        time.  Any larger value fans the *runs* out over a
+        ``ProcessPoolExecutor`` with up to that many workers, each run
+        solo; results come back in run order and are bit-identical to a
+        serial run.  With ``shards=`` set, the budget moves *inside* each
+        run instead: runs execute serially and ``workers`` becomes the
         sharded backend's worker-process count.
     reduce:
         ``None`` returns the full per-run results as a list.  A
@@ -450,58 +696,20 @@ def run_many(
         )
         started = time.perf_counter()
 
-    payloads: dict = {}
-    store = None
-    if cache_spec.enabled:
-        from repro.registry.fingerprint import grid_keys
-        from repro.registry.store import MISS
-
-        store = cache_spec.resolve_store()
-        # RunStore.store attaches the last recorded run summary; one that an
-        # earlier, uncached run left behind belongs to no entry of this call.
-        take_run_summary()
-        keys = grid_keys(
-            scenario,
-            base_seed=base_seed,
-            runs=runs,
-            record_probabilities=record_probabilities,
-            reducer=reducer,
-        )
-        if cache_spec.mode == "reuse":
-            for index, key in enumerate(keys):
-                hit = store.load(key.fingerprint)  # CacheError when corrupt
-                if hit is not MISS:
-                    payloads[index] = hit
-    missing = [index for index in range(runs) if index not in payloads]
-    done = runs - len(missing)
-    if progress is not None and done:
-        progress(done, runs)
-    context = {
-        "scenario": scenario,
-        "executor": executor,
-        "reducer": reducer,
-        "record_probabilities": record_probabilities,
-        "base_seed": base_seed,
-        "runs": runs,
-        "checkpoint": checkpoint,
-        "resume_from": resume_from,
-    }
-    for index, payload, seconds in _finished_runs(
-        missing, context, pool_workers, chunksize
-    ):
-        payloads[index] = payload
-        if store is not None:
-            store.store(keys[index], payload, wall_seconds=seconds)
-        done += 1
-        if progress is not None:
-            progress(done, runs)
-
-    ordered = [payloads[index] for index in range(runs)]
-    result = (
-        ordered
-        if reducer is None
-        else reducer.finalize(functools.reduce(reducer.merge, ordered))
+    group = RunCells(scenario, runs, base_seed, progress)
+    run_cells(
+        [group],
+        executor,
+        reducer,
+        record_probabilities,
+        workers=pool_workers,
+        chunksize=chunksize,
+        store=cache_spec.resolve_store() if cache_spec.enabled else None,
+        reuse=cache_spec.mode == "reuse",
+        checkpoint=checkpoint,
+        resume_from=resume_from,
     )
+    result = group.output(reducer)
     if telemetry is not None:
         telemetry.event(
             "run_many_end",

@@ -1,10 +1,21 @@
-"""The slot engine: one shard of a run, advanced in lockstep.
+"""The slot engine: one shard of a run, or a stack of runs, advanced in lockstep.
 
 A :class:`ShardEngine` owns one shard of the device population and advances
 it slot by slot through a three-phase protocol driven by the lockstep
 driver (:func:`repro.sim.sharded.executor.run_lockstep`).  The
 ``"vectorized"`` backend runs the whole population as one engine; the
 ``"sharded"`` backend runs ``K`` of them in one or more processes.
+
+The engine also has a run axis: runs with identical physics (one network
+map, equal-share rates, one delay model, slot length and horizon) can
+advance as contiguous row blocks of one engine (:class:`RunRows`), so each
+kernel group is called once per slot for every stacked run.  Each run keeps
+its own device ids, policy seeds and ranks, topology plan (placed at its row
+offset), environment RNG (held by the driver) and result, a row-block slice
+of the shared recorder.  Occupancy is one ``bincount`` over ``run × N +
+column``; rates and the Full Information counterfactuals read their run's
+``N`` cells through a per-row base (:attr:`ShardEngine.row_base`).  A
+sharded engine holds one run.
 
 1. :meth:`begin` — apply the slot's topology events (membership edits on
    persistent kernel groups, :mod:`repro.sim.backends.membership`), run
@@ -51,7 +62,12 @@ import repro.algorithms.kernels  # noqa: F401  (registers the built-in kernels)
 from repro.algorithms.base import Observation
 from repro.algorithms.kernels.base import SlotFeedback, WindowPlan
 from repro.game.gain import EqualShareModel
-from repro.sim.backends.base import SlotRecorder, TopologyPlan, build_policies
+from repro.sim.backends.base import (
+    SlotRecorder,
+    TopologyEvents,
+    TopologyPlan,
+    build_policies,
+)
 from repro.sim.backends.membership import (
     FROZEN as _FROZEN,
     MembershipState,
@@ -141,33 +157,107 @@ class _RecorderStub:
         self.width, self.record_probabilities, self.dtype = state
 
 
+class RunRows:
+    """One run's row block ``[lo, hi)`` of an engine, and what its result needs.
+
+    ``policy_seeds`` are kept for the columnar checkpoint codec: restoring a
+    snapshot rebuilds the scalar policy objects of kernel-resident rows from
+    them instead of pickling 10^5 tiny Python objects.
+    """
+
+    __slots__ = (
+        "spec",
+        "scenario",
+        "seed_label",
+        "policy_seeds",
+        "device_ids",
+        "topology",
+        "lo",
+        "hi",
+    )
+
+    def __init__(
+        self, spec: ShardSpec, policy_seeds, seed_label: int, lo: int, num_slots: int
+    ) -> None:
+        self.spec = spec
+        self.scenario = scenario = spec.materialize()
+        self.seed_label = seed_label
+        self.policy_seeds = np.asarray(policy_seeds)
+        devices = sorted(
+            (device_spec.device for device_spec in scenario.device_specs),
+            key=lambda device: device.device_id,
+        )
+        self.device_ids = tuple(device.device_id for device in devices)
+        self.topology = TopologyPlan(scenario, devices, num_slots)
+        self.lo = lo
+        self.hi = lo + len(devices)
+
+    def build_runtimes(self) -> list:
+        """The run's device runtimes, policies built from its seeds, row order."""
+        runtimes = build_policies(
+            self.scenario, self.policy_seeds, self.spec.policy_ranks
+        )
+        return [runtimes[d] for d in self.device_ids]
+
+
+def _merged_events(runs: list[RunRows]) -> dict[int, TopologyEvents]:
+    """Every run's topology events at its row offset, slot by slot.
+
+    Runs are in ascending row order, so each merged list stays ascending.
+    """
+    if len(runs) == 1:
+        return runs[0].topology.events
+    merged: dict[int, TopologyEvents] = {}
+    for run in runs:
+        lo = run.lo
+        for slot, events in run.topology.events.items():
+            into = merged.get(slot)
+            if into is None:
+                into = merged[slot] = TopologyEvents()
+            into.joins.extend(row + lo for row in events.joins)
+            into.leaves.extend(row + lo for row in events.leaves)
+            into.visibility.extend(
+                (row + lo, visible) for row, visible in events.visibility
+            )
+    return merged
+
+
 class ShardEngine:
-    """One shard's devices, policies, topology and recorder."""
+    """One shard's devices, policies, topology and recorder — or a stack of
+    whole runs with identical physics, as contiguous row blocks.
+
+    ``runs`` lists ``(spec, policy_seeds, seed_label)`` per run; a sharded
+    engine holds one run's shard, a stacked one several whole runs whose
+    scenarios share :func:`~repro.sim.sharded.executor.stack_physics`.
+    """
 
     def __init__(
         self,
-        spec: ShardSpec,
-        policy_seeds: np.ndarray,
-        seed_label: int,
+        runs,
         num_slots: int,
         record_probabilities: bool = True,
         dtype: str = "float64",
         window: int | None = None,
         use_kernels: bool = True,
     ) -> None:
-        scenario = spec.materialize()
-        self.spec = spec
+        self.runs: list[RunRows] = []
+        runtimes_by_row: list = []
+        for spec, policy_seeds, seed_label in runs:
+            run = RunRows(
+                spec, policy_seeds, seed_label, len(runtimes_by_row), num_slots
+            )
+            runtimes_by_row += run.build_runtimes()
+            self.runs.append(run)
+        first = self.runs[0]
+        scenario = first.scenario
+        #: The first run's shard and scenario: every run shares its physics.
+        self.spec = first.spec
         self.scenario = scenario
-        self.seed_label = seed_label
         self.num_slots = num_slots
-        #: Offset of this shard's row 0 in the global row order.
-        self.row_offset = spec.lo
-        #: Kept for the columnar checkpoint codec: restoring a snapshot
-        #: rebuilds the scalar policy objects of kernel-resident rows from
-        #: these seeds instead of pickling 10^5 tiny Python objects.
-        self._policy_seeds = np.asarray(policy_seeds)
-        self.runtimes = build_policies(scenario, policy_seeds, spec.policy_ranks)
-        self.device_ids = tuple(sorted(self.runtimes))
+        #: Offset of this shard's row 0 in its run's global row order.
+        self.row_offset = first.spec.lo
+        #: Row -> device id (ids repeat across stacked runs).
+        self.device_ids = tuple(d for run in self.runs for d in run.device_ids)
         num_devices = len(self.device_ids)
 
         self.network_order = tuple(sorted(scenario.network_map))
@@ -178,6 +268,18 @@ class ShardEngine:
             dtype=float,
         )
         self.scale_ref = float(scenario.scale_reference_mbps)
+        # The run axis: run r's occupancy cells are r*N .. r*N + N-1.
+        num_runs = len(self.runs)
+        sizes = [run.hi - run.lo for run in self.runs]
+        #: Per row: the flat index of its run's first occupancy cell.
+        self.row_base = np.repeat(
+            np.arange(num_runs, dtype=np.intp) * self.num_networks, sizes
+        )
+        #: Row offset where each run starts, then the row count.
+        self.run_bounds = np.asarray(
+            [run.lo for run in self.runs] + [num_devices], dtype=np.intp
+        )
+        self._cell_bandwidths = np.tile(self.bandwidths, num_runs)
 
         self.window = min(int(window), num_slots) if window else None
         width = self.window or num_slots
@@ -194,21 +296,13 @@ class ShardEngine:
             )
         #: 0-based slot index of the recorder's column 0.
         self.col_base = 0
-
-        self.topology = TopologyPlan(
-            scenario,
-            [self.runtimes[d].spec.device for d in self.device_ids],
-            num_slots,
-        )
         self.network_col = self.recorder.network_col
 
         # ---- persistent run state (the membership layer owns the execution
         # classes, kernel groups and frozen bookkeeping, and applies
         # topology events in place)
         self.membership = MembershipState(
-            [self.runtimes[d] for d in self.device_ids],
-            self.recorder,
-            use_kernels,
+            runtimes_by_row, self.recorder, use_kernels
         )
         self.needs_feedback = any(
             p.needs_full_feedback for p in self.membership.policies_by_row
@@ -222,7 +316,7 @@ class ShardEngine:
         #: is on): kernel draw windows and fast-forwards end here so a
         #: snapshot never has to carry a partially consumed uniform buffer.
         self.draw_barrier_every: int | None = None
-        self._events = self.topology.events
+        self._events = _merged_events(self.runs)
         self._event_slot_list = sorted(self._events)
         #: Exclusive end slot of the span whose constant blocks (activity,
         #: frozen strategies) are written, and the next topology event.
@@ -248,6 +342,8 @@ class ShardEngine:
         "_first_slot": True,
         "_prev_act": None,
         "_act_cols": _NO_ROWS,
+        "_act_base": None,
+        "_act_cells": _NO_ROWS,
         "_rates_act": np.empty(0, dtype=float),
         "_switch_rows": _NO_ROWS,
         "_feedback": None,
@@ -280,8 +376,7 @@ class ShardEngine:
         if not membership.kernel_of:
             # No kernel-resident rows: every scalar policy is live state.
             return state
-        for name in ("runtimes", "membership"):
-            state.pop(name, None)
+        state.pop("membership")
         if drop_recorder:
             # The caller (checkpoint write, post window-flush) certifies the
             # recorder blocks were just reset: rebuild zeros at restore.
@@ -343,10 +438,9 @@ class ShardEngine:
             self.network_col = recorder.network_col
         if columnar is None:
             return
-        rebuilt = build_policies(
-            self.scenario, self._policy_seeds, self.spec.policy_ranks
-        )
-        runtimes_by_row = [rebuilt[d] for d in self.device_ids]
+        runtimes_by_row = [
+            runtime for run in self.runs for runtime in run.build_runtimes()
+        ]
         for row, runtime in columnar["scalar_rows"].items():
             runtimes_by_row[int(row)] = runtime
         policies_by_row = [rt.policy for rt in runtimes_by_row]
@@ -383,7 +477,6 @@ class ShardEngine:
             for row in rows:
                 membership.kernel_of[row] = kernel
         self.membership = membership
-        self.runtimes = dict(zip(self.device_ids, runtimes_by_row))
 
     # ------------------------------------------------------------- layout
 
@@ -405,6 +498,8 @@ class ShardEngine:
         act_rows = np.nonzero(membership.active)[0]
         self._act_rows = act_rows
         self._all_active = act_rows.size == membership.active.size
+        if len(self.runs) > 1:
+            self._act_base = self.row_base[act_rows]
         entries = []
         for kernel in membership.kernels_by_key.values():
             positions = np.searchsorted(act_rows, kernel.rows)
@@ -421,6 +516,7 @@ class ShardEngine:
                 membership.runtimes_by_row[row],
                 membership.policies_by_row[row],
                 int(np.searchsorted(act_rows, row)),
+                int(self.row_base[row]),
             )
             for row in sorted(membership.fallback_rows)
         ]
@@ -497,7 +593,11 @@ class ShardEngine:
     # ---------------------------------------------------------- slot phases
 
     def begin(self, slot: int) -> np.ndarray:
-        """Phase 1: selection.  Returns local per-network occupancy counts."""
+        """Phase 1: selection.  Returns local per-network occupancy counts.
+
+        A stacked engine returns every run's counts, flat: run ``r``'s
+        network column ``c`` is cell ``r * num_networks + c``.
+        """
         membership = self.membership
         events = self._events.get(slot)
         if events is not None:
@@ -522,13 +622,16 @@ class ShardEngine:
             choice_col[kernel.rows] = kernel.begin_slot(slot)
         if self._fallback_list:
             network_col = self.network_col
-            for row, _runtime, policy, _pos in self._fallback_list:
+            for row, _runtime, policy, _pos, _base in self._fallback_list:
                 choice_col[row] = network_col[policy.begin_slot(slot)]
         act_cols = (
             choice_col.copy() if self._all_active else choice_col[self._act_rows]
         )
         self._act_cols = act_cols
-        return np.bincount(act_cols, minlength=self.num_networks)
+        if self._act_base is None:
+            return np.bincount(act_cols, minlength=self.num_networks)
+        self._act_cells = cells = self._act_base + act_cols
+        return np.bincount(cells, minlength=self._cell_bandwidths.size)
 
     def observe(
         self, slot: int, counts: np.ndarray, environment=None
@@ -548,13 +651,17 @@ class ShardEngine:
         col = slot - 1 - self.col_base
         recorder = self.recorder
         if environment is None:
-            rates_act = (self.bandwidths / np.maximum(counts, 1))[act_cols]
+            cells = act_cols if self._act_base is None else self._act_cells
+            bandwidths = self._cell_bandwidths
+            rates_act = (bandwidths / np.maximum(counts, 1))[cells]
             if self.needs_feedback:
                 member_gain, join_gain = equal_share_feedback(
-                    counts, self.bandwidths, self.scale_ref
+                    counts, bandwidths, self.scale_ref
                 )
                 self._feedback = SlotFeedback(
-                    member_gain=member_gain, join_gain=join_gain
+                    member_gain=member_gain,
+                    join_gain=join_gain,
+                    row_base=self.row_base,
                 )
         else:
             rates_act = self._environment_rates(slot, environment)
@@ -633,7 +740,7 @@ class ShardEngine:
         )
         net_ids = self.net_ids
         network_col = self.network_col
-        for row, runtime, policy, pos in self._fallback_list:
+        for row, runtime, policy, pos, base in self._fallback_list:
             chosen_col = self.choice_col[row]
             network_id = int(net_ids[chosen_col])
             full_feedback = None
@@ -645,9 +752,9 @@ class ShardEngine:
                     )
                 else:
                     full_feedback = {
-                        k: float(feedback.member_gain[network_col[k]])
+                        k: float(feedback.member_gain[base + network_col[k]])
                         if network_col[k] == chosen_col
-                        else float(feedback.join_gain[network_col[k]])
+                        else float(feedback.join_gain[base + network_col[k]])
                         for k in visible
                     }
             policy.end_slot(
@@ -705,10 +812,11 @@ class ShardEngine:
         self, slot: int, remaining: int, delay_table: np.ndarray
     ) -> int:
         """Hand the ``remaining`` slots of the open draw window to the
-        compiled loop of a kernel that covers every active row alone."""
+        compiled loop of a kernel that covers every active row of one run
+        alone (its occupancy is one run's)."""
         entries = self._kernel_entries
         if len(entries) != 1 or entries[0][1] is not None or (
-            self._fallback_list or self._frozen_rows.size
+            self._fallback_list or self._frozen_rows.size or len(self.runs) > 1
         ):
             return slot
         kernel = entries[0][0]
@@ -752,26 +860,41 @@ class ShardEngine:
                     self.net_ids[self.prev_col[local_row]]
                 )
 
-    def result(self) -> SimulationResult:
-        """The shard's full result (full-horizon recorder mode only)."""
-        return self.recorder.result(self.scenario, self.seed_label, self.runtimes)
+    def results(self) -> list[SimulationResult]:
+        """Each run's full result (full-horizon recorder mode only): its
+        row block of the recorder, as views."""
+        runtimes_by_row = self.membership.runtimes_by_row
+        whole = len(self.runs) == 1
+        return [
+            self.recorder.result(
+                run.scenario,
+                run.seed_label,
+                dict(zip(run.device_ids, runtimes_by_row[run.lo : run.hi])),
+                rows=None if whole else slice(run.lo, run.hi),
+            )
+            for run in self.runs
+        ]
 
     # ------------------------------------------------------- window support
 
     def window_result(self, width: int) -> SimulationResult:
         """A :class:`SimulationResult` over the current window's first
-        ``width`` columns (zero-copy views into the recorder blocks)."""
+        ``width`` columns (zero-copy views into the recorder blocks) of a
+        one-run engine."""
         recorder = self.recorder
         full = width == recorder.num_slots
+        (run,) = self.runs
+        runtimes_by_row = self.membership.runtimes_by_row
         return SimulationResult(
             scenario_name=self.scenario.name,
-            seed=self.seed_label,
+            seed=run.seed_label,
             num_slots=width,
             slot_duration_s=self.scenario.slot_duration_s,
             networks=dict(self.scenario.network_map),
             device_ids=self.device_ids,
             policy_names={
-                d: self.runtimes[d].spec.policy for d in self.device_ids
+                d: runtime.spec.policy
+                for d, runtime in zip(self.device_ids, runtimes_by_row)
             },
             choices_2d=recorder.choices if full else recorder.choices[:, :width],
             rates_2d=recorder.rates if full else recorder.rates[:, :width],

@@ -4,7 +4,8 @@
 advances a group of :class:`~repro.sim.sharded.engine.ShardEngine` objects
 through the engine's phases, slot by slot, with the exchanges between them.
 The ``"vectorized"`` backend runs it in-process on a single engine holding
-the whole population (:func:`run_in_process`).
+the whole population, or several whole runs of identical physics
+(:func:`stack_physics`) as row blocks of one engine (:func:`run_stacked`).
 
 :class:`ShardedSlotExecutor` partitions a run's device population into
 ``shards`` contiguous blocks (:mod:`repro.sim.sharded.plan`), executes each
@@ -174,10 +175,10 @@ def _maybe_inject_kill(
 
 def _build_group(
     specs: list, seed_slices: list[np.ndarray], params: RunParams
-) -> tuple[list[ShardEngine], list, WirelessEnvironment, int, int]:
+) -> tuple[list[ShardEngine], list, list[WirelessEnvironment], int, int]:
     """Build a group's engines fresh, or restore them from a checkpoint.
 
-    Returns ``(engines, reducer_states, environment, start_slot,
+    Returns ``(engines, reducer_states, [environment], start_slot,
     window_start)``.  The restore path checksum-verifies every file against
     the manifest (:class:`~repro.sim.sharded.checkpoint.CheckpointError` on
     damage) and resumes at the slot after the snapshot.
@@ -191,12 +192,10 @@ def _build_group(
             engines.append(engine)
             states.append(state)
         environment = load_environment(resume)
-        return engines, states, environment, resume.slot + 1, resume.window_start
+        return engines, states, [environment], resume.slot + 1, resume.window_start
     engines = [
         ShardEngine(
-            spec,
-            seeds,
-            params.seed_label,
+            [(spec, seeds, params.seed_label)],
             params.num_slots,
             params.record_probabilities,
             params.dtype,
@@ -208,13 +207,32 @@ def _build_group(
     environment = WirelessEnvironment(
         engines[0].scenario, np.random.default_rng(params.environment_seed)
     )
-    return engines, [None] * len(engines), environment, 1, 0
+    return engines, [None] * len(engines), [environment], 1, 0
+
+
+def _switching_delays(
+    engine: ShardEngine, environments: list, rows: np.ndarray, nets: np.ndarray
+) -> list[float]:
+    """Stochastic delays of one engine's switchers, ``rows`` ascending.
+
+    Each run draws its own switchers' delays from its own environment RNG,
+    in ascending device order, exactly as it would alone; runs without a
+    switcher this slot draw nothing.
+    """
+    if len(environments) == 1:
+        return environments[0].switching_delays(nets.tolist())
+    cuts = np.searchsorted(rows, engine.run_bounds).tolist()
+    delays: list[float] = []
+    for environment, lo, hi in zip(environments, cuts, cuts[1:]):
+        if hi > lo:
+            delays += environment.switching_delays(nets[lo:hi].tolist())
+    return delays
 
 
 def run_lockstep(
     engines: list[ShardEngine],
     bus,
-    environment: WirelessEnvironment,
+    environments: list[WirelessEnvironment],
     params: RunParams,
     reducer=None,
     log_heartbeat: bool = False,
@@ -227,15 +245,17 @@ def run_lockstep(
 ):
     """Drive a group of shard engines through every slot in lockstep.
 
-    The one slot loop of every batched backend.  Returns the per-engine
-    payloads: full shard results (gather mode) or the reducer's per-shard
-    states (streaming mode, ``params.window`` set).
+    The one slot loop of every batched backend.  Returns the payloads:
+    full results (gather mode; one per shard, or one per run of a stacked
+    engine) or the reducer's per-shard states (streaming mode,
+    ``params.window`` set).  ``environments`` holds one environment per
+    run of ``engines[0]`` (a sharded group runs one run).
     ``start_slot``/``window_start``/``states`` carry a restored checkpoint's
     cursors; a fresh run starts at slot 1 with empty state.  ``tag`` names
     a standalone in-process run (the vectorized backend), which reports
-    ``run_start``/``run_end`` events under it; a sharded worker group
-    (``tag=None``) reports as ``sharded-worker<index>`` with worker
-    lifecycle events.
+    ``run_start``/``run_end`` events under it, one pair per stacked run; a
+    sharded worker group (``tag=None``) reports as
+    ``sharded-worker<index>`` with worker lifecycle events.
 
     The run's only shard (``params.num_shards == 1``) needs no bus: its
     counts are the global ones and its switchers need no exchange.  It is
@@ -251,6 +271,7 @@ def run_lockstep(
     engine = engines[0]
     peers = engines[1:]
     net_ids = engine.net_ids
+    environment = environments[0]
     delay_table = None
     if not params.coupled:
         # Stream-free delay models are pure per-network constants: sample
@@ -295,13 +316,16 @@ def run_lockstep(
             attempt=params.attempt,
         )
     elif tele is not None:
-        tele.event(
-            "run_start",
-            tag=tag,
-            devices=group_devices,
-            slots=num_slots,
-            scenario=engine.scenario.name,
-        )
+        for run in engine.runs:
+            tele.event(
+                "run_start",
+                tag=tag,
+                devices=run.hi - run.lo,
+                slots=num_slots,
+                scenario=run.scenario.name,
+                seed=run.seed_label,
+                stacked=len(engine.runs),
+            )
     started = time.monotonic()
     last_beat = started
 
@@ -339,7 +363,7 @@ def run_lockstep(
             elif delay_table is not None:
                 delays = delay_table[cols]
             else:
-                delays = environment.switching_delays(net_ids[cols].tolist())
+                delays = _switching_delays(engine, environments, rows, net_ids[cols])
             if prof is not None:
                 t = prof.add("delays", t)
             engine.complete(slot, delays)
@@ -493,6 +517,7 @@ def run_lockstep(
             scenario=engine.scenario.name,
             seed=params.seed_label,
             shards=len(engines),
+            runs=len(engine.runs),
         )
     if tele is not None:
         waits = bus.wait_stats()
@@ -520,15 +545,17 @@ def run_lockstep(
                 device_slots_per_second=rate,
             )
         else:
-            tele.event(
-                "run_end",
-                tag=tag,
-                seconds=round(elapsed, 6),
-                device_slots_per_second=rate,
-            )
+            for run in engine.runs:
+                tele.event(
+                    "run_end",
+                    tag=tag,
+                    seconds=round(elapsed, 6),
+                    device_slots_per_second=rate,
+                    seed=run.seed_label,
+                )
     if reducer is not None:
         return states
-    return [shard.result() for shard in engines]
+    return [result for shard in engines for result in shard.results()]
 
 
 def _garble_checkpoint_file(
@@ -613,7 +640,7 @@ def _shard_worker(
         progress_view = np.frombuffer(
             progress_array, dtype=np.int64
         ).reshape(num_workers, 2)
-        engines, states, environment, start_slot, window_start = _build_group(
+        engines, states, environments, start_slot, window_start = _build_group(
             specs, seed_slices, params
         )
         bus = SharedMemoryBus(
@@ -630,7 +657,7 @@ def _shard_worker(
         payloads = run_lockstep(
             engines,
             bus,
-            environment,
+            environments,
             params,
             reducer,
             log_heartbeat=worker_index == 0,
@@ -691,32 +718,78 @@ def _run_params(
     return params, [policy_seeds[spec.seed_positions] for spec in plan.specs]
 
 
-def run_in_process(
-    scenario: Scenario,
-    seed,
-    record_probabilities: bool,
-    use_kernels: bool,
-    tag: str,
-) -> SimulationResult:
-    """One run of ``scenario`` as the single shard of an in-process run.
+def stack_physics(scenario: Scenario) -> tuple:
+    """What runs must share to advance as row blocks of one engine.
 
-    The vectorized backend: the lockstep driver on one engine holding the
-    whole population, without bus, supervision or durability.
+    The network map and bandwidths (every recorder column, rate and Full
+    Information counterfactual), the gain-scaling reference, the delay
+    model (one delay table, or one sampler each run calls with its own
+    RNG), the slot length and the horizon.  Runs whose scenarios compare
+    equal here, on the equal-share gain model, stack bit-exactly; each
+    keeps its own devices, policies, topology and environment RNG.
     """
-    plan = ShardPlan.from_scenario(scenario, 1)
-    params, seed_slices = _run_params(
-        plan,
-        seed,
+    return (
+        tuple(
+            (network.network_id, network.bandwidth_mbps, network.network_type)
+            for network in sorted(scenario.networks, key=lambda n: n.network_id)
+        ),
+        scenario.scale_reference_mbps,
+        scenario.delay_model,
+        scenario.slot_duration_s,
+        scenario.horizon_slots,
+    )
+
+
+def run_stacked(
+    cells, record_probabilities: bool, use_kernels: bool, tag: str
+) -> list[SimulationResult]:
+    """Runs as contiguous row blocks of one in-process engine.
+
+    ``cells`` lists ``(scenario, seed)`` per run, scenarios of equal
+    :func:`stack_physics` on equal-share physics (one cell may have any
+    physics).  The lockstep driver advances them together without bus,
+    supervision or durability; each run draws its streams from its own
+    seed, so every result equals the run's solo result bit for bit.  One
+    cell is the vectorized backend's run.
+    """
+    if len(cells) > 1:
+        physics = stack_physics(cells[0][0])
+        for scenario, _ in cells:
+            if (
+                type(scenario.gain_model) is not EqualShareModel
+                or stack_physics(scenario) != physics
+            ):
+                raise ValueError(
+                    f"scenario {scenario.name!r} cannot join this stack: "
+                    "stacked runs need the equal-share gain model and "
+                    "equal stack_physics"
+                )
+    runs, environments, params_of = [], [], []
+    for scenario, seed in cells:
+        plan = ShardPlan.from_scenario(scenario, 1)
+        params, (policy_seeds,) = _run_params(
+            plan,
+            seed,
+            record_probabilities=record_probabilities,
+            dtype="float64",
+            window=None,
+            use_kernels=use_kernels,
+        )
+        params_of.append(params)
+        runs.append((plan.specs[0], policy_seeds, params.seed_label))
+        environments.append(
+            WirelessEnvironment(
+                scenario, np.random.default_rng(params.environment_seed)
+            )
+        )
+    first = params_of[0]
+    engine = ShardEngine(
+        runs,
+        first.num_slots,
         record_probabilities=record_probabilities,
-        dtype="float64",
-        window=None,
         use_kernels=use_kernels,
     )
-    engines, _, environment, _, _ = _build_group(
-        list(plan.specs), seed_slices, params
-    )
-    (result,) = run_lockstep(engines, SerialBus(), environment, params, tag=tag)
-    return result
+    return run_lockstep([engine], SerialBus(), environments, first, tag=tag)
 
 
 class ShardedSlotExecutor(SlotExecutor):
@@ -1102,13 +1175,13 @@ class ShardedSlotExecutor(SlotExecutor):
         seed_slices: list[np.ndarray],
         reducer,
     ) -> list:
-        engines, states, environment, start_slot, window_start = _build_group(
+        engines, states, environments, start_slot, window_start = _build_group(
             list(plan.specs), seed_slices, params
         )
         return run_lockstep(
             engines,
             SerialBus(),
-            environment,
+            environments,
             params,
             reducer,
             log_heartbeat=True,

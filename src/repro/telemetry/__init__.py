@@ -21,6 +21,7 @@ from repro.telemetry.core import (
     get_telemetry,
     merge_histogram_payloads,
     record_run_summary,
+    scoped_telemetry_dir,
     set_proc_label,
     set_telemetry_dir,
     take_run_summary,
@@ -50,6 +51,7 @@ __all__ = [
     "merge_histogram_payloads",
     "read_events",
     "record_run_summary",
+    "scoped_telemetry_dir",
     "set_proc_label",
     "set_telemetry_dir",
     "take_run_summary",

@@ -11,8 +11,9 @@ timestamp:
   at least one event;
 * ``report`` — reconstruct the run: per-shard slot progress and
   device-slots/sec, phase shares, barrier-wait histogram, worker
-  restarts, injected faults, checkpoint traffic, and registry cache
-  stats.
+  restarts, injected faults, checkpoint traffic, registry cache stats,
+  and the execution paths taken (stacks of runs, cells kept solo and
+  fallbacks, by type and reason).
 """
 
 from __future__ import annotations
@@ -137,8 +138,10 @@ def build_report(events: list[dict]) -> dict:
         "checkpoints": {"writes": 0, "write_seconds": 0.0, "commits": 0},
         "registry": TallyCounter(),
         "fused_window_reasons": TallyCounter(),
+        "execution_paths": defaultdict(TallyCounter),
     }
     workers: dict = report["workers"]
+    paths = report["execution_paths"]
 
     def worker_entry(key):
         entry = workers.get(key)
@@ -231,6 +234,17 @@ def build_report(events: list[dict]) -> dict:
             report["checkpoints"]["commits"] += 1
         elif kind == "registry":
             report["registry"][event["op"]] += 1
+        elif kind == "run_stack":
+            stacked = paths[kind]
+            stacked["stacks"] += 1
+            stacked["runs"] += event["runs"]
+            stacked["rows"] += event["rows"]
+        elif kind == "run_solo":
+            paths[kind][event["reason"]] += 1
+        elif kind == "one_shard_fallback":
+            paths[kind][event["gain_model"]] += 1
+        elif kind == "path_fallback":
+            paths[kind][f"{event['kind']}: {event['reason']}"] += 1
 
     total = sum(report["phase_seconds"].values())
     report["phase_share"] = {
@@ -248,6 +262,9 @@ def build_report(events: list[dict]) -> dict:
     report["fused_window_reasons"] = dict(
         sorted(report["fused_window_reasons"].items())
     )
+    report["execution_paths"] = {
+        kind: dict(sorted(counts.items())) for kind, counts in sorted(paths.items())
+    }
     return report
 
 
@@ -342,6 +359,11 @@ def render_report(report: dict, out) -> None:
             f"{reason}={n}" for reason, n in report["fused_window_reasons"].items()
         )
         print(f"fused-window truncations: {reasons}", file=out)
+    if report["execution_paths"]:
+        print("execution paths:", file=out)
+        for kind, counts in report["execution_paths"].items():
+            for reason, count in counts.items():
+                print(f"  {kind:<20} {reason}: {count}", file=out)
 
 
 def cmd_report(directory: str, args: argparse.Namespace, out) -> int:

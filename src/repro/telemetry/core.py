@@ -22,6 +22,7 @@ merges them.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from bisect import bisect_left
 
@@ -61,6 +62,25 @@ def set_telemetry_dir(directory: str | os.PathLike | None) -> None:
         os.environ[TELEMETRY_DIR_ENV] = str(directory)
     _INSTANCE = None
     _INSTANCE_KEY = None
+
+
+@contextlib.contextmanager
+def scoped_telemetry_dir(directory: str | os.PathLike | None):
+    """Point telemetry at ``directory`` for the ``with`` block only.
+
+    ``None`` leaves the setting alone.  On exit the caller's
+    ``REPRO_TELEMETRY_DIR`` comes back as it was, set or unset, so a
+    directory one experiment asked for never collects a later one's events.
+    """
+    if directory is None:
+        yield
+        return
+    previous = os.environ.get(TELEMETRY_DIR_ENV)
+    set_telemetry_dir(directory)
+    try:
+        yield
+    finally:
+        set_telemetry_dir(previous)
 
 
 # --------------------------------------------------------------- histograms

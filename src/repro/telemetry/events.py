@@ -49,6 +49,11 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
     "worker_end": ("worker", "slots", "seconds"),
     "progress": ("worker", "slot", "num_slots", "device_slots_per_second"),
     "worker_restart": ("attempt", "error", "backoff_s"),
+    # -- execution paths: runs stacked into one engine, a cell kept solo
+    # (pool, backend, gain_model, compiled_tier or budget), and fallbacks
+    "run_stack": ("runs", "rows"),
+    "run_solo": ("reason",),
+    "path_fallback": ("kind", "reason"),
     # -- a scenario the sharded backend cannot split runs as one shard
     "one_shard_fallback": ("gain_model", "shards"),
     # -- phase timing (the REPRO_PROFILE payload, re-based on telemetry)

@@ -15,7 +15,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from repro.algorithms.exp3 import EXP3Policy
+from repro.algorithms.full_information import FullInformationPolicy
+from repro.algorithms.registry import register_policy
 from repro.experiments.common import ALL_POLICIES, ExperimentConfig
 from repro.game.device import Device
 from repro.game.gain import NoisyShareModel
@@ -25,7 +29,7 @@ from repro.sim.backends import (
     get_backend,
     register_backend,
 )
-from repro.sim.delay import ConstantDelayModel, NoDelayModel
+from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel, NoDelayModel
 from repro.sim.mobility import CoverageMap, NetworkDynamics
 from repro.sim.runner import run_many, run_policies, run_simulation
 from repro.sim.scenario import (
@@ -333,13 +337,77 @@ class TestStreamFreeDelays:
         self._check(replace(scenario, delay_model=NoDelayModel()), 5)
 
 
+class _ScalarEXP3(EXP3Policy):
+    """EXP3 that no kernel batches: any override opts a subclass out."""
+
+    def begin_slot(self, slot: int) -> int:
+        return super().begin_slot(slot)
+
+
+class _ScalarFullInformation(FullInformationPolicy):
+    """Full Information on the scalar path, reading full feedback there."""
+
+    def begin_slot(self, slot: int) -> int:
+        return super().begin_slot(slot)
+
+
+register_policy("exp3_scalar", _ScalarEXP3, overwrite=True)
+register_policy("full_information_scalar", _ScalarFullInformation, overwrite=True)
+
+#: The generated scenarios' policy mix: kernel rows, frozen rows and rows
+#: on the scalar fallback (policies with overrides no kernel may batch).
+KERNEL_POLICIES = ("smart_exp3", "exp3", "greedy", "full_information", "block_exp3")
+FROZEN_POLICIES = ("fixed_random", "centralized")
+FALLBACK_POLICIES = ("exp3_scalar", "full_information_scalar")
+
+
+def dynamic_scenario(
+    num_devices: int,
+    horizon: int,
+    churn,
+    areas: bool,
+    mobility_fraction: float,
+    dynamics,
+    policies,
+    seed: int,
+    bandwidths=(4.0, 7.0, 22.0),
+    delay_model=None,
+) -> Scenario:
+    """A dynamic scenario: churn, mobility over three areas, outages and a
+    per-device policy mix.
+
+    Every area holds the last network, which never flaps, so no device ever
+    loses all of its networks.
+    """
+    ids = tuple(range(len(bandwidths)))
+    scenario = churn_scenario(
+        num_devices=num_devices,
+        policy="smart_exp3",
+        bandwidths=bandwidths,
+        horizon_slots=horizon,
+        churn=churn,
+        areas=(
+            {"a": ids, "b": ids[1:], "c": (ids[0], ids[-1])} if areas else None
+        ),
+        mobility_fraction=mobility_fraction if areas else 0.0,
+        dynamics=dynamics,
+        seed=seed,
+    )
+    for spec, policy in zip(scenario.device_specs, policies):
+        spec.policy = policy
+    if delay_model is not None:
+        scenario = replace(scenario, delay_model=delay_model)
+    return scenario
+
+
 def random_churn_scenario(case: int) -> Scenario:
     """One seeded random dynamic scenario: churn + mobility + outages.
 
-    The generator varies the churn model, the policy mix (kernel, frozen and
-    fallback rows), the coverage layout, the mobile fraction and the network
+    The generator varies the churn model, the policy mix (kernel and frozen
+    rows), the coverage layout, the mobile fraction and the network
     dynamics, so the cases collectively sweep every topology-edit path of the
-    vectorized executor.
+    vectorized executor.  :func:`dynamic_scenarios` draws the same shape of
+    scenario from a hypothesis strategy, over a wider space.
     """
     rng = np.random.default_rng(10_000 + case)
     horizon = int(rng.integers(60, 180))
@@ -360,11 +428,7 @@ def random_churn_scenario(case: int) -> Scenario:
                 leave = min(join + int(rng.integers(1, horizon)), horizon + 50)
             windows.append((join, leave))
         churn = TraceChurn(tuple(windows))
-    areas = (
-        {"a": (0, 1, 2), "b": (1, 2), "c": (0, 2)}
-        if rng.random() < 0.6
-        else None
-    )
+    areas = rng.random() < 0.6
     dynamics = (
         NetworkDynamics(
             flapping_networks=(int(rng.integers(0, 2)),),
@@ -374,22 +438,89 @@ def random_churn_scenario(case: int) -> Scenario:
         if rng.random() < 0.5
         else None
     )
-    scenario = churn_scenario(
-        num_devices=num_devices,
-        policy="smart_exp3",
-        horizon_slots=horizon,
-        churn=churn,
-        areas=areas,
-        mobility_fraction=float(rng.uniform(0.0, 1.0)) if areas else 0.0,
-        dynamics=dynamics,
-        seed=case,
-    )
-    # Randomise the policy mix so kernel groups, frozen rows and the scalar
-    # fallback all churn together.
+    mobility_fraction = float(rng.uniform(0.0, 1.0)) if areas else 0.0
     policy_pool = ("smart_exp3", "exp3", "greedy", "fixed_random", "full_information")
-    for spec in scenario.device_specs:
-        spec.policy = policy_pool[int(rng.integers(len(policy_pool)))]
-    return scenario
+    policies = [
+        policy_pool[int(rng.integers(len(policy_pool)))] for _ in range(num_devices)
+    ]
+    return dynamic_scenario(
+        num_devices, horizon, churn, areas, mobility_fraction, dynamics,
+        policies, seed=case,
+    )
+
+
+@st.composite
+def dynamic_scenarios(draw, bandwidths=None, horizon=None, delay_model=None):
+    """Generated dynamic scenarios: 1-30 devices on 1-5 networks, a mix of
+    kernel, frozen and scalar-fallback policies, churn, mobility and
+    outages, and a constant or empirical delay model.
+
+    ``bandwidths``, ``horizon`` and ``delay_model`` pin the physics, so
+    several draws can share it (and stack).
+    """
+    if bandwidths is None:
+        bandwidths = tuple(
+            draw(
+                st.lists(
+                    st.sampled_from((2.0, 4.0, 7.0, 11.0, 22.0)),
+                    min_size=1,
+                    max_size=5,
+                )
+            )
+        )
+    if horizon is None:
+        horizon = draw(st.integers(10, 40))
+    if delay_model is None:
+        delay_model = draw(
+            st.sampled_from((ConstantDelayModel(), EmpiricalDelayModel()))
+        )
+    num_devices = draw(st.integers(1, 30))
+    churn = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                PoissonChurn,
+                arrival_rate_per_slot=st.floats(0.05, 0.8),
+                mean_lifetime_slots=st.floats(2.0, float(horizon)),
+                initial_fraction=st.floats(0.0, 1.0),
+            ),
+            st.lists(
+                st.tuples(
+                    st.integers(1, horizon),
+                    st.one_of(st.none(), st.integers(1, horizon + 20)),
+                ).map(lambda w: (w[0], None if w[1] is None else w[0] + w[1])),
+                min_size=num_devices,
+                max_size=num_devices,
+            ).map(lambda windows: TraceChurn(tuple(windows))),
+        )
+    )
+    many = len(bandwidths) > 1
+    dynamics = None
+    if many and draw(st.booleans()):
+        dynamics = NetworkDynamics(
+            flapping_networks=(draw(st.integers(0, len(bandwidths) - 2)),),
+            mean_up_slots=draw(st.floats(3.0, 30.0)),
+            mean_outage_slots=draw(st.floats(1.0, 8.0)),
+        )
+    policies = draw(
+        st.lists(
+            st.sampled_from(KERNEL_POLICIES + FROZEN_POLICIES + FALLBACK_POLICIES),
+            min_size=num_devices,
+            max_size=num_devices,
+        )
+    )
+    return dynamic_scenario(
+        num_devices,
+        horizon,
+        churn,
+        areas=many and draw(st.booleans()),
+        mobility_fraction=draw(st.floats(0.0, 1.0)),
+        dynamics=dynamics,
+        policies=policies,
+        seed=draw(st.integers(0, 2**16)),
+        bandwidths=bandwidths,
+        delay_model=delay_model,
+    )
 
 
 class TestRandomizedChurnEquivalence:

@@ -128,6 +128,7 @@ TINY = {
     "kernels": "--policies exp3 --devices 4 --slots 30 --repeats 1",
     "churn": "--devices 6 --repeats 1",
     "results": "--devices 6 --slots 40 --runs 2",
+    "stack": "--policies exp3 --devices 3 --slots 20 --runs 2 --repeats 1",
     "registry": "--devices 4 --slots 20 --runs 1",
 }
 
@@ -167,7 +168,7 @@ def ci_commands() -> list[list[str]]:
 def test_ci_commands_resolve_through_the_flag_table():
     """A table edit that would break a CI step fails here, before CI runs."""
     commands = ci_commands()
-    assert len(commands) == 9
+    assert len(commands) == 10
     suites = [runner.parse_args(argv)[0] for argv in commands]
     assert sorted(suites) == sorted(runner.SUITES)
 

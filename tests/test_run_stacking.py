@@ -1,0 +1,231 @@
+"""Run-stacked execution: runs with identical physics as row blocks of one engine.
+
+``run_many`` and ``run_sweep`` feed their missing cells to one run loop
+(:func:`repro.sim.runner.run_cells`), which executes cells of equal
+physics as stacks of one engine.  The generated properties hold every
+stacked run to its solo event run bit for bit, and a sweep over cases of
+mixed physics to a cold ``run_many`` per case; the event tests pin which
+path each cell took and why.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.sim.runner as runner
+from repro.algorithms.kernels.exp3 import EXP3Kernel
+from repro.analysis.reducers import Reducer
+from repro.game.gain import NoisyShareModel
+from repro.registry.sweep import SweepCase, run_sweep
+from repro.sim.backends import get_backend
+from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel
+from repro.sim.runner import run_many
+from repro.sim.scenario import setting1_scenario
+from repro.telemetry import read_events, set_telemetry_dir
+from repro.telemetry.__main__ import build_report
+from tests.test_backends import assert_results_identical, dynamic_scenarios
+
+GENERATED = settings(
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def _stack_spy():
+    """Record each stack the run loop executes, still executing it."""
+    return mock.patch.object(runner, "_run_stack", wraps=runner._run_stack)
+
+
+def _stack_sizes(spy) -> list[int]:
+    return [len(call.args[0].cells) for call in spy.call_args_list]
+
+
+class _Records(Reducer):
+    """Keeps whole results: a sweep's payloads compare field by field."""
+
+    name = "records"
+
+    def map(self, result):
+        return [result]
+
+    def merge(self, a, b):
+        return a + b
+
+
+@settings(GENERATED, max_examples=200)
+@given(
+    scenario=dynamic_scenarios(),
+    runs=st.integers(1, 4),
+    base_seed=st.integers(0, 1000),
+    record=st.booleans(),
+)
+def test_stacked_runs_equal_solo_event_runs(scenario, runs, base_seed, record):
+    with _stack_spy() as spy:
+        stacked = run_many(
+            scenario, runs, base_seed, backend="vectorized",
+            record_probabilities=record,
+        )
+    # Equal-share physics and a small recorder: every run shares one stack.
+    assert _stack_sizes(spy) == [runs]
+    solo = run_many(
+        scenario, runs, base_seed, backend="event", record_probabilities=record
+    )
+    for reference, candidate in zip(solo, stacked):
+        assert_results_identical(reference, candidate)
+
+
+@st.composite
+def mixed_physics_cases(draw):
+    """Sweep cases: most share one physics (and stack), the others do not —
+    their own network map, horizon or delay model, or a gain model that
+    keeps them solo."""
+    bandwidths = tuple(
+        draw(st.lists(st.sampled_from((4.0, 7.0, 22.0)), min_size=1, max_size=4))
+    )
+    horizon = draw(st.integers(10, 30))
+    delay = draw(st.sampled_from((ConstantDelayModel(), EmpiricalDelayModel())))
+    shared = dynamic_scenarios(bandwidths, horizon, delay)
+    scenarios = draw(
+        st.lists(
+            st.one_of(
+                shared,
+                shared,
+                dynamic_scenarios(),
+                shared.map(lambda s: replace(s, gain_model=NoisyShareModel())),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    return [
+        SweepCase(
+            name=f"case{index}",
+            scenario=scenario,
+            runs=draw(st.integers(1, 3)),
+            base_seed=draw(st.integers(0, 50)),
+        )
+        for index, scenario in enumerate(scenarios)
+    ]
+
+
+@settings(GENERATED, max_examples=80)
+@given(cases=mixed_physics_cases(), record=st.booleans())
+def test_sweep_of_mixed_physics_equals_cold_run_many_per_case(cases, record):
+    with _stack_spy() as spy:
+        report = run_sweep(
+            cases, _Records(), cache="off", backend="vectorized",
+            record_probabilities=record,
+        )
+    stackable = [
+        case for case in cases if not isinstance(case.scenario.gain_model, NoisyShareModel)
+    ]
+    assert sum(_stack_sizes(spy)) == sum(case.runs for case in stackable)
+    for case in cases:
+        cold = run_many(
+            case.scenario, case.runs, case.base_seed, backend="vectorized",
+            record_probabilities=record,
+        )
+        swept = report.results[case.name]
+        assert len(swept) == len(cold)
+        for reference, candidate in zip(cold, swept):
+            assert_results_identical(reference, candidate)
+
+
+# ------------------------------------------------------------ path events
+
+
+@pytest.fixture
+def tiny():
+    return setting1_scenario(policy="exp3", num_devices=4, horizon_slots=20)
+
+
+def _paths(directory) -> dict:
+    return build_report(read_events(directory))["execution_paths"]
+
+
+def test_stacks_and_solo_cells_are_recorded_with_their_reason(tmp_path, tiny):
+    set_telemetry_dir(tmp_path)
+    run_many(tiny, 3, backend="vectorized", reduce="summary")
+    noisy = replace(tiny, gain_model=NoisyShareModel())
+    run_many(noisy, 2, backend="vectorized", reduce="summary")
+    run_many(tiny, 2, backend="event", reduce="summary")
+    run_many(tiny, 2, backend="sharded", shards=2, reduce="summary")
+    run_many(tiny, 2, backend="vectorized", workers=2, reduce="summary")
+    set_telemetry_dir(None)
+    paths = _paths(tmp_path)
+    assert paths["run_stack"] == {"rows": 12, "runs": 3, "stacks": 1}
+    assert paths["run_solo"] == {"backend": 4, "gain_model": 2, "pool": 2}
+
+
+def test_stacks_stop_at_the_recorder_budget(tmp_path, tiny, monkeypatch):
+    one_run = runner._recorder_bytes(tiny, record_probabilities=False)
+    monkeypatch.setattr(runner, "STACK_BUDGET_BYTES", 2 * one_run)
+    with _stack_spy() as spy:
+        capped = run_many(tiny, 5, backend="vectorized", reduce="summary")
+    assert _stack_sizes(spy) == [2, 2, 1]
+    assert capped.rows == run_many(tiny, 5, backend="event", reduce="summary").rows
+
+    monkeypatch.setattr(runner, "STACK_BUDGET_BYTES", one_run - 1)
+    set_telemetry_dir(tmp_path)
+    with _stack_spy() as spy:
+        run_many(tiny, 2, backend="vectorized", reduce="summary")
+    set_telemetry_dir(None)
+    assert _stack_sizes(spy) == []
+    assert _paths(tmp_path)["run_solo"] == {"budget": 2}
+
+
+def test_runs_the_compiled_tier_would_fast_forward_stay_solo(
+    tmp_path, tiny, monkeypatch
+):
+    monkeypatch.setattr(runner, "compiled_enabled", lambda: True)
+    constant = replace(tiny, delay_model=ConstantDelayModel())
+    set_telemetry_dir(tmp_path)
+    run_many(constant, 2, backend="vectorized", reduce="summary")
+    run_many(tiny, 2, backend="vectorized", reduce="summary")  # stochastic delays
+    set_telemetry_dir(None)
+    paths = _paths(tmp_path)
+    assert paths["run_solo"] == {"compiled_tier": 2}
+    assert paths["run_stack"]["runs"] == 2
+
+
+def test_compiled_tier_without_numba_records_its_fallback(tmp_path, monkeypatch):
+    from repro.algorithms.kernels import compiled
+
+    if compiled.NUMBA_AVAILABLE:
+        pytest.skip("numba is installed: the compiled tier does not fall back")
+    monkeypatch.setenv("REPRO_COMPILED", "1")
+    set_telemetry_dir(tmp_path)
+    assert not compiled.compiled_enabled()
+    assert not compiled.compiled_enabled()  # once per event stream
+    set_telemetry_dir(None)
+    assert _paths(tmp_path)["path_fallback"] == {
+        "compiled_tier: numba not installed": 1
+    }
+
+
+def test_kernel_rows_sent_to_the_scalar_path_are_recorded(
+    tmp_path, tiny, monkeypatch
+):
+    monkeypatch.setattr(EXP3Kernel, "group_key", classmethod(lambda cls, policy: None))
+    set_telemetry_dir(tmp_path)
+    scalar = get_backend("vectorized").execute(tiny, seed=4)
+    set_telemetry_dir(None)
+    assert _paths(tmp_path)["path_fallback"] == {
+        "scalar_policy: EXP3Policy has no kernel group key": 4
+    }
+    assert_results_identical(get_backend("event").execute(tiny, seed=4), scalar)
+
+
+def test_a_stack_refuses_runs_of_other_physics(tiny):
+    executor = get_backend("vectorized")
+    longer = tiny.with_horizon(30)
+    noisy = replace(tiny, gain_model=NoisyShareModel())
+    for other in (longer, noisy):
+        with pytest.raises(ValueError, match="cannot join this stack"):
+            executor.execute_stack([(tiny, 0), (other, 1)])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.telemetry import (
     Histogram,
     SCHEMA_VERSION,
     SchemaError,
+    TELEMETRY_DIR_ENV,
     get_telemetry,
     merge_histogram_payloads,
     read_events,
@@ -260,6 +262,45 @@ class TestInstrumentation:
         assert validate_directory(tmp_path) == []
         assert "worker_end" in types_of(read_events(tmp_path))
 
+    def test_megascale_restores_the_callers_telemetry_dir(self, tmp_path):
+        from repro.experiments import megascale
+
+        mine = tmp_path / "mine"
+        set_telemetry_dir(mine)
+        megascale.run(
+            num_devices=20,
+            horizon_slots=20,
+            shards=1,
+            workers=1,
+            heartbeat_seconds=None,
+            telemetry_dir=str(tmp_path / "megascale"),
+        )
+        assert os.environ[TELEMETRY_DIR_ENV] == str(mine)
+        assert not mine.exists()
+        set_telemetry_dir(None)
+        megascale.run(
+            num_devices=20,
+            horizon_slots=20,
+            shards=1,
+            workers=1,
+            heartbeat_seconds=None,
+            telemetry_dir=str(tmp_path / "megascale"),
+        )
+        assert TELEMETRY_DIR_ENV not in os.environ
+
+    def test_experiment_telemetry_dir_is_scoped_to_the_call(self, tmp_path):
+        from repro.experiments import fig02_switching
+        from repro.experiments.common import ExperimentConfig
+
+        config = ExperimentConfig(runs=1, horizon_slots=20)
+        fig02_switching.run(config.replace(telemetry_dir=str(tmp_path)))
+        count = len(read_events(tmp_path))
+        assert count > 0
+        assert TELEMETRY_DIR_ENV not in os.environ
+        # A later experiment without the field leaves the directory alone.
+        fig02_switching.run(config)
+        assert len(read_events(tmp_path)) == count
+
     def test_experiment_config_field(self, tmp_path):
         from repro.experiments.common import ExperimentConfig
 
@@ -334,6 +375,27 @@ class TestMonitorCli:
         code, text = self.run_cli("--dir", str(tmp_path), "report", "--json")
         assert code == 0
         assert json.loads(text)["events"] == len(read_events(tmp_path))
+
+    def test_report_counts_execution_paths(self, tmp_path, tiny_setting1):
+        from dataclasses import replace
+
+        from repro.game.gain import NoisyShareModel
+
+        set_telemetry_dir(tmp_path)
+        noisy = replace(tiny_setting1, gain_model=NoisyShareModel())
+        run_many(noisy, 1, backend="sharded", shards=2)
+        run_many(tiny_setting1, 2, backend="vectorized", reduce="summary")
+        run_many(tiny_setting1, 1, backend="event", reduce="summary")
+        set_telemetry_dir(None)
+        code, text = self.run_cli("--dir", str(tmp_path), "report")
+        assert code == 0 and "execution paths:" in text
+        assert "one_shard_fallback" in text and "NoisyShareModel: 1" in text
+        code, text = self.run_cli("--dir", str(tmp_path), "report", "--json")
+        assert json.loads(text)["execution_paths"] == {
+            "one_shard_fallback": {"NoisyShareModel": 1},
+            "run_solo": {"backend": 2},
+            "run_stack": {"rows": 12, "runs": 2, "stacks": 1},
+        }
 
     def test_tail_prints_events(self, tmp_path, tiny_setting1):
         set_telemetry_dir(tmp_path)
