@@ -40,7 +40,7 @@ import numpy as np
 from repro.analysis.reducers import SummaryReducer
 from repro.experiments.megascale import peak_rss_bytes
 from repro.profiling import run_provenance
-from repro.sim.backends import RunSeed, get_backend
+from repro.sim.backends import RunSeed, VectorizedSlotExecutor, get_backend
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import run_many, run_simulation
 from repro.sim.scenario import (
@@ -98,19 +98,23 @@ def _best_seconds(fn, repeats: int) -> float:
     return best
 
 
-def _time_pairs(policies, make_scenario, backends, repeats: int):
-    """Single runs of each policy on a baseline and a candidate backend, each
-    leg on a freshly built scenario: the rows, and each candidate speedup."""
+def _legs(*names):
+    """Registered backends as timing legs: ``(label, executor)`` pairs."""
+    return [(name, get_backend(name)) for name in names]
+
+
+def _time_pairs(policies, make_scenario, legs, repeats: int):
+    """Single runs of each policy on a baseline and a candidate leg (a
+    ``(label, executor)`` pair), each on a freshly built scenario: the rows,
+    and each candidate speedup."""
     rows, speedups = [], {}
     for policy in policies:
-        for backend in backends:
+        for label, executor in legs:
             scenario = make_scenario(policy=policy)
-            seconds = _best_seconds(
-                lambda: run_simulation(scenario, seed=0, backend=backend), repeats
-            )
+            seconds = _best_seconds(lambda: executor.execute(scenario, 0), repeats)
             rows.append({
                 "policy": policy,
-                "backend": backend,
+                "backend": label,
                 "mode": "single_run",
                 "seconds": seconds,
                 "slots_per_second": scenario.horizon_slots / seconds,
@@ -149,7 +153,7 @@ def measure_backend(policies, runs, workers, repeats):
     make = functools.partial(setting1_scenario, num_devices=30, horizon_slots=600)
     rows, speedups = [], {}
     for policy in policies:
-        pair, speedup = _time_pairs([policy], make, ("event", "vectorized"), repeats)
+        pair, speedup = _time_pairs([policy], make, _legs("event", "vectorized"), repeats)
         rows += pair
         speedups.update(speedup)
         scenario = make(policy=policy)
@@ -177,8 +181,9 @@ def measure_backend(policies, runs, workers, repeats):
 
 def measure_kernels(policies, devices, slots, repeats):
     make = functools.partial(setting1_scenario, num_devices=devices, horizon_slots=slots)
-    backends = ("vectorized-nokernel", "vectorized")
-    rows, speedups = _time_pairs(policies, make, backends, repeats)
+    # The scalar-path executor is the baseline the kernel layer is measured by.
+    legs = [("vectorized-nokernel", VectorizedSlotExecutor(use_kernels=False))]
+    rows, speedups = _time_pairs(policies, make, legs + _legs("vectorized"), repeats)
     scenario = f"setting1 ({devices} devices, {slots} slots)"
     return scenario, rows, {"kernel_speedup": _exp3_or_weakest(speedups)}, {}
 
@@ -287,7 +292,7 @@ def measure_results(policy, devices, slots, runs):
 
 def measure_churn(policies, devices, repeats):
     make = functools.partial(per_slot_churn_scenario, num_devices=devices)
-    rows, speedups = _time_pairs(policies, make, ("event", "vectorized"), repeats)
+    rows, speedups = _time_pairs(policies, make, _legs("event", "vectorized"), repeats)
     horizon = per_slot_churn_windows(devices)[1]
     scenario = f"per_slot_churn ({devices} devices, {horizon} slots, join/leave every slot)"
     return scenario, rows, {"churn_speedup": _exp3_or_weakest(speedups)}, {}

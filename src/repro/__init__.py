@@ -5,8 +5,8 @@ The package provides:
 * :mod:`repro.core` — the Smart EXP3 algorithm (the paper's contribution).
 * :mod:`repro.algorithms` — EXP3 and every comparison policy of Tables II/III.
 * :mod:`repro.game` — the wireless network selection congestion game.
-* :mod:`repro.sim` — the simulation substrate (event engine, environments,
-  delay models, traces, testbed, in-the-wild download).
+* :mod:`repro.sim` — the simulation substrate (execution backends,
+  environments, delay models, traces, testbed, in-the-wild download).
 * :mod:`repro.analysis` — the evaluation metrics (stability, distance to Nash
   equilibrium, fairness).
 * :mod:`repro.theory` — the bounds of Theorems 2 and 3 and the replicator

@@ -9,7 +9,7 @@ the full-scale parameters the paper used (500 runs of 1200 slots).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import run_many, validate_execution
@@ -68,9 +68,6 @@ class ExperimentConfig:
         ``0`` or ``1`` runs serially.  Parallel results are bit-identical to
         serial ones.  With ``shards`` set the budget moves inside each run
         (shard worker processes) and the run loop goes serial.
-    chunksize:
-        Seeds per pool dispatch for parallel ``run_many`` (``None`` uses the
-        runner's ~4-chunks-per-worker heuristic).
     shards:
         Device-axis shard count per run; requires a backend that supports
         it, i.e. ``backend="sharded"`` (see :mod:`repro.sim.sharded`).
@@ -91,7 +88,8 @@ class ExperimentConfig:
         (config × seed) cells and simulates only the missing ones,
         ``"refresh"`` recomputes and overwrites.  A
         :class:`~repro.registry.CacheSpec` selects an explicit store root.
-        Validated eagerly; only applies to reduced runs (``reduce=``).
+        Validated eagerly; only applies to reduced runs (``reduce=``) —
+        a driver that keeps full results simulates every run.
     telemetry_dir:
         Directory for the run's telemetry event streams
         (:mod:`repro.telemetry`): sets ``REPRO_TELEMETRY_DIR`` while each
@@ -108,7 +106,6 @@ class ExperimentConfig:
     base_seed: int = 0
     backend: str = "vectorized"
     workers: int | None = None
-    chunksize: int | None = None
     shards: int | None = None
     checkpoint: object | None = None
     resume_from: str | None = None
@@ -123,7 +120,6 @@ class ExperimentConfig:
         validate_execution(
             self.backend,
             workers=self.workers,
-            chunksize=self.chunksize,
             shards=self.shards,
             checkpoint=self.checkpoint,
             resume_from=self.resume_from,
@@ -166,7 +162,9 @@ def run_with_config(scenario: Scenario, config: ExperimentConfig, reduce=None):
     reducer name) streams each run through the reducer where it executes —
     multi-run experiments then hold kilobyte payloads instead of full
     slot-by-slot records, and the return value is the reducer's finalized
-    output instead of a result list.
+    output instead of a result list.  ``config.cache`` applies to reduced
+    calls only: the registry stores reducer payloads, so a call that keeps
+    full results always simulates.
     """
     with scoped_telemetry_dir(config.telemetry_dir):
         return run_many(
@@ -176,11 +174,10 @@ def run_with_config(scenario: Scenario, config: ExperimentConfig, reduce=None):
             backend=config.backend,
             workers=config.workers,
             reduce=reduce,
-            chunksize=config.chunksize,
             shards=config.shards,
             checkpoint=config.checkpoint,
             resume_from=config.resume_from,
-            cache=config.cache,
+            cache=config.cache if reduce is not None else "off",
         )
 
 
@@ -206,8 +203,3 @@ def run_policy_grid(
         scenario = scenario_factory(policy=policy, **factory_kwargs)
         results[policy] = run_scenario(scenario, config, reduce=reduce)
     return results
-
-
-def flatten_rows(rows: Iterable[dict]) -> list[dict]:
-    """Materialise an iterable of row dictionaries (sorted output helper)."""
-    return list(rows)

@@ -90,7 +90,9 @@ def run(
     process appends structured events there, and
     ``python -m repro.telemetry report`` reconstructs per-shard progress,
     barrier waits and phase shares from the merged streams.  The caller's
-    setting comes back once the run ends.
+    setting comes back once the run ends.  ``heartbeat_seconds`` sets how
+    often each worker writes a ``progress`` event there; without telemetry
+    the run reports no progress.
     """
     config = config or ExperimentConfig(runs=1, horizon_slots=None)
     if telemetry_dir is None:
@@ -179,7 +181,15 @@ def main(argv=None) -> int:
     parser.add_argument("--dtype", choices=("float64", "float32"), default="float32")
     parser.add_argument("--window", type=int, default=256)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--heartbeat", type=float, default=30.0)
+    parser.add_argument(
+        "--heartbeat",
+        type=float,
+        default=30.0,
+        metavar="SECONDS",
+        help="how often each worker writes a progress event (with "
+        "--telemetry-dir; follow them with python -m repro.telemetry "
+        "--dir DIR tail --follow)",
+    )
     parser.add_argument(
         "--checkpoint-dir",
         default=None,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import SmartEXP3Config
 from repro.experiments.common import ExperimentConfig, run_with_config
 from repro.sim.scenario import scalability_scenario
 from repro.theory.bounds import expected_switches_bound, weak_regret_bound
@@ -67,8 +66,3 @@ def run(
 
 def paper_config() -> ExperimentConfig:
     return ExperimentConfig(runs=50, horizon_slots=1200)
-
-
-def smart_exp3_default_config() -> SmartEXP3Config:
-    """Convenience accessor used by the ablation benchmarks."""
-    return SmartEXP3Config.full()

@@ -13,10 +13,9 @@ description of everything that determines its reduced result bit-for-bit:
   *is* the reducer's ``map`` payload).
 
 Deliberately **excluded** are the execution knobs the equivalence suite
-guarantees are result-neutral: ``backend``, ``workers``, ``shards``,
-``chunksize`` and the checkpoint cadence.  A payload
-computed by the event backend on one worker is served back to a sharded
-16-worker sweep of the same cell.
+guarantees are result-neutral: ``backend``, ``workers``, ``shards`` and
+the checkpoint cadence.  A payload computed by the event backend on one
+worker is served back to a sharded 16-worker sweep of the same cell.
 
 Canonicalization rules (:func:`describe`): mappings become sorted key/value
 pair lists (insertion order never leaks into the hash), sets are sorted,

@@ -106,22 +106,19 @@ def run_sweep(
     cache: "str | CacheSpec" = "reuse",
     backend: str = DEFAULT_BACKEND,
     workers: int | None = None,
-    chunksize: int | None = None,
     record_probabilities: bool | None = None,
-    progress: Callable[[str, int, int], None] | None = None,
 ) -> SweepReport:
     """Run a sweep incrementally against the registry (see module docstring).
 
     ``reduce`` is mandatory: the registry stores reducer payloads.
     ``cache="off"`` still works (everything computes, nothing is stored) so
     a sweep definition can be benchmarked cold without touching the store.
-    ``progress(case_name, done, total)`` reports per-case completion.
     The store is resolved once for the whole sweep, and ``cells_cached``
     counts the hits it served.
     """
     if not cases:
         raise ValueError("at least one sweep case is required")
-    validate_execution(backend, workers=workers, chunksize=chunksize)
+    validate_execution(backend, workers=workers)
     reducer = resolve_reducer(reduce)
     if reducer is None:
         raise ValueError("run_sweep requires reduce= (see repro.analysis.reducers)")
@@ -132,24 +129,13 @@ def run_sweep(
     hits_before = store.hits if store is not None else 0
 
     started = time.perf_counter()
-    groups = [
-        RunCells(
-            case.scenario,
-            case.runs,
-            case.base_seed,
-            (lambda done, total, _name=case.name: progress(_name, done, total))
-            if progress is not None
-            else None,
-        )
-        for case in cases
-    ]
+    groups = [RunCells(case.scenario, case.runs, case.base_seed) for case in cases]
     run_cells(
         groups,
         get_backend(backend),
         reducer,
         record_probabilities,
         workers=workers,
-        chunksize=chunksize,
         store=store,
         reuse=spec.mode == "reuse",
     )

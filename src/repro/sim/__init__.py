@@ -1,9 +1,8 @@
-"""Simulation substrate: event engine, environment, delays, scenarios, runner.
+"""Simulation substrate: environment, delays, scenarios, backends, runner.
 
 The paper evaluates Smart EXP3 with a SimPy-based slotted simulator.  This
 subpackage re-implements that substrate from scratch:
 
-* :mod:`repro.sim.engine` — a small discrete-event simulation engine.
 * :mod:`repro.sim.delay` — switching-delay models (Johnson SU / Student's t).
 * :mod:`repro.sim.mobility` — service areas and coverage maps (Fig. 1).
 * :mod:`repro.sim.environment` — the slotted wireless environment.
@@ -11,7 +10,8 @@ subpackage re-implements that substrate from scratch:
   settings 1–3 and the dynamic variants.
 * :mod:`repro.sim.metrics` — per-run result containers.
 * :mod:`repro.sim.backends` — pluggable slot-execution backends (the
-  reference event-calendar backend and the batched vectorized backend).
+  reference event backend, a plain loop over slot indices, and the batched
+  vectorized backend).
 * :mod:`repro.sim.sharded` — the sharded population engine: device-axis
   sharding with a per-slot occupancy all-reduce for million-device runs.
 * :mod:`repro.sim.runner` — single-run and multi-run simulation drivers with
@@ -31,7 +31,6 @@ from repro.sim.backends import (
     register_backend,
 )
 from repro.sim.delay import ConstantDelayModel, DelayModel, EmpiricalDelayModel, NoDelayModel
-from repro.sim.engine import Event, EventQueue, SimulationEngine
 from repro.sim.environment import WirelessEnvironment
 from repro.sim.metrics import DeviceAxisView, SimulationResult
 from repro.sim.mobility import (
@@ -65,14 +64,11 @@ __all__ = [
     "DeviceAxisView",
     "DeviceSpec",
     "EmpiricalDelayModel",
-    "Event",
-    "EventQueue",
     "NetworkDynamics",
     "NoDelayModel",
     "PoissonChurn",
     "Scenario",
     "ServiceArea",
-    "SimulationEngine",
     "SimulationResult",
     "SlotExecutor",
     "SlotRecorder",

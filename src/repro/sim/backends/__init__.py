@@ -6,8 +6,8 @@ one simulation run (``scenario``, ``seed``) and returns the full
 for any fixed seed they produce identical results — and differ only in how
 fast they get there:
 
-* ``"event"`` — :class:`EventSlotExecutor`, the reference implementation on
-  the discrete-event calendar.
+* ``"event"`` — :class:`EventSlotExecutor`, the reference implementation:
+  a plain loop over the slot indices, one device at a time.
 * ``"vectorized"`` — :class:`VectorizedSlotExecutor`, the whole population
   as the single in-process shard of the slot engine
   (:mod:`repro.sim.sharded.engine`): batched NumPy physics, churn-native
@@ -15,10 +15,9 @@ fast they get there:
   edits on persistent kernel groups, driven by the run's precomputed
   :class:`~repro.sim.backends.base.TopologyPlan`) and batched policy
   kernels (:mod:`repro.algorithms.kernels`) for the learning policies.
-* ``"vectorized-nokernel"`` — the same backend with the kernel layer
-  disabled (every learning policy on the per-device scalar path); exists so
-  benchmarks and the kernel tests can measure the kernel layer in
-  isolation.
+  ``VectorizedSlotExecutor(use_kernels=False)`` puts every learning policy
+  on the per-device scalar path, so benchmarks and the kernel tests can
+  measure the kernel layer in isolation.
 * ``"sharded"`` — :class:`~repro.sim.sharded.ShardedSlotExecutor`: the same
   engine on K shards, synchronised once per slot by an all-reduce of
   per-network occupancy.  The registry default is the 2-shard in-process
@@ -66,7 +65,6 @@ DEFAULT_BACKEND = "event"
 _BACKENDS: dict[str, Callable[[], SlotExecutor]] = {
     EventSlotExecutor.name: EventSlotExecutor,
     VectorizedSlotExecutor.name: VectorizedSlotExecutor,
-    "vectorized-nokernel": lambda: VectorizedSlotExecutor(use_kernels=False),
     "sharded": _sharded_factory,
 }
 

@@ -528,7 +528,7 @@ def prepare_run(
 
 
 def execute_reference_slot(state: RunState, slot: int) -> None:
-    """Process one slot with the reference (event-calendar) semantics.
+    """Process one slot with the reference (event backend) semantics.
 
     This is the per-slot loop the original runner executed inline: policy
     selection in device order, environment physics, then feedback and

@@ -1,23 +1,23 @@
-"""Event-calendar backend: the bit-exact reference execution.
+"""Event backend: the bit-exact reference execution.
 
-This backend preserves the original runner semantics: a
-:class:`~repro.sim.engine.SimulationEngine` drives one periodic slot-boundary
-event per slot, and each firing processes the slot with
-:func:`~repro.sim.backends.base.execute_reference_slot`.  It is the slowest
-backend but also the simplest, and it doubles as the behavioural oracle the
-cross-backend equivalence suite compares every other backend against.
+This backend preserves the original runner semantics: it prepares the run,
+processes slots ``1..num_slots`` in order with
+:func:`~repro.sim.backends.base.execute_reference_slot`, one device at a
+time, and finishes the result.  Time is the slot index alone, so every slot
+runs whatever the slot length.  It is the slowest backend but also the
+simplest, and it doubles as the behavioural oracle the cross-backend
+equivalence suite compares every other backend against.
 """
 
 from __future__ import annotations
 
 from repro.sim.backends.base import SlotExecutor, execute_reference_slot, prepare_run
-from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import SimulationResult
 from repro.sim.scenario import Scenario
 
 
 class EventSlotExecutor(SlotExecutor):
-    """Discrete-event execution on the engine's event calendar."""
+    """Reference execution: one slot at a time, one device at a time."""
 
     name = "event"
 
@@ -28,19 +28,6 @@ class EventSlotExecutor(SlotExecutor):
         record_probabilities: bool = True,
     ) -> SimulationResult:
         state = prepare_run(scenario, seed, record_probabilities)
-        num_slots = state.num_slots
-        slot_duration = scenario.slot_duration_s
-        engine = SimulationEngine()
-
-        def slot_handler(sim_engine: SimulationEngine, event) -> None:
-            slot = int(round(sim_engine.now / slot_duration)) + 1
-            if slot > num_slots:
-                sim_engine.stop()
-                return
+        for slot in range(1, state.num_slots + 1):
             execute_reference_slot(state, slot)
-
-        engine.schedule_periodic(
-            start=0.0, interval=slot_duration, callback=slot_handler
-        )
-        engine.run(until=(num_slots - 1) * slot_duration)
         return state.finish()

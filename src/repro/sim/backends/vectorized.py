@@ -47,13 +47,10 @@ class VectorizedSlotExecutor(SlotExecutor):
     name = "vectorized"
 
     def __init__(self, use_kernels: bool = True) -> None:
-        #: When False, every learning policy takes the per-device scalar path;
-        #: kept addressable as the ``"vectorized-nokernel"`` backend so
-        #: benchmarks and the kernel tests can measure the kernel layer in
+        #: When False, every learning policy takes the per-device scalar path,
+        #: so benchmarks and the kernel tests can measure the kernel layer in
         #: isolation.
         self.use_kernels = use_kernels
-        if not use_kernels:
-            self.name = "vectorized-nokernel"
 
     def execute(
         self,

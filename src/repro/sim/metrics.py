@@ -386,8 +386,3 @@ class SimulationResult:
             probabilities_3d=stack(probabilities) if probabilities is not None else None,
             resets=dict(resets or {}),
         )
-
-
-def aggregate_allocation(results: Mapping[int, int]) -> tuple[int, ...]:
-    """Stable, hashable representation of an allocation (sorted by network id)."""
-    return tuple(results[network_id] for network_id in sorted(results))

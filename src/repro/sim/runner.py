@@ -56,14 +56,14 @@ IPC contract of the parallel path
 
 The run context — scenario, resolved executor instance, reducer and the
 probability-recording flag — is pickled **once per worker process** through
-the pool initializer, not once per job.  A job is a bare ``int`` run index
-(the worker reconstructs the spawned seed locally), and indices are
-dispatched in chunks (``chunksize``), so submitting 500 runs costs 500
-small integers over the pipe instead of 500 copies of the scenario.
-Shipping the resolved executor (rather than the backend name) means custom
-backends registered via ``register_backend`` do not depend on the worker's
-freshly imported registry; on spawn/forkserver platforms this still requires
-the executor class to be picklable, i.e. importable by module path in the
+the pool initializer, not once per job.  A job is a batch of bare ``int``
+run indices (the worker reconstructs the spawned seeds locally), about
+four batches per worker, so submitting 500 runs costs 500 small integers
+over the pipe instead of 500 copies of the scenario.  Shipping the
+resolved executor (rather than the backend name) means custom backends
+registered via ``register_backend`` do not depend on the worker's freshly
+imported registry; on spawn/forkserver platforms this still requires the
+executor class to be picklable, i.e. importable by module path in the
 worker (a class defined in a REPL is not).
 """
 
@@ -156,7 +156,6 @@ class RunFailure(RuntimeError):
 def validate_execution(
     backend: str,
     workers: int | None = None,
-    chunksize: int | None = None,
     shards: int | None = None,
     checkpoint=None,
     resume_from=None,
@@ -179,8 +178,6 @@ def validate_execution(
         )
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if chunksize is not None and chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1, got {chunksize}")
     if shards is not None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -313,35 +310,38 @@ def _init_worker(context: dict) -> None:
     _WORKER_CONTEXT.update(context)
 
 
-def _run_index(index: int):
-    """Pool job: :func:`_run_one` on the worker-resident context."""
-    return _run_one(index, **_WORKER_CONTEXT)
+def _run_indices(indices: list[int]) -> list:
+    """Pool job: :func:`_run_one` over a batch of run indices, in order, on
+    the worker-resident context."""
+    return [_run_one(index, **_WORKER_CONTEXT) for index in indices]
 
 
-def _default_chunksize(runs: int, pool_width: int) -> int:
-    """Seeds per pool dispatch: ~4 chunks per worker, like ``Pool.map``."""
-    chunksize, extra = divmod(runs, pool_width * 4)
-    return chunksize + 1 if extra else max(chunksize, 1)
+def _batches(indices: list[int], pool_width: int) -> list[list[int]]:
+    """``indices`` in consecutive pool jobs: ~4 jobs per worker, like
+    ``Pool.map``'s default chunking."""
+    size, extra = divmod(len(indices), pool_width * 4)
+    size = size + 1 if extra else max(size, 1)
+    return [indices[lo : lo + size] for lo in range(0, len(indices), size)]
 
 
-def _finished_runs(indices, context: dict, workers, chunksize):
+def _finished_runs(indices, context: dict, workers):
     """``_run_one`` over ``indices`` in order: pooled or in this process.
 
     More than one worker and more than one index fan the runs out over a
-    ``ProcessPoolExecutor``; otherwise they run serially, each one finished
-    (and, when reducing, reduced) before the next one starts.
+    ``ProcessPoolExecutor`` in batches (:func:`_batches`); otherwise they
+    run serially, each one finished (and, when reducing, reduced) before
+    the next one starts.
     """
     if workers is None or workers <= 1 or len(indices) <= 1:
         for index in indices:
             yield _run_one(index, **context)
         return
     pool_width = min(workers, len(indices))
-    if chunksize is None:
-        chunksize = _default_chunksize(len(indices), pool_width)
     with ProcessPoolExecutor(
         max_workers=pool_width, initializer=_init_worker, initargs=(context,)
     ) as pool:
-        yield from pool.map(_run_index, indices, chunksize=chunksize)
+        for finished in pool.map(_run_indices, _batches(indices, pool_width)):
+            yield from finished
 
 
 class RunCells:
@@ -472,7 +472,6 @@ def run_cells(
     reducer=None,
     record_probabilities: bool = True,
     workers: int | None = None,
-    chunksize: int | None = None,
     store=None,
     reuse: bool = False,
     checkpoint=None,
@@ -547,7 +546,7 @@ def run_cells(
                 "resume_from": resume_from,
             }
             for index, payload, seconds in _finished_runs(
-                missing, context, workers, chunksize
+                missing, context, workers
             ):
                 group.finish(index, payload, seconds, store)
             continue
@@ -573,7 +572,6 @@ def run_many(
     backend: str = DEFAULT_BACKEND,
     workers: int | None = None,
     reduce=None,
-    chunksize: int | None = None,
     record_probabilities: bool | None = None,
     shards: int | None = None,
     progress: Callable[[int, int], None] | None = None,
@@ -605,9 +603,6 @@ def run_many(
         shards (shard-capable reducers), or right after a serial run — and
         ``run_many`` returns the reducer's finalized merge instead of a
         list, keeping peak memory at O(one run) plus kilobyte payloads.
-    chunksize:
-        Seeds per pool dispatch (parallel path only).  Defaults to ~4 chunks
-        per worker.
     record_probabilities:
         Whether runs record the per-slot probability tensor.  Defaults to
         ``True`` for full results and to the reducer's
@@ -653,7 +648,6 @@ def run_many(
     cache_spec = validate_execution(
         backend,
         workers=workers,
-        chunksize=chunksize,
         shards=shards,
         checkpoint=checkpoint,
         resume_from=resume_from,
@@ -703,7 +697,6 @@ def run_many(
         reducer,
         record_probabilities,
         workers=pool_workers,
-        chunksize=chunksize,
         store=cache_spec.resolve_store() if cache_spec.enabled else None,
         reuse=cache_spec.mode == "reuse",
         checkpoint=checkpoint,

@@ -43,9 +43,6 @@ from repro.sim.sharded.faults import (
 )
 from repro.telemetry import Histogram, get_telemetry, telemetry_enabled
 
-#: Backwards-compatible alias (pre-supervision name for the default bound).
-BARRIER_TIMEOUT_S = DEFAULT_BARRIER_TIMEOUT_S
-
 #: Progress-table phase codes, indexable by the phase column.
 PHASE_NAMES = ("counts all-reduce", "switcher exchange", "checkpoint commit")
 PHASE_COUNTS, PHASE_SWITCHERS, PHASE_CHECKPOINT = range(3)

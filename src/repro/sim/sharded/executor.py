@@ -235,7 +235,6 @@ def run_lockstep(
     environments: list[WirelessEnvironment],
     params: RunParams,
     reducer=None,
-    log_heartbeat: bool = False,
     worker_index: int = 0,
     states: list | None = None,
     start_slot: int = 1,
@@ -255,7 +254,9 @@ def run_lockstep(
     a standalone in-process run (the vectorized backend), which reports
     ``run_start``/``run_end`` events under it, one pair per stacked run; a
     sharded worker group (``tag=None``) reports as
-    ``sharded-worker<index>`` with worker lifecycle events.
+    ``sharded-worker<index>`` with worker lifecycle events and, when
+    ``params.heartbeat_seconds`` is set, a telemetry ``progress`` event
+    about that often.
 
     The run's only shard (``params.num_shards == 1``) needs no bus: its
     counts are the global ones and its switchers need no exchange.  It is
@@ -306,6 +307,7 @@ def run_lockstep(
     label = tag or f"sharded-worker{worker_index}"
     prof = profile_run(label)
     tele = get_telemetry()
+    heartbeat = params.heartbeat_seconds if tele is not None and worker_events else None
     if tele is not None and worker_events:
         tele.event(
             "worker_start",
@@ -479,32 +481,17 @@ def run_lockstep(
         if fault_plan is not None:
             _maybe_inject_kill(params, worker_index, slot, "end", allow_hard_exit)
 
-        # Heartbeats: a telemetry-enabled run emits `progress` events; a
-        # log-only run logs one line instead.
-        if params.heartbeat_seconds is not None and (
-            log_heartbeat or tele is not None
-        ):
+        if heartbeat is not None:
             now = time.monotonic()
-            if now - last_beat >= params.heartbeat_seconds:
-                elapsed = now - started
-                rate = group_devices * slot / max(elapsed, 1e-9)
-                if tele is not None and worker_events:
-                    tele.event(
-                        "progress",
-                        worker=worker_index,
-                        slot=slot,
-                        num_slots=num_slots,
-                        device_slots_per_second=round(rate, 1),
-                    )
-                elif log_heartbeat:
-                    logger.info(
-                        "sharded run: slot %d/%d (%.0f%%), "
-                        "%.2e device-slots/s in this group",
-                        slot,
-                        num_slots,
-                        100.0 * slot / num_slots,
-                        rate,
-                    )
+            if now - last_beat >= heartbeat:
+                rate = group_devices * slot / max(now - started, 1e-9)
+                tele.event(
+                    "progress",
+                    worker=worker_index,
+                    slot=slot,
+                    num_slots=num_slots,
+                    device_slots_per_second=round(rate, 1),
+                )
                 last_beat = now
         slot += 1
 
@@ -660,7 +647,6 @@ def _shard_worker(
             environments,
             params,
             reducer,
-            log_heartbeat=worker_index == 0,
             worker_index=worker_index,
             states=states,
             start_slot=start_slot,
@@ -814,8 +800,8 @@ class ShardedSlotExecutor(SlotExecutor):
         Raise instead of running the scenario as one shard when its gain
         model is outside the shardable (equal-share) class.
     heartbeat_seconds:
-        Emit a progress log line (logger ``repro.sim.sharded``) roughly this
-        often during a run; ``None`` disables.
+        How often each worker writes a telemetry ``progress`` event during
+        a run (only while telemetry is on); ``None`` writes none.
     checkpoint:
         A :class:`~repro.sim.sharded.checkpoint.CheckpointConfig` enabling
         periodic shard-state snapshots (and checkpoint-based crash
@@ -844,7 +830,6 @@ class ShardedSlotExecutor(SlotExecutor):
         workers: int = 1,
         dtype: str = "float64",
         window_slots: int = DEFAULT_WINDOW_SLOTS,
-        use_kernels: bool = True,
         strict: bool = False,
         heartbeat_seconds: float | None = None,
         checkpoint: CheckpointConfig | None = None,
@@ -862,7 +847,6 @@ class ShardedSlotExecutor(SlotExecutor):
         self.workers = workers
         self.dtype = dtype
         self.window_slots = window_slots
-        self.use_kernels = use_kernels
         self.strict = strict
         self.heartbeat_seconds = heartbeat_seconds
         self.checkpoint = checkpoint
@@ -876,7 +860,6 @@ class ShardedSlotExecutor(SlotExecutor):
             workers=self.workers,
             dtype=self.dtype,
             window_slots=self.window_slots,
-            use_kernels=self.use_kernels,
             strict=self.strict,
             heartbeat_seconds=self.heartbeat_seconds,
             checkpoint=self.checkpoint,
@@ -1041,7 +1024,7 @@ class ShardedSlotExecutor(SlotExecutor):
             record_probabilities=record_probabilities,
             dtype=self.dtype,
             window=window,
-            use_kernels=self.use_kernels,
+            use_kernels=True,
         )
         num_slots = params.num_slots
         checkpoint = self.checkpoint
@@ -1055,7 +1038,7 @@ class ShardedSlotExecutor(SlotExecutor):
                 record_probabilities=record_probabilities,
                 dtype=self.dtype,
                 window=window,
-                use_kernels=self.use_kernels,
+                use_kernels=True,
                 coupled=params.coupled,
                 reducer=type(reducer).__name__ if reducer is not None else "gather",
             )
@@ -1184,7 +1167,6 @@ class ShardedSlotExecutor(SlotExecutor):
             environments,
             params,
             reducer,
-            log_heartbeat=True,
             worker_index=0,
             states=states,
             start_slot=start_slot,

@@ -25,11 +25,13 @@ from repro.game.device import Device
 from repro.game.gain import NoisyShareModel
 from repro.sim.backends import (
     DEFAULT_BACKEND,
+    VectorizedSlotExecutor,
     available_backends,
     get_backend,
     register_backend,
 )
 from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel, NoDelayModel
+from repro.sim.metrics import NO_NETWORK
 from repro.sim.mobility import CoverageMap, NetworkDynamics
 from repro.sim.runner import run_many, run_policies, run_simulation
 from repro.sim.scenario import (
@@ -55,6 +57,11 @@ RESULT_ARRAY_FIELDS = (
     "active",
     "probabilities",
 )
+
+
+#: Slot lengths the fractional-slot test and the generated scenarios use:
+#: the paper's 15 s and lengths that are not exact in binary floating point.
+SLOT_DURATIONS_S = (15.0, 0.1, 0.2, 1 / 3)
 
 
 def assert_results_identical(reference, candidate) -> None:
@@ -95,8 +102,7 @@ def run_both(scenario, seed):
 
 class TestRegistry:
     def test_available_backends(self):
-        assert "event" in available_backends()
-        assert "vectorized" in available_backends()
+        assert available_backends() == ("event", "sharded", "vectorized")
         assert DEFAULT_BACKEND == "event"
 
     def test_unknown_backend_rejected(self):
@@ -279,15 +285,35 @@ class TestGenericPhysicsEquivalence:
     """Gain models other than equal share, resolved through the environment."""
 
     @pytest.mark.parametrize("seed", (0, 3))
-    @pytest.mark.parametrize("backend", ("vectorized", "vectorized-nokernel"))
+    @pytest.mark.parametrize(
+        "use_kernels", (True, False), ids=("vectorized", "vectorized-nokernel")
+    )
     @pytest.mark.parametrize(
         "case", ("capacity_churn", "noisy_mixed", "controlled_dynamic")
     )
-    def test_matches_event(self, case, backend, seed):
+    def test_matches_event(self, case, use_kernels, seed):
         scenario = generic_physics_scenario(case)
         event = run_simulation(scenario, seed=seed, backend="event")
-        candidate = run_simulation(scenario, seed=seed, backend=backend)
-        assert_results_identical(event, candidate)
+        executor = VectorizedSlotExecutor(use_kernels=use_kernels)
+        assert_results_identical(event, executor.execute(scenario, seed))
+
+
+class TestFractionalSlotLengths:
+    """Every backend runs every slot, whatever the slot length: time is the
+    slot index, so a length that is not exact in binary drops no slot."""
+
+    @pytest.mark.parametrize("slot_duration_s", SLOT_DURATIONS_S)
+    def test_backends_agree(self, slot_duration_s):
+        scenario = replace(
+            setting1_scenario(policy="exp3", horizon_slots=32),
+            slot_duration_s=slot_duration_s,
+        )
+        event = run_simulation(scenario, seed=1, backend="event")
+        assert (event.choices_2d[:, -1] != NO_NETWORK).all()
+        vectorized = run_simulation(scenario, seed=1, backend="vectorized")
+        sharded = get_backend("sharded").with_shards(2).execute(scenario, 1)
+        assert_results_identical(event, vectorized)
+        assert_results_identical(event, sharded)
 
 
 class TestStreamFreeDelays:
@@ -372,6 +398,7 @@ def dynamic_scenario(
     seed: int,
     bandwidths=(4.0, 7.0, 22.0),
     delay_model=None,
+    slot_duration_s=None,
 ) -> Scenario:
     """A dynamic scenario: churn, mobility over three areas, outages and a
     per-device policy mix.
@@ -397,6 +424,8 @@ def dynamic_scenario(
         spec.policy = policy
     if delay_model is not None:
         scenario = replace(scenario, delay_model=delay_model)
+    if slot_duration_s is not None:
+        scenario = replace(scenario, slot_duration_s=slot_duration_s)
     return scenario
 
 
@@ -450,13 +479,16 @@ def random_churn_scenario(case: int) -> Scenario:
 
 
 @st.composite
-def dynamic_scenarios(draw, bandwidths=None, horizon=None, delay_model=None):
+def dynamic_scenarios(
+    draw, bandwidths=None, horizon=None, delay_model=None, slot_duration_s=None
+):
     """Generated dynamic scenarios: 1-30 devices on 1-5 networks, a mix of
     kernel, frozen and scalar-fallback policies, churn, mobility and
-    outages, and a constant or empirical delay model.
+    outages, a constant or empirical delay model, and a slot length from
+    :data:`SLOT_DURATIONS_S`.
 
-    ``bandwidths``, ``horizon`` and ``delay_model`` pin the physics, so
-    several draws can share it (and stack).
+    ``bandwidths``, ``horizon``, ``delay_model`` and ``slot_duration_s``
+    pin the physics, so several draws can share it (and stack).
     """
     if bandwidths is None:
         bandwidths = tuple(
@@ -474,6 +506,8 @@ def dynamic_scenarios(draw, bandwidths=None, horizon=None, delay_model=None):
         delay_model = draw(
             st.sampled_from((ConstantDelayModel(), EmpiricalDelayModel()))
         )
+    if slot_duration_s is None:
+        slot_duration_s = draw(st.sampled_from(SLOT_DURATIONS_S))
     num_devices = draw(st.integers(1, 30))
     churn = draw(
         st.one_of(
@@ -520,6 +554,7 @@ def dynamic_scenarios(draw, bandwidths=None, horizon=None, delay_model=None):
         seed=draw(st.integers(0, 2**16)),
         bandwidths=bandwidths,
         delay_model=delay_model,
+        slot_duration_s=slot_duration_s,
     )
 
 
@@ -564,10 +599,10 @@ class TestRandomizedChurnEquivalence:
             assert np.count_nonzero(np.diff(active)) >= scenario.horizon_slots - 2
 
     def test_kernel_groups_survive_churn(self):
-        # nokernel (scalar fallback) and kernel paths must agree under churn,
+        # Scalar-fallback and kernel paths must agree under churn,
         # isolating the membership-edit layer from the physics.
         scenario = random_churn_scenario(5)
-        scalar = run_simulation(scenario, seed=2, backend="vectorized-nokernel")
+        scalar = VectorizedSlotExecutor(use_kernels=False).execute(scenario, 2)
         kernel = run_simulation(scenario, seed=2, backend="vectorized")
         assert_results_identical(scalar, kernel)
 

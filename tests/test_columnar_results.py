@@ -22,6 +22,7 @@ import pytest
 
 from test_backends import assert_results_identical, run_both
 
+import repro.sim.runner as runner
 from repro.analysis.aggregate import downloads_over_runs, switch_counts_over_runs
 from repro.analysis.fairness import download_jains_index, jains_index
 from repro.analysis.reducers import (
@@ -362,8 +363,11 @@ class TestRunManyReduce:
         assert [row["seed"] for row in parallel] == [1, 2, 3, 4]
 
     def test_parallel_full_results_with_chunksize(self, tiny_setting1):
-        serial = run_many(tiny_setting1, runs=3, base_seed=5)
-        parallel = run_many(tiny_setting1, runs=3, base_seed=5, workers=2, chunksize=2)
+        # Nine runs on two workers go out in pool jobs of two runs each.
+        assert runner._batches(list(range(9)), 2)[0] == [0, 1]
+        serial = run_many(tiny_setting1, runs=9, base_seed=5)
+        parallel = run_many(tiny_setting1, runs=9, base_seed=5, workers=2)
+        assert [result.seed for result in parallel] == list(range(5, 14))
         for ref, cand in zip(serial, parallel):
             assert_results_identical(ref, cand)
 
@@ -386,8 +390,6 @@ class TestRunManyReduce:
         assert forced.rows == run_many(tiny_setting1, runs=2, reduce="summary").rows
 
     def test_validation(self, tiny_setting1):
-        with pytest.raises(ValueError, match="chunksize"):
-            run_many(tiny_setting1, runs=2, chunksize=0)
         with pytest.raises(KeyError, match="unknown reducer"):
             run_many(tiny_setting1, runs=2, reduce="nope")
         with pytest.raises(TypeError, match="reduce"):

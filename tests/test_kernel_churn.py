@@ -22,6 +22,7 @@ from repro.algorithms.exp3 import EXP3Policy, decayed_gamma
 from repro.algorithms.greedy import GreedyPolicy
 from repro.algorithms.kernels import EXP3Kernel, GreedyKernel
 from repro.algorithms.kernels.base import _TABLE_START
+from repro.sim.backends import VectorizedSlotExecutor
 from repro.sim.mobility import NetworkDynamics
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import (
@@ -128,7 +129,7 @@ class TestGammaTable:
             return end_slot(self, *args)
 
         monkeypatch.setattr(EXP3Kernel, "end_slot", recording_end_slot)
-        scalar = run_simulation(scenario, seed=5, backend="vectorized-nokernel")
+        scalar = VectorizedSlotExecutor(use_kernels=False).execute(scenario, 5)
         kernel = run_simulation(scenario, seed=5, backend="vectorized")
         assert_results_identical(scalar, kernel)
         assert any(mixed)
@@ -152,7 +153,7 @@ class TestGammaTable:
 
         for name in ("remove_rows", "absorb"):
             monkeypatch.setattr(EXP3Kernel, name, checked(getattr(EXP3Kernel, name)))
-        scalar = run_simulation(scenario, seed=4, backend="vectorized-nokernel")
+        scalar = VectorizedSlotExecutor(use_kernels=False).execute(scenario, 4)
         kernel = run_simulation(scenario, seed=4, backend="vectorized")
         assert_results_identical(scalar, kernel)
         assert (_TABLE_START, _TABLE_START) in edits
@@ -265,7 +266,7 @@ class TestRowRemoval:
 
         for cls in remove_rows:
             monkeypatch.setattr(cls, "remove_rows", spy(cls))
-        scalar = run_simulation(scenario, seed=3, backend="vectorized-nokernel")
+        scalar = VectorizedSlotExecutor(use_kernels=False).execute(scenario, 3)
         kernel = run_simulation(scenario, seed=3, backend="vectorized")
         assert_results_identical(scalar, kernel)
         assert gapped == {EXP3Kernel, GreedyKernel}

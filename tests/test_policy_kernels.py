@@ -11,9 +11,10 @@ RNG-equivalence contract stated in the package docstring:
   required to replay the identical draw sequence.
 
 The purest comparison runs one backend orchestration twice — the
-``vectorized`` backend with kernels and the ``vectorized-nokernel`` variant
-that forces every policy onto the scalar fallback — so any difference is
-attributable to the kernel layer alone.  The suite also pins the two
+``vectorized`` backend with kernels and
+``VectorizedSlotExecutor(use_kernels=False)``, which forces every policy
+onto the scalar fallback — so any difference is attributable to the kernel
+layer alone.  The suite also pins the two
 replication primitives the contract relies on (single-uniform CDF inversion
 vs. ``Generator.choice`` and sequential vs. pairwise summation) and the
 stream-stability of the batched switching-delay sampler.
@@ -50,6 +51,7 @@ from repro.algorithms.kernels import (
 )
 from repro.algorithms.registry import register_policy
 from repro.game.network import Network, NetworkType
+from repro.sim.backends import VectorizedSlotExecutor
 from repro.sim.delay import DelayModel, EmpiricalDelayModel
 from repro.sim.environment import WirelessEnvironment
 from repro.sim.runner import run_simulation
@@ -78,7 +80,7 @@ KERNEL_POLICIES = (
 
 def run_scalar_and_kernel(scenario, seed):
     return (
-        run_simulation(scenario, seed=seed, backend="vectorized-nokernel"),
+        VectorizedSlotExecutor(use_kernels=False).execute(scenario, seed),
         run_simulation(scenario, seed=seed, backend="vectorized"),
     )
 
@@ -450,5 +452,5 @@ class TestFallbackPolicies:
             policy="smart_exp3", num_devices=5, horizon_slots=90
         )
         event = run_simulation(scenario, seed=8, backend="event")
-        scalar = run_simulation(scenario, seed=8, backend="vectorized-nokernel")
+        scalar = VectorizedSlotExecutor(use_kernels=False).execute(scenario, 8)
         assert_results_identical(event, scalar)

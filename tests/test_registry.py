@@ -271,7 +271,7 @@ class TestCachedRunMany:
         assert _canonical(warm) == _canonical(off)
 
     def test_execution_knobs_share_the_cache(self, tiny_setting1, store, spec):
-        """backend / workers / shards / chunksize / checkpoint settings
+        """backend / workers / shards / checkpoint settings
         address the same cells — the equivalence suite guarantees
         they cannot change results."""
         baseline = run_many(
@@ -279,7 +279,7 @@ class TestCachedRunMany:
         )
         assert store.stored == 2
         variants = [
-            dict(backend="vectorized", workers=2, chunksize=1),
+            dict(backend="vectorized", workers=2),
             dict(backend="vectorized"),
             dict(backend="sharded", shards=2),
         ]
@@ -514,6 +514,24 @@ class TestExperimentConfigCache:
         )
         assert warm_store.hits == 2 and warm_store.stored == 0
         assert _canonical(warm) == _canonical(cold)
+
+    def test_full_result_drivers_run_under_a_cached_config(self, store):
+        """The registry stores reducer payloads: a driver that keeps full
+        results simulates every run under a cached config, and a reduced
+        driver under the same config still stores its entries."""
+        from repro.experiments import fig02_switching, fig04_distance_static
+
+        cached = ExperimentConfig(
+            runs=1, horizon_slots=20, cache=CacheSpec(mode="reuse", store=store)
+        )
+        full = fig04_distance_static.run(cached, policies=("exp3",))
+        plain = fig04_distance_static.run(
+            cached.replace(cache="off"), policies=("exp3",)
+        )
+        assert json.dumps(full, sort_keys=True) == json.dumps(plain, sort_keys=True)
+        assert store.stored == 0
+        fig02_switching.run(cached)
+        assert store.stored == 2 * len(fig02_switching.FIG2_POLICIES)
 
 
 class TestRegistryCLI:

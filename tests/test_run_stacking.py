@@ -28,7 +28,11 @@ from repro.sim.runner import run_many
 from repro.sim.scenario import setting1_scenario
 from repro.telemetry import read_events, set_telemetry_dir
 from repro.telemetry.__main__ import build_report
-from tests.test_backends import assert_results_identical, dynamic_scenarios
+from tests.test_backends import (
+    SLOT_DURATIONS_S,
+    assert_results_identical,
+    dynamic_scenarios,
+)
 
 GENERATED = settings(
     deadline=None,
@@ -83,14 +87,15 @@ def test_stacked_runs_equal_solo_event_runs(scenario, runs, base_seed, record):
 @st.composite
 def mixed_physics_cases(draw):
     """Sweep cases: most share one physics (and stack), the others do not —
-    their own network map, horizon or delay model, or a gain model that
-    keeps them solo."""
+    their own network map, horizon, delay model or slot length, or a gain
+    model that keeps them solo."""
     bandwidths = tuple(
         draw(st.lists(st.sampled_from((4.0, 7.0, 22.0)), min_size=1, max_size=4))
     )
     horizon = draw(st.integers(10, 30))
     delay = draw(st.sampled_from((ConstantDelayModel(), EmpiricalDelayModel())))
-    shared = dynamic_scenarios(bandwidths, horizon, delay)
+    slot_duration_s = draw(st.sampled_from(SLOT_DURATIONS_S))
+    shared = dynamic_scenarios(bandwidths, horizon, delay, slot_duration_s)
     scenarios = draw(
         st.lists(
             st.one_of(

@@ -24,6 +24,7 @@ from repro.core.blocking import BlockScheduler, SelectionType
 from repro.core.config import SmartEXP3Config
 from repro.core.smart_exp3 import SmartEXP3Policy
 from repro.core.switchback import BlockHistory, SwitchBackRule
+from repro.sim.backends import VectorizedSlotExecutor
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import TraceChurn, churn_scenario
 
@@ -211,7 +212,7 @@ class TestRowStateUnderChurn:
             )
         monkeypatch.setattr(SmartEXP3Kernel, "begin_slot", recording_begin_slot)
 
-        scalar = run_simulation(scenario, seed=4, backend="vectorized-nokernel")
+        scalar = VectorizedSlotExecutor(use_kernels=False).execute(scenario, 4)
         kernel = run_simulation(scenario, seed=4, backend="vectorized")
         assert_results_identical(scalar, kernel)
         assert any(size in (gammas, lengths) for size, gammas, lengths in edits)
