@@ -7,7 +7,6 @@
 ``results``    RSS growth of a summary-reduced sweep; columnar vs dict result assembly
 ``churn``      vectorized vs event with a join or a departure on every slot
 ``stack``      run_many's stacked runs vs the same runs one at a time
-``compiled``   numba windows vs the per-slot path on a 100k-device population
 ``shard``      sharded vs vectorized at 100k devices, plus checkpoint overhead
 ``faults``     kill and recover byte-identically, refuse a corrupt checkpoint, catch a hang
 ``telemetry``  telemetry on vs off on a sharded run; the event log must validate
@@ -33,7 +32,6 @@ import sys
 import tempfile
 import time
 from typing import Callable, NamedTuple
-from unittest import mock
 
 import numpy as np
 
@@ -347,38 +345,6 @@ def measure_stack(policies, devices, runs, slots, repeats):
     values = {"identical": identical, "stack_speedup": solo_total / stacked_total}
     scenario = f"setting1 ({devices} devices, {slots} slots, {runs} runs)"
     return scenario, rows, values, {}
-
-
-def measure_compiled(policy, devices, slots, repeats):
-    """Compiled windows (``REPRO_COMPILED=1``, numba when importable) vs.
-    the per-slot engine phases (``REPRO_COMPILED=0``), single-process.
-
-    Compiled windows need stream-free delays, hence the megascale-shaped
-    population rather than a ``setting1`` scenario.
-    """
-    from repro.algorithms.kernels.compiled import compiled_enabled
-
-    rows = []
-    with mock.patch.dict(os.environ):  # restores the caller's REPRO_COMPILED
-        for leg, flag in (("per-slot", "0"), ("compiled", "1")):
-            population, label = _population("compiled", policy, devices, slots)
-            scenario = population.build_shard(0, devices)
-            os.environ["REPRO_COMPILED"] = flag
-            seconds = _best_seconds(lambda: _vectorized_run(scenario), repeats)
-            rows.append({
-                "policy": policy,
-                "backend": "vectorized",
-                "leg": leg,
-                "mode": "single_run, record_probabilities=False",
-                "seconds": seconds,
-                "slots_per_second": slots / seconds,
-                "device_slots_per_second": devices * slots / seconds,
-            })
-        compiled = compiled_enabled()
-    speedup = rows[1]["slots_per_second"] / rows[0]["slots_per_second"]
-    rows[1]["speedup"] = speedup
-    not_applicable = {} if compiled else {"compiled_speedup": "numba not active"}
-    return label, rows, {"compiled_speedup": speedup}, not_applicable
 
 
 def measure_shard(policy, devices, slots, workers, repeats):
@@ -741,11 +707,6 @@ SUITES: dict[str, Suite] = {
          "slots": 300, "repeats": 3, "floor": 2.5},
         (Gate("identical", "true"),
          Gate("stack_speedup", "min", "floor", FLOOR_MIN_CPUS)),
-    ),
-    "compiled": Suite(
-        measure_compiled,
-        {"policy": "exp3", "devices": 100_000, "slots": 300, "repeats": 1, "floor": 5.0},
-        (Gate("compiled_speedup", "min", "floor", FLOOR_MIN_CPUS),),
     ),
     "shard": Suite(
         measure_shard,

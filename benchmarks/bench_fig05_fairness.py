@@ -11,6 +11,6 @@ from conftest import bench_config, report
 
 
 def test_fig05_fairness(benchmark):
-    config = bench_config(default_runs=3, default_horizon=600)
+    config = bench_config(fig05_fairness, default_runs=3, default_horizon=600)
     result = benchmark.pedantic(fig05_fairness.run, args=(config,), rounds=1, iterations=1)
     report("Fig. 5 - std-dev of per-device cumulative download (MB)", format_table(result))

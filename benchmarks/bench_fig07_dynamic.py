@@ -10,6 +10,6 @@ from conftest import bench_config, report
 
 
 def test_fig07_dynamic(benchmark):
-    config = bench_config(default_runs=2, default_horizon=None)
+    config = bench_config(fig07_dynamic_join, default_runs=2, default_horizon=None)
     result = benchmark.pedantic(fig07_dynamic_join.run, args=(config,), rounds=1, iterations=1)
     report("Fig. 7 - 9 devices join at t=401 and leave after t=800", result)

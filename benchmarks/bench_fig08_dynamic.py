@@ -10,6 +10,6 @@ from conftest import bench_config, report
 
 
 def test_fig08_dynamic(benchmark):
-    config = bench_config(default_runs=2, default_horizon=None)
+    config = bench_config(fig08_dynamic_leave, default_runs=2, default_horizon=None)
     result = benchmark.pedantic(fig08_dynamic_leave.run, args=(config,), rounds=1, iterations=1)
     report("Fig. 8 - 16 devices leave after t=600", result)

@@ -10,6 +10,6 @@ from conftest import bench_config, report
 
 
 def test_fig09_mobility(benchmark):
-    config = bench_config(default_runs=2, default_horizon=None)
+    config = bench_config(fig09_mobility, default_runs=2, default_horizon=None)
     result = benchmark.pedantic(fig09_mobility.run, args=(config,), rounds=1, iterations=1)
     report("Fig. 9 - devices moving across service areas", result)

@@ -11,6 +11,6 @@ from conftest import bench_config, report
 
 
 def test_fig10_switches(benchmark):
-    config = bench_config(default_runs=2, default_horizon=None)
+    config = bench_config(fig10_switches_dynamic, default_runs=2, default_horizon=None)
     result = benchmark.pedantic(fig10_switches_dynamic.run, args=(config,), rounds=1, iterations=1)
     report("Fig. 10 - switches of persistent devices, static vs dynamic", format_table(result))

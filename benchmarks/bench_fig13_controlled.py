@@ -10,6 +10,6 @@ from conftest import bench_config, report
 
 
 def test_fig13_controlled(benchmark):
-    config = bench_config(default_runs=3, default_horizon=480)
+    config = bench_config(fig13_controlled_static, default_runs=3, default_horizon=480)
     result = benchmark.pedantic(fig13_controlled_static.run, args=(config,), rounds=1, iterations=1)
     report("Fig. 13 - testbed static: distance from average bit rate", result)

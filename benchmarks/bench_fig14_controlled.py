@@ -10,6 +10,6 @@ from conftest import bench_config, report
 
 
 def test_fig14_controlled(benchmark):
-    config = bench_config(default_runs=3, default_horizon=None)
+    config = bench_config(fig14_controlled_dynamic, default_runs=3, default_horizon=None)
     result = benchmark.pedantic(fig14_controlled_dynamic.run, args=(config,), rounds=1, iterations=1)
     report("Fig. 14 - testbed dynamic: 9 devices leave at t=240", result)

@@ -11,6 +11,6 @@ from conftest import bench_config, report
 
 
 def test_tab05_download(benchmark):
-    config = bench_config(default_runs=3, default_horizon=600)
+    config = bench_config(tab05_download, default_runs=3, default_horizon=600)
     result = benchmark.pedantic(tab05_download.run, args=(config,), rounds=1, iterations=1)
     report("Table V - per-run median cumulative download (GB)", format_table(result))

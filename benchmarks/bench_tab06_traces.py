@@ -11,6 +11,6 @@ from conftest import bench_config, report
 
 
 def test_tab06_traces(benchmark):
-    config = bench_config(default_runs=20, default_horizon=None)
+    config = bench_config(tab06_traces, default_runs=20, default_horizon=None)
     result = benchmark.pedantic(tab06_traces.run, args=(config,), rounds=1, iterations=1)
     report("Table VI - trace-driven download and switching cost (MB)", format_table(result))

@@ -11,6 +11,6 @@ from conftest import bench_config, report
 
 
 def test_tab07_controlled(benchmark):
-    config = bench_config(default_runs=3, default_horizon=480)
+    config = bench_config(tab07_controlled, default_runs=3, default_horizon=480)
     result = benchmark.pedantic(tab07_controlled.run, args=(config,), rounds=1, iterations=1)
     report("Table VII - controlled testbed download percentages", format_table(result))

@@ -11,6 +11,6 @@ from conftest import bench_config, report
 
 
 def test_unutilized(benchmark):
-    config = bench_config(default_runs=3, default_horizon=600)
+    config = bench_config(unutilized, default_runs=3, default_horizon=600)
     result = benchmark.pedantic(unutilized.run, args=(config,), rounds=1, iterations=1)
     report("Section VI-A - unutilized resources (GB)", format_table(result))

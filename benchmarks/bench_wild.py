@@ -10,6 +10,6 @@ from conftest import bench_config, report
 
 
 def test_wild(benchmark):
-    config = bench_config(default_runs=12, default_horizon=None)
+    config = bench_config(wild, default_runs=12, default_horizon=None)
     result = benchmark.pedantic(wild.run, args=(config,), rounds=1, iterations=1)
     report("Section VII-B - in-the-wild 500 MB download race", result)

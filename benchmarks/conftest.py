@@ -21,11 +21,9 @@ Environment variables:
 * ``REPRO_BENCH_SHARDS`` — device-axis shard count per run; setting it
   forces ``backend="sharded"`` (results stay bit-identical to the other
   backends for any shard count).
-* ``REPRO_BENCH_PAPER=1`` — use the full paper-scale configuration (slow;
-  combine with ``REPRO_BENCH_WORKERS`` to spread the 500 runs over cores).
-* ``REPRO_BENCH_COMPILED=1`` — opt into the numba-compiled window kernels
-  (distribution-exact; gracefully falls back with a warning when numba is
-  not installed).
+* ``REPRO_BENCH_PAPER=1`` — run each driver at the paper's setting, its
+  ``paper_config()`` (runs and horizon; slow — combine with
+  ``REPRO_BENCH_WORKERS`` to spread the runs over cores).
 """
 
 from __future__ import annotations
@@ -33,15 +31,20 @@ from __future__ import annotations
 import json
 import os
 
-import pytest
-
 from repro.experiments.common import ExperimentConfig
 
 
 def bench_config(
-    default_runs: int = 3, default_horizon: int | None = 600
+    driver, default_runs: int = 3, default_horizon: int | None = 600
 ) -> ExperimentConfig:
-    """Build the benchmark configuration from environment overrides."""
+    """The configuration for ``driver`` (a ``repro.experiments`` module),
+    with the environment's overrides.
+
+    At paper scale the runs and horizon are the driver's
+    ``paper_config()``; otherwise they are the defaults, unless
+    ``REPRO_BENCH_RUNS`` / ``REPRO_BENCH_HORIZON`` override them.  The
+    backend, workers and shards come from the environment either way.
+    """
     backend = os.environ.get("REPRO_BENCH_BACKEND", "vectorized")
     workers_env = os.environ.get("REPRO_BENCH_WORKERS")
     workers = int(workers_env) if workers_env is not None else None
@@ -50,7 +53,7 @@ def bench_config(
     if shards is not None:
         backend = "sharded"
     if os.environ.get("REPRO_BENCH_PAPER") == "1":
-        return ExperimentConfig.paper().replace(
+        return driver.paper_config().replace(
             backend=backend,
             workers=workers,
             shards=shards,
@@ -77,8 +80,3 @@ def report(title: str, payload) -> None:
         print(payload)
     else:
         print(json.dumps(payload, indent=2, default=str))
-
-
-@pytest.fixture
-def quick_config() -> ExperimentConfig:
-    return bench_config()

@@ -69,33 +69,6 @@ class SlotFeedback:
     environment: object | None = None
 
 
-@dataclass
-class WindowPlan:
-    """Everything a kernel needs to advance a membership-stable window.
-
-    Assembled by the engine when one kernel covers every active device on
-    the closed-form equal-share physics with a stream-free delay model: slot
-    range, recorder blocks, the per-network stream-free delay table and the
-    previous-choice columns (``prev``, *global* network columns aligned with
-    the kernel's rows, -1 = never chose; mutated in place so the engine's
-    switch detection resumes seamlessly after the window).
-    """
-
-    start_slot: int
-    n_slots: int
-    idx_lo: int
-    net_ids: np.ndarray
-    bandwidths: np.ndarray
-    num_networks: int
-    scale_ref: float
-    delay_table: np.ndarray
-    prev: np.ndarray
-    choices2d: np.ndarray
-    rates2d: np.ndarray
-    delays2d: np.ndarray
-    switches2d: np.ndarray
-
-
 def sequential_row_sum(matrix: np.ndarray) -> np.ndarray:
     """Row sums accumulated strictly left to right.
 
@@ -163,11 +136,6 @@ def sample_rows(
 class BatchKernel(ABC):
     """Batched execution of one group of devices sharing a policy family."""
 
-    #: ``"bit-exact"`` when every RNG consumption is replicated draw-for-draw
-    #: (all built-in kernels), ``"distribution-exact"`` when only the sampling
-    #: distribution is preserved (third-party kernels may opt into this; the
-    #: equivalence suite then applies statistical instead of bit tests).
-    equivalence: str = "bit-exact"
     #: Mirrors :attr:`repro.algorithms.base.Policy.needs_full_feedback` for
     #: the engine's counterfactual-gain gating.
     needs_full_feedback: bool = False
@@ -299,18 +267,6 @@ class BatchKernel(ABC):
             )
         self._window_draws = None
         self._window_pos = 0
-
-    def advance_window(self, window: WindowPlan) -> bool:
-        """Advance the whole group through ``window`` in one compiled call.
-
-        Returns ``False`` without touching any state when the kernel has no
-        compiled window loop (the default) or cannot use it right now; the
-        engine then keeps advancing slot by slot.  Preconditions (enforced
-        by the engine): this kernel covers every active device of the run,
-        physics is closed-form equal share, the delay model is stream-free,
-        and the kernel's draw buffer holds ``window.n_slots`` draws.
-        """
-        return False
 
     def _index_block(self) -> tuple:
         """Where the group's cells sit in a probability slot column.

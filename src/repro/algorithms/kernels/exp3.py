@@ -11,13 +11,6 @@ policy's own :func:`~repro.algorithms.exp3.decayed_gamma`, whatever the
 number of distinct round counts among the rows (per-slot churn makes nearly
 every row's count distinct); ``end_slot`` reuses the row ``begin_slot``
 looked up.
-
-On membership-stable windows, when numba is installed and
-``REPRO_COMPILED=1`` / ``REPRO_BENCH_COMPILED=1`` opts in, the kernel
-advances the whole window in one compiled mega-loop
-(:mod:`repro.algorithms.kernels.compiled`, distribution-exact) that runs
-sampling, physics, reward update and recorder writes without touching the
-Python interpreter between slots.
 """
 
 from __future__ import annotations
@@ -29,12 +22,10 @@ from repro.algorithms.kernels.base import (
     _TABLE_START,
     BatchKernel,
     SlotFeedback,
-    WindowPlan,
     _extended,
     sample_rows,
     sequential_row_sum,
 )
-from repro.algorithms.kernels.compiled import exp3_window_kernel
 
 _NO_GAMMA = -1.0  # sentinel: decaying gamma (fixed gammas are in (0, 1])
 
@@ -124,66 +115,6 @@ class EXP3Kernel(BatchKernel):
         probs = self._probs
         total = sequential_row_sum(probs)
         self.record_probability_block(slot_index, probs / total[:, None])
-
-    def advance_window(self, window: WindowPlan) -> bool:
-        """Advance ``window`` through the compiled mega-loop, if it applies.
-
-        Engages only when every precondition holds — numba compiled kernels
-        enabled, a pre-drawn uniform buffer covering the window,
-        probability recording off and the NumPy namespace active; otherwise
-        returns ``False`` and the engine stays on the bit-exact per-slot
-        path.
-        """
-        jitted = exp3_window_kernel()
-        draws = self._window_draws
-        if (
-            jitted is None
-            or draws is None
-            or self.recorder.probabilities is not None
-            or not isinstance(self.weights, np.ndarray)
-            or draws.shape[1] - self._window_pos < window.n_slots
-        ):
-            return False
-        size = self.size
-        probs = np.empty((size, self.num_networks), dtype=float)
-        gamma_buf = np.empty(size, dtype=float)
-        counts_buf = np.zeros(window.num_networks, dtype=np.int64)
-        self._last_local = np.ascontiguousarray(self._last_local, dtype=np.intp)
-        self._last_probability = np.ascontiguousarray(
-            self._last_probability, dtype=float
-        )
-        jitted(
-            window.n_slots,
-            window.idx_lo,
-            self.weights,
-            self.rounds,
-            self.fixed_gamma,
-            draws,
-            self._window_pos,
-            self.rows,
-            self.cols,
-            window.net_ids,
-            window.bandwidths,
-            window.num_networks,
-            window.scale_ref,
-            window.prev,
-            window.delay_table,
-            window.choices2d,
-            window.rates2d,
-            window.delays2d,
-            window.switches2d,
-            self._last_local,
-            self._last_probability,
-            probs,
-            gamma_buf,
-            counts_buf,
-        )
-        self._window_pos += window.n_slots
-        if self._window_pos >= draws.shape[1]:
-            self._window_draws = None
-            self._window_pos = 0
-        self._probs = probs
-        return True
 
     def flush(self) -> None:
         self._flush_rows(range(self.size))

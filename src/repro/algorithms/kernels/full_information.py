@@ -21,8 +21,7 @@ class FullInformationKernel(BatchKernel):
 
     needs_full_feedback = True
     #: One uniform per row per slot, unconditionally — eligible for
-    #: pre-drawn window buffers (compiled windows stay off: full feedback
-    #: needs the engine's per-slot counterfactuals).
+    #: pre-drawn window buffers.
     uses_slot_draws = True
 
     def __init__(self, entries, recorder) -> None:

@@ -127,11 +127,6 @@ class ExperimentConfig:
         )
 
     @classmethod
-    def quick(cls) -> "ExperimentConfig":
-        """Tiny configuration used by the test-suite (seconds per experiment)."""
-        return cls(runs=2, horizon_slots=150)
-
-    @classmethod
     def default(cls) -> "ExperimentConfig":
         """Benchmark-friendly configuration (minutes for the whole suite)."""
         return cls(runs=5, horizon_slots=600)

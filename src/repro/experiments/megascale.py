@@ -27,10 +27,6 @@ import os
 import sys
 import time
 
-from repro.algorithms.kernels.compiled import (
-    compiled_enabled,
-    numba_version,
-)
 from repro.analysis.reducers import SummaryReducer
 from repro.experiments.common import ExperimentConfig
 from repro.sim.sharded import (
@@ -146,8 +142,6 @@ def run(
             "dtype": dtype,
             "window_slots": window_slots,
             "cpu_count": cpus,
-            "compiled_kernels": compiled_enabled(),
-            "numba_version": numba_version(),
             "checkpoint_every_slots": (
                 checkpoint.every_slots if checkpoint is not None else None
             ),
@@ -221,17 +215,8 @@ def main(argv=None) -> int:
         "events under DIR (REPRO_TELEMETRY_DIR); inspect with "
         "python -m repro.telemetry tail|summary|report",
     )
-    parser.add_argument(
-        "--compiled",
-        action="store_true",
-        help="opt into the numba-compiled slot kernels (REPRO_COMPILED=1; "
-        "they engage on single-shard runs); falls back to the per-slot path "
-        "with a warning when numba is not installed",
-    )
     parser.add_argument("--json", default=None, help="write the payload here")
     args = parser.parse_args(argv)
-    if args.compiled:
-        os.environ["REPRO_COMPILED"] = "1"
 
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(name)s %(message)s"

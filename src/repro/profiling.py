@@ -1,9 +1,10 @@
 """Lightweight per-phase run profiling (``REPRO_PROFILE=1``).
 
 The slot driver of both batched backends accumulates wall time into named
-phases — sampling / physics / reward / recorder / delays / compiled windows
-(``fused_window``), plus bus-exchange and checkpointing on the sharded
-path — and emits one JSON object per run when the environment opts in:
+phases — sampling / physics / reward / recorder / delays / the broadcast of
+a span in which every active device is frozen (``fused_window``), plus
+bus-exchange and checkpointing on the sharded path — and emits one JSON
+object per run when the environment opts in:
 
 * ``REPRO_PROFILE=1`` enables the hook (default off: the executors carry a
   single ``is None`` check per phase, nothing else);
@@ -16,8 +17,9 @@ The payload shape::
     {"tag": "vectorized", "scenario": "...", "devices": N, "slots": T,
      "seconds": {"sampling": ..., "physics": ...}, "share": {...},
      "total_seconds": ..., "device_slots_per_second": ...,
-     "provenance": {"cpu_count": ..., "numpy_version": ...,
-                    "numba_version": ..., "compiled_kernels": ...}}
+     "provenance": {"cpu_count": ..., "numpy_version": ...}}
+
+``slots`` counts the slots the run (or the resumed attempt) executed.
 
 The timers are also the span source for the telemetry layer
 (:mod:`repro.telemetry`): when ``REPRO_TELEMETRY_DIR`` is set,
@@ -26,8 +28,7 @@ and :meth:`PhaseProfile.emit` additionally appends a ``phase_profile``
 event to the process's telemetry stream.  The ``REPRO_PROFILE`` env vars
 and payload shape keep working verbatim either way.
 
-Future perf work should trust these numbers instead of guessing; the
-benchmark suites (``--suite compiled``) embed the same phase names.
+Future perf work should trust these numbers instead of guessing.
 """
 
 from __future__ import annotations
@@ -64,22 +65,13 @@ def profiling_enabled() -> bool:
 def run_provenance() -> dict:
     """Toolchain provenance for emitted profiles and bench records.
 
-    Pins down what produced the numbers — core count, numpy version and
-    the compiled-kernel tier — so profile lines and the floor runner's
-    records from different machines/configs compare like with like.
-    Imports are local: profiling must stay importable before the kernel
-    layer.
+    Pins down what produced the numbers — core count and numpy version —
+    so profile lines and the floor runner's records from different
+    machines compare like with like.
     """
     import numpy
 
-    from repro.algorithms.kernels.compiled import compiled_enabled, numba_version
-
-    return {
-        "cpu_count": os.cpu_count(),
-        "numpy_version": numpy.__version__,
-        "numba_version": numba_version(),
-        "compiled_kernels": compiled_enabled(),
-    }
+    return {"cpu_count": os.cpu_count(), "numpy_version": numpy.__version__}
 
 
 class PhaseProfile:

@@ -14,7 +14,7 @@ reader either sees a complete committed entry or nothing.
 Loads refuse **loudly** — :class:`CacheError`, never a silently stale or
 corrupt artifact — when the payload checksum, the store format version, or
 the provenance (code fingerprint of the result-affecting modules, numpy
-major.minor, compiled-kernel tier) does not match the current process.
+major.minor) does not match the current process.
 ``cache="refresh"`` is the escape hatch: it recomputes and overwrites.
 """
 
@@ -62,14 +62,10 @@ def default_cache_root() -> Path:
 
 
 def _provenance() -> dict:
-    from repro.algorithms.kernels.compiled import compiled_enabled, numba_version
-
     return {
         "code_fingerprint": code_fingerprint(),
         "python_version": ".".join(map(str, sys.version_info[:3])),
         "numpy_version": np.__version__,
-        "numba_version": numba_version(),
-        "compiled_kernels": compiled_enabled(),
     }
 
 
@@ -196,15 +192,6 @@ class RunStore:
                 f"{recorded.get('numpy_version')} but this process runs "
                 f"{current['numpy_version']} (RNG streams are only pinned "
                 "within a minor series); rerun with cache='refresh'"
-            )
-        if bool(recorded.get("compiled_kernels")) != current["compiled_kernels"]:
-            raise CacheError(
-                f"cache entry {fingerprint[:12]} was produced with "
-                f"compiled_kernels={bool(recorded.get('compiled_kernels'))} "
-                f"but this process runs compiled_kernels="
-                f"{current['compiled_kernels']} (the compiled tier is "
-                "distribution-exact, not bit-exact); rerun with "
-                "cache='refresh'"
             )
 
     # ----------------------------------------------------------------- store

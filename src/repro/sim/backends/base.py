@@ -322,53 +322,23 @@ class TopologyPlan:
     """Array-native schedule of every topology change of one run.
 
     Built once per run from the scenario's presence windows
-    (``join_slot``/``leave_slot``), area schedules and coverage outages:
+    (``join_slot``/``leave_slot``, leave clipped to the horizon), area
+    schedules and coverage outages:
 
-    * ``join_slots`` / ``leave_slots`` — per-row presence epochs (leave
-      clipped to the horizon); :meth:`activity_mask` expands them to the
-      ``(devices × slots)`` boolean presence mask.
     * ``events`` — slot → :class:`TopologyEvents`, exactly the edits the
       reference path's per-slot checks would perform (a visibility event
       appears only when the visible set actually changes while the device
       is present, mirroring ``update_available_networks`` semantics).
-    * ``era_starts`` / ``visibility_eras`` — coverage eras (area-transition
-      and outage boundaries) with one ``(devices × networks)`` boolean
-      visibility matrix per era.
+    * ``era_starts`` — the first slot of each coverage era (area-transition
+      and outage boundaries).
     """
 
-    __slots__ = (
-        "num_slots",
-        "network_order",
-        "join_slots",
-        "leave_slots",
-        "events",
-        "event_slots",
-        "era_starts",
-        "_coverage",
-        "_devices",
-        "_visibility_eras",
-        "_active_mask",
-    )
+    __slots__ = ("events", "event_slots", "era_starts")
 
     def __init__(
         self, scenario: Scenario, devices: Sequence, num_slots: int
     ) -> None:
         coverage = scenario.coverage
-        self.num_slots = num_slots
-        self.network_order = tuple(sorted(scenario.network_map))
-        self.join_slots = np.asarray(
-            [device.join_slot for device in devices], dtype=np.int64
-        )
-        self.leave_slots = np.asarray(
-            [
-                num_slots
-                if device.leave_slot is None
-                else min(device.leave_slot, num_slots)
-                for device in devices
-            ],
-            dtype=np.int64,
-        )
-        self._active_mask: np.ndarray | None = None
 
         outage_boundaries = coverage.outage_boundary_slots()
         events: dict[int, TopologyEvents] = {}
@@ -380,8 +350,12 @@ class TopologyPlan:
             return found
 
         for row, device in enumerate(devices):
-            join = int(self.join_slots[row])
-            leave = int(self.leave_slots[row])
+            join = int(device.join_slot)
+            leave = (
+                num_slots
+                if device.leave_slot is None
+                else min(int(device.leave_slot), num_slots)
+            )
             if join > num_slots:
                 continue  # never present within the horizon
             at(join).joins.append(row)
@@ -414,47 +388,6 @@ class TopologyPlan:
             slot for slot in outage_boundaries if 1 < slot <= num_slots
         )
         self.era_starts = tuple(sorted(era_starts))
-        self._coverage = coverage
-        self._devices = tuple(devices)
-        self._visibility_eras: tuple[np.ndarray, ...] | None = None
-
-    @property
-    def visibility_eras(self) -> tuple[np.ndarray, ...]:
-        """One ``(devices × networks)`` boolean visibility matrix per era.
-
-        Built lazily — the executors consume the per-slot events instead, so
-        runs only pay the O(eras × devices) fill when something (analysis,
-        tests) actually asks for the era matrices.
-        """
-        eras = self._visibility_eras
-        if eras is None:
-            col_of = {n: c for c, n in enumerate(self.network_order)}
-            matrices = []
-            for start in self.era_starts:
-                matrix = np.zeros(
-                    (len(self._devices), len(col_of)), dtype=bool
-                )
-                for row, device in enumerate(self._devices):
-                    for network_id in self._coverage.visible_networks(
-                        device, start
-                    ):
-                        col = col_of.get(network_id)
-                        if col is not None:
-                            matrix[row, col] = True
-                matrices.append(matrix)
-            eras = self._visibility_eras = tuple(matrices)
-        return eras
-
-    def activity_mask(self) -> np.ndarray:
-        """``(devices × slots)`` presence mask from the join/leave epochs."""
-        mask = self._active_mask
-        if mask is None:
-            slots = np.arange(1, self.num_slots + 1)
-            mask = (slots >= self.join_slots[:, None]) & (
-                slots <= self.leave_slots[:, None]
-            )
-            self._active_mask = mask
-        return mask
 
 
 @dataclass

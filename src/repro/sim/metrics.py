@@ -299,15 +299,6 @@ class SimulationResult:
         """
         return float(self.switching_costs_mb((device_id,))[0])
 
-    def active_gains_at(self, slot_index: int) -> dict[int, float]:
-        """Observed bit rates of all devices active at a 0-based slot index."""
-        rates = self.rates_2d[:, slot_index]
-        device_ids = self.device_ids
-        return {
-            device_ids[row]: float(rates[row])
-            for row in np.flatnonzero(self.active_2d[:, slot_index])
-        }
-
     def allocation_at(self, slot_index: int) -> dict[int, int]:
         """Number of active devices per network at a 0-based slot index."""
         chosen = self.choices_2d[self.active_2d[:, slot_index], slot_index]

@@ -155,13 +155,6 @@ class CoverageMap:
             if key[0] != area.name
         }
 
-    def area_of(self, device: Device, slot: int) -> ServiceArea:
-        """Area the device occupies at ``slot``."""
-        name = device.area_at(slot, default=self.default_area)
-        if name not in self.areas:
-            raise KeyError(f"unknown service area {name!r} for device {device.device_id}")
-        return self.areas[name]
-
     def outage_boundary_slots(self) -> set[int]:
         """Slots at which some network's outage state flips (starts and ends+1)."""
         boundaries: set[int] = set()

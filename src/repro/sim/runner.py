@@ -38,13 +38,12 @@ advance together as row blocks of one engine
 in stacks of at most :data:`STACK_BUDGET_BYTES` of records, so each kernel
 call serves every stacked run.  A cell stays solo, through
 :func:`_run_one`, on a process pool, on a backend without stacking
-(``event``, ``sharded``), on another gain model, where the compiled tier
-would fast-forward, or above the budget; the reason is a ``run_solo``
-telemetry event, and each stack a ``run_stack`` event.  Stacking is
-decided from the cells alone — there is no option — and every stacked
-run's result is bit-identical to its solo result.  Each fresh payload is
-stored in the registry as it arrives, and one left fold in run-index order
-produces each case's output.  A payload is the full
+(``event``, ``sharded``), on another gain model, or above the budget; the
+reason is a ``run_solo`` telemetry event, and each stack a ``run_stack``
+event.  Stacking is decided from the cells alone — there is no option —
+and every stacked run's result is bit-identical to its solo result.  Each
+fresh payload is stored in the registry as it arrives, and one left fold
+in run-index order produces each case's output.  A payload is the full
 :class:`~repro.sim.metrics.SimulationResult`, or — when ``reduce=`` is
 given — only the reducer's kilobyte payload (:meth:`Reducer.map
 <repro.analysis.reducers.Reducer.map>` runs where the run executes), so a
@@ -77,7 +76,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.algorithms.kernels.compiled import compiled_enabled
 from repro.game.gain import EqualShareModel
 from repro.sim.backends import (
     DEFAULT_BACKEND,
@@ -404,10 +402,6 @@ def _solo_reason(scenario: Scenario, executor, pool: bool, size: int) -> str | N
         return "backend"
     if type(scenario.gain_model) is not EqualShareModel:
         return "gain_model"
-    if scenario.delay_model.stream_free and compiled_enabled():
-        # The compiled tier fast-forwards a lone kernel over one run's
-        # occupancy; a stack would take that path away from it.
-        return "compiled_tier"
     if size > STACK_BUDGET_BYTES:
         return "budget"
     return None
@@ -487,9 +481,8 @@ def run_cells(
     :data:`STACK_BUDGET_BYTES` of records; every payload equals the cell's
     solo payload.  Cells stay solo on a process pool, on a backend
     without stacking (``event``, ``sharded``), on another gain model than
-    equal share, where the compiled tier would fast-forward, or above the
-    budget — each one recorded as a ``run_solo`` telemetry event with its
-    reason, each stack as a ``run_stack`` event.
+    equal share, or above the budget — each one recorded as a ``run_solo``
+    telemetry event with its reason, each stack as a ``run_stack`` event.
     """
     # Imported lazily: the sharded package imports the backends package.
     from repro.sim.sharded.executor import stack_physics

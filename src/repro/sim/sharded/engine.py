@@ -39,10 +39,9 @@ device-ordered grouping.
 
 Work that is constant between topology events is done once per span: the
 activity mask and the mixed strategies of frozen rows (stationary policies
-— Fixed Random, Centralized).  The whole population's engine can also skip
-per-slot work (:meth:`ShardEngine.fast_forward`): an all-frozen span is
-broadcast, and with the compiled tier on a lone EXP3 kernel hands its draw
-windows to the compiled loop.
+— Fixed Random, Centralized).  The whole population's engine also skips
+the per-slot phases of a span in which every active row is frozen
+(:meth:`ShardEngine.fast_forward` broadcasts it).
 
 Bit-exactness with the event backend holds because every RNG stream is
 consumed identically: per-device policy streams come from the same globally
@@ -60,7 +59,7 @@ import numpy as np
 
 import repro.algorithms.kernels  # noqa: F401  (registers the built-in kernels)
 from repro.algorithms.base import Observation
-from repro.algorithms.kernels.base import SlotFeedback, WindowPlan
+from repro.algorithms.kernels.base import SlotFeedback
 from repro.game.gain import EqualShareModel
 from repro.sim.backends.base import (
     SlotRecorder,
@@ -338,7 +337,6 @@ class ShardEngine:
         "_kernel_entries": [],
         "_fallback_list": [],
         "_frozen_rows": _NO_ROWS,
-        "_new_window": 0,
         "_first_slot": True,
         "_prev_act": None,
         "_act_cols": _NO_ROWS,
@@ -617,8 +615,7 @@ class ShardEngine:
         choice_col = self.choice_col
         for kernel, _positions in self._kernel_entries:
             if kernel.uses_slot_draws and kernel.window_exhausted:
-                self._new_window = self._draw_span(slot, kernel.size)
-                kernel.prepare_window(self._new_window)
+                kernel.prepare_window(self._draw_span(slot, kernel.size))
             choice_col[kernel.rows] = kernel.begin_slot(slot)
         if self._fallback_list:
             network_col = self.network_col
@@ -772,30 +769,20 @@ class ShardEngine:
             runtime.previous_choice = network_id
             recorder.record_probabilities(row, col, policy)
 
-    def fast_forward(self, slot: int, delay_table: np.ndarray | None) -> int:
-        """Advance past ``slot`` while the slots ahead need no per-slot work.
+    def fast_forward(self, slot: int) -> int:
+        """Advance past ``slot`` while every active row is frozen.
 
         Only the run's only shard may call this, after completing ``slot``
-        (peers would miss the slots' exchanges).  Two cases qualify on
-        equal-share physics, both ending before the next topology event,
-        checkpoint barrier or recorder window end:
-
-        * every active row is frozen: the occupancy, hence every rate, is
-          constant and nobody switches, so the slot is broadcast;
-        * one kernel covers every active row with a stream-free delay model
-          (``delay_table``): the rest of the draw window ``slot`` opened
-          goes to the kernel's compiled loop, if it has one and the
-          compiled tier is on.
+        (peers would miss the slots' exchanges).  On equal-share physics
+        with no kernel or scalar-fallback row active, the occupancy, hence
+        every rate, is constant and nobody switches, so ``slot`` is
+        broadcast up to the next topology event, checkpoint barrier or
+        recorder window end.
 
         Returns the last slot advanced (``slot`` when nothing qualified).
         """
-        if not self.closed_form:
+        if not self.closed_form or self._kernel_entries or self._fallback_list:
             return slot
-        if self._kernel_entries or self._fallback_list:
-            span, self._new_window = self._new_window, 0
-            if span < 2 or delay_table is None:
-                return slot
-            return self._compiled_window(slot, span - 1, delay_table)
         last = min(
             self._stable_last(slot)[0], self.col_base + self.recorder.num_slots
         )
@@ -806,46 +793,6 @@ class ShardEngine:
             rows = slice(None) if self._all_active else act_rows
             recorder.rates[rows, lo:hi] = self._rates_act[:, None]
             recorder.choices[rows, lo:hi] = self.net_ids[self._act_cols][:, None]
-        return last
-
-    def _compiled_window(
-        self, slot: int, remaining: int, delay_table: np.ndarray
-    ) -> int:
-        """Hand the ``remaining`` slots of the open draw window to the
-        compiled loop of a kernel that covers every active row of one run
-        alone (its occupancy is one run's)."""
-        entries = self._kernel_entries
-        if len(entries) != 1 or entries[0][1] is not None or (
-            self._fallback_list or self._frozen_rows.size or len(self.runs) > 1
-        ):
-            return slot
-        kernel = entries[0][0]
-        last = min(slot + remaining, self.col_base + self.recorder.num_slots)
-        if last == slot:
-            return slot
-        self._sync_prev()
-        rows = kernel.rows
-        prev = self.prev_col[rows]
-        recorder = self.recorder
-        window = WindowPlan(
-            start_slot=slot + 1,
-            n_slots=last - slot,
-            idx_lo=slot - self.col_base,
-            net_ids=self.net_ids,
-            bandwidths=self.bandwidths,
-            num_networks=self.num_networks,
-            scale_ref=self.scale_ref,
-            delay_table=delay_table,
-            prev=prev,
-            choices2d=recorder.choices,
-            rates2d=recorder.rates,
-            delays2d=recorder.delays,
-            switches2d=recorder.switches,
-        )
-        if not kernel.advance_window(window):
-            return slot
-        self.prev_col[rows] = prev
-        self._prev_act = prev  # the kernel's rows are the active rows
         return last
 
     # --------------------------------------------------------- run assembly

@@ -261,8 +261,12 @@ def run_lockstep(
     The run's only shard (``params.num_shards == 1``) needs no bus: its
     counts are the global ones and its switchers need no exchange.  It is
     also the only engine that can run gain models other than equal share,
-    and, unless faults are being injected, it fast-forwards through slots
-    that need no per-slot work (:meth:`ShardEngine.fast_forward`).
+    and, unless faults are being injected, it broadcasts spans in which
+    every active row is frozen (:meth:`ShardEngine.fast_forward`).
+
+    Throughput (``progress``, ``worker_end``, ``run_end`` and the phase
+    profile) counts the slots this call executed, from ``start_slot`` on,
+    so a resumed attempt reports its own rate.
     """
     if reducer is not None:
         from repro.analysis.reducers import ShardWindow  # lazy: import cycle
@@ -372,7 +376,7 @@ def run_lockstep(
             if prof is not None:
                 t = prof.add("reward", t)
             if forward:
-                last = engine.fast_forward(slot, delay_table)
+                last = engine.fast_forward(slot)
                 if last > slot:
                     slot = last
                     if prof is not None:
@@ -484,7 +488,10 @@ def run_lockstep(
         if heartbeat is not None:
             now = time.monotonic()
             if now - last_beat >= heartbeat:
-                rate = group_devices * slot / max(now - started, 1e-9)
+                rate = (
+                    group_devices * (slot - start_slot + 1)
+                    / max(now - started, 1e-9)
+                )
                 tele.event(
                     "progress",
                     worker=worker_index,
@@ -497,9 +504,10 @@ def run_lockstep(
 
     for shard in engines:
         shard.flush_policies()
+    executed = num_slots - start_slot + 1
     if prof is not None:
         prof.devices = group_devices
-        prof.slots = num_slots
+        prof.slots = executed
         prof.emit(
             scenario=engine.scenario.name,
             seed=params.seed_label,
@@ -522,7 +530,7 @@ def run_lockstep(
                 reasons=truncations,
             )
         elapsed = time.monotonic() - started
-        rate = round(group_devices * num_slots / max(elapsed, 1e-9), 1)
+        rate = round(group_devices * executed / max(elapsed, 1e-9), 1)
         if worker_events:
             tele.event(
                 "worker_end",

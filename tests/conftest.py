@@ -11,23 +11,6 @@ from repro.sim.scenario import setting1_scenario, setting2_scenario
 
 
 @pytest.fixture(autouse=True)
-def _interpreted_kernels(monkeypatch):
-    """Pin every test to the interpreted (bit-exact) kernel path.
-
-    The suite asserts bit-exactness across backends, which the opt-in
-    compiled tier deliberately relaxes to distribution-exact — so an
-    exported ``REPRO_COMPILED``/``REPRO_BENCH_COMPILED`` (the CI compiled
-    job exports the latter suite-wide) must not leak into unrelated tests.
-    Compiled coverage lives in ``tests/test_compiled_windows.py``, which
-    opts back in per-test.
-    """
-    from repro.algorithms.kernels.compiled import COMPILED_ENV_VARS
-
-    for name in COMPILED_ENV_VARS:
-        monkeypatch.delenv(name, raising=False)
-
-
-@pytest.fixture(autouse=True)
 def _telemetry_off(monkeypatch):
     """Keep telemetry disabled unless a test opts in explicitly.
 

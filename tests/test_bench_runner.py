@@ -32,8 +32,6 @@ TOP_LEVEL_KEYS = {
     "scenario",
     "cpu_count",
     "numpy_version",
-    "numba_version",
-    "compiled_kernels",
     "rows",
     "gates",
     "meets_floor",
@@ -168,7 +166,7 @@ def ci_commands() -> list[list[str]]:
 def test_ci_commands_resolve_through_the_flag_table():
     """A table edit that would break a CI step fails here, before CI runs."""
     commands = ci_commands()
-    assert len(commands) == 10
+    assert len(commands) == 9
     suites = [runner.parse_args(argv)[0] for argv in commands]
     assert sorted(suites) == sorted(runner.SUITES)
 

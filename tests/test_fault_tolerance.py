@@ -302,6 +302,41 @@ class TestExplicitResume:
         ).execute(scenario, seed=5)
         assert_results_identical(reference, resumed)
 
+    def test_resumed_attempt_reports_its_own_throughput(
+        self, tmp_path, monkeypatch
+    ):
+        # Checkpoints at slots 10, 20 and 30, killed at 33: the resumed
+        # attempt starts at slot 31 and runs 10 of the 40 slots, and its
+        # profile and rate count those 10.
+        scenario = setting1_scenario(policy="exp3", num_devices=9, horizon_slots=40)
+        dying = durable_executor(
+            tmp_path,
+            every=10,
+            supervision=SupervisionConfig(max_restarts=0, backoff_s=0.01),
+            fault_plan=FaultPlan((KillWorker(worker=0, slot=33),)),
+        )
+        with pytest.raises(ShardFailureError):
+            dying.execute(scenario, seed=5)
+        profile = tmp_path / "profile.jsonl"
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        monkeypatch.setenv("REPRO_PROFILE_PATH", str(profile))
+        set_telemetry_dir(tmp_path / "telemetry")
+        try:
+            ShardedSlotExecutor(
+                shards=3, resume_from=tmp_path / "ckpt"
+            ).execute(scenario, seed=5)
+        finally:
+            set_telemetry_dir(None)
+        (line,) = profile.read_text().splitlines()
+        assert json.loads(line)["slots"] == 10
+        events = read_events(tmp_path / "telemetry")
+        (start,) = [e for e in events if e["type"] == "worker_start"]
+        (end,) = [e for e in events if e["type"] == "worker_end"]
+        assert (start["start_slot"], end["slots"]) == (31, 40)
+        assert end["device_slots_per_second"] == pytest.approx(
+            9 * 10 / end["seconds"], rel=1e-3
+        )
+
     def test_resume_under_different_worker_count(self, tmp_path):
         scenario = setting1_scenario(policy="exp3", num_devices=8, horizon_slots=40)
         reference = ShardedSlotExecutor(shards=4).execute(scenario, seed=9)

@@ -1,14 +1,10 @@
 """Cross-kernel equivalence suite: scalar policies vs. batched kernels.
 
 The batched policy kernels (:mod:`repro.algorithms.kernels`) must honour the
-RNG-equivalence contract stated in the package docstring:
-
-* ``"bit-exact"`` kernels — every built-in kernel — must produce results
-  bit-for-bit identical to the per-device scalar path for any scenario and
-  seed, across static, dynamic (join/leave) and mobility scenarios; and
-* ``"distribution-exact"`` kernels must match the scalar sampling
-  distribution (fixed-seed KS and mean-gain tolerance tests) without being
-  required to replay the identical draw sequence.
+RNG-equivalence contract stated in the package docstring: every kernel
+produces results bit-for-bit identical to the per-device scalar path for
+any scenario and seed, across static, dynamic (join/leave) and mobility
+scenarios.
 
 The purest comparison runs one backend orchestration twice — the
 ``vectorized`` backend with kernels and
@@ -18,13 +14,6 @@ layer alone.  The suite also pins the two
 replication primitives the contract relies on (single-uniform CDF inversion
 vs. ``Generator.choice`` and sequential vs. pairwise summation) and the
 stream-stability of the batched switching-delay sampler.
-
-The opt-in compiled window tier (:mod:`repro.algorithms.kernels.compiled`)
-is itself a ``distribution-exact`` implementation, so it goes through the
-same statistical branch — against the event oracle — via the pure-Python
-reference body that numba compiles (and the jitted kernel where numba is
-installed; see ``tests/test_compiled_windows.py`` for the full fused-window
-coverage).
 """
 
 from __future__ import annotations
@@ -34,14 +23,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
 
-from repro.algorithms.base import Observation, Policy
 from repro.algorithms.block_exp3 import BlockEXP3Policy
 from repro.algorithms.exp3 import EXP3Policy
 from repro.algorithms.fixed_random import FixedRandomPolicy
 from repro.algorithms.kernels import (
-    BatchKernel,
     EXP3Kernel,
     SmartEXP3Kernel,
     kernel_for_policy,
@@ -49,15 +35,12 @@ from repro.algorithms.kernels import (
     sample_rows,
     sequential_row_sum,
 )
-from repro.algorithms.registry import register_policy
 from repro.game.network import Network, NetworkType
 from repro.sim.backends import VectorizedSlotExecutor
 from repro.sim.delay import DelayModel, EmpiricalDelayModel
 from repro.sim.environment import WirelessEnvironment
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import (
-    DeviceSpec,
-    Scenario,
     dynamic_join_leave_scenario,
     mobility_scenario,
     setting1_scenario,
@@ -297,140 +280,6 @@ class TestBitExactKernels:
         scalar, kernel = run_scalar_and_kernel(scenario, 5)
         assert_results_identical(scalar, kernel)
         assert sum(kernel.resets.values()) > 0
-
-
-class _ScalarDitherPolicy(Policy):
-    """Test-only policy: uniform random pick each slot, no learning."""
-
-    def begin_slot(self, slot: int) -> int:
-        choice = int(self.rng.choice(self.available_networks))
-        self._last = choice
-        return self._check_network(choice)
-
-    def end_slot(self, slot: int, observation: Observation) -> None:
-        pass
-
-
-class _DitherKernel(BatchKernel):
-    """Distribution-exact kernel for the dither policy.
-
-    Samples with an *inverted* uniform (``1 − u``) — the same distribution,
-    a different draw sequence — so results cannot be bit-equal to the scalar
-    path and the suite's statistical branch is genuinely exercised.
-    """
-
-    equivalence = "distribution-exact"
-
-    def begin_slot(self, slot: int) -> np.ndarray:
-        draws = np.asarray([1.0 - rng.random() for rng in self.rngs])
-        local = np.minimum(
-            (draws * self.num_networks).astype(np.intp), self.num_networks - 1
-        )
-        self._local = local
-        return self.cols[local]
-
-    def end_slot(self, slot, slot_index, gains, feedback=None):
-        self.record_probability_block(
-            slot_index,
-            np.full((self.size, self.num_networks), 1.0 / self.num_networks),
-        )
-
-    def flush(self) -> None:
-        for runtime, local in zip(self.runtimes, self._local):
-            runtime.policy._last = self.nets[int(local)]
-
-
-register_policy(
-    "test_dither", lambda context, **kwargs: _ScalarDitherPolicy(context)
-)
-register_policy_kernel(_ScalarDitherPolicy, _DitherKernel)
-
-
-class TestDistributionExactKernel:
-    def _scenario(self, horizon):
-        base = setting1_scenario(num_devices=1, horizon_slots=horizon)
-        specs = [
-            DeviceSpec(device=base.device_specs[0].device.__class__(device_id=i),
-                       policy="test_dither")
-            for i in range(8)
-        ]
-        return Scenario(
-            name="dither",
-            networks=base.networks,
-            device_specs=specs,
-            coverage=base.coverage,
-            horizon_slots=horizon,
-        )
-
-    def test_statistical_equivalence(self):
-        scenario = self._scenario(400)
-        scalar, kernel = run_scalar_and_kernel(scenario, 9)
-        scalar_rates = np.concatenate(
-            [scalar.rates_mbps[d] for d in scalar.device_ids]
-        )
-        kernel_rates = np.concatenate(
-            [kernel.rates_mbps[d] for d in kernel.device_ids]
-        )
-        # Not required (nor expected) to be bit-equal...
-        assert not np.array_equal(scalar_rates, kernel_rates)
-        # ...but the realised-rate distributions must be indistinguishable
-        # (fixed-seed KS) and the mean gains must agree tightly.
-        ks = scipy_stats.ks_2samp(scalar_rates, kernel_rates)
-        assert ks.pvalue > 0.01, ks
-        assert np.mean(kernel_rates) == pytest.approx(
-            np.mean(scalar_rates), rel=0.05
-        )
-
-    def test_probabilities_recorded(self):
-        scenario = self._scenario(50)
-        kernel = run_simulation(scenario, seed=3, backend="vectorized")
-        for device_id in kernel.device_ids:
-            assert np.allclose(kernel.probabilities[device_id].sum(axis=1), 1.0)
-
-
-class TestCompiledKernelEquivalence:
-    """The compiled EXP3 window tier under the kernel-equivalence frame.
-
-    The compiled mega-loop replays the same uniform draw stream as the
-    scalar policies but runs its transcendentals through a different libm,
-    so it is held to the ``distribution-exact`` contract — here against the
-    event backend, the reference oracle.
-    """
-
-    def _scenario(self):
-        from tests.test_compiled_windows import stream_free
-
-        return stream_free(
-            setting2_scenario(policy="exp3", num_devices=8, horizon_slots=350)
-        )
-
-    def test_compiled_reference_vs_event_oracle(self, monkeypatch):
-        from tests.test_compiled_windows import (
-            assert_distribution_exact,
-            install_reference_compiled_kernel,
-        )
-
-        scenario = self._scenario()
-        event = run_simulation(
-            scenario, seed=13, backend="event", record_probabilities=False
-        )
-        calls = install_reference_compiled_kernel(monkeypatch)
-        compiled = run_simulation(
-            scenario, seed=13, backend="vectorized", record_probabilities=False
-        )
-        assert calls["n"] >= 1
-        assert_distribution_exact(event, compiled)
-
-    def test_interpreted_tier_remains_the_default(self):
-        # Without the explicit opt-in the vectorized backend must stay on
-        # the interpreted (bit-exact) tier even where fusion engages.
-        from repro.algorithms.kernels.compiled import compiled_enabled
-
-        assert not compiled_enabled()
-        scenario = self._scenario()
-        event = run_simulation(scenario, seed=13, backend="event")
-        vectorized = run_simulation(scenario, seed=13, backend="vectorized")
-        assert_results_identical(event, vectorized)
 
 
 class TestFallbackPolicies:

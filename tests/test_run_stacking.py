@@ -185,35 +185,6 @@ def test_stacks_stop_at_the_recorder_budget(tmp_path, tiny, monkeypatch):
     assert _paths(tmp_path)["run_solo"] == {"budget": 2}
 
 
-def test_runs_the_compiled_tier_would_fast_forward_stay_solo(
-    tmp_path, tiny, monkeypatch
-):
-    monkeypatch.setattr(runner, "compiled_enabled", lambda: True)
-    constant = replace(tiny, delay_model=ConstantDelayModel())
-    set_telemetry_dir(tmp_path)
-    run_many(constant, 2, backend="vectorized", reduce="summary")
-    run_many(tiny, 2, backend="vectorized", reduce="summary")  # stochastic delays
-    set_telemetry_dir(None)
-    paths = _paths(tmp_path)
-    assert paths["run_solo"] == {"compiled_tier": 2}
-    assert paths["run_stack"]["runs"] == 2
-
-
-def test_compiled_tier_without_numba_records_its_fallback(tmp_path, monkeypatch):
-    from repro.algorithms.kernels import compiled
-
-    if compiled.NUMBA_AVAILABLE:
-        pytest.skip("numba is installed: the compiled tier does not fall back")
-    monkeypatch.setenv("REPRO_COMPILED", "1")
-    set_telemetry_dir(tmp_path)
-    assert not compiled.compiled_enabled()
-    assert not compiled.compiled_enabled()  # once per event stream
-    set_telemetry_dir(None)
-    assert _paths(tmp_path)["path_fallback"] == {
-        "compiled_tier: numba not installed": 1
-    }
-
-
 def test_kernel_rows_sent_to_the_scalar_path_are_recorded(
     tmp_path, tiny, monkeypatch
 ):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.reducers import (
     DownloadReducer,
@@ -42,7 +44,11 @@ from repro.sim.sharded import (
     ShardedSlotExecutor,
     shard_boundaries,
 )
-from tests.test_backends import assert_results_identical, random_churn_scenario
+from tests.test_backends import (
+    assert_results_identical,
+    dynamic_scenarios,
+    random_churn_scenario,
+)
 
 
 def run_sharded(scenario, seed, shards, workers=1, **kwargs):
@@ -185,6 +191,47 @@ class TestShardInvariance:
         assert not scenario.delay_model.stream_free
         reference = run_simulation(scenario, seed=9, backend="event")
         assert_results_identical(reference, run_sharded(scenario, 9, 4))
+
+
+class TestGeneratedScenarios:
+    """Generated dynamic scenarios (churn, mobility, outages, mixed policies)
+    on 1-4 shards against the event oracle."""
+
+    @settings(
+        deadline=None,
+        derandomize=True,
+        max_examples=200,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        scenario=dynamic_scenarios(),
+        shards=st.integers(1, 4),
+        record=st.booleans(),
+        dtype=st.sampled_from(("float64", "float32")),
+        seed=st.integers(0, 1000),
+    )
+    def test_matches_event(self, scenario, shards, record, dtype, seed):
+        event = run_simulation(
+            scenario, seed=seed, backend="event", record_probabilities=record
+        )
+        sharded = ShardedSlotExecutor(
+            shards=min(shards, scenario.num_devices), strict=True, dtype=dtype
+        ).execute(scenario, seed, record_probabilities=record)
+        if dtype == "float64":
+            assert_results_identical(event, sharded)
+            return
+        # float32 storage: the dynamics are identical, and every float
+        # block is the event run's value rounded to float32.
+        assert sharded.device_ids == event.device_ids
+        assert sharded.resets == event.resets
+        for name in ("choices_2d", "switches_2d", "active_2d"):
+            assert np.array_equal(getattr(sharded, name), getattr(event, name))
+        blocks = ["rates_2d", "delays_2d"] + (["probabilities_3d"] if record else [])
+        for name in blocks:
+            half = getattr(sharded, name)
+            assert half.dtype == np.float32
+            assert np.array_equal(half, getattr(event, name).astype(np.float32))
+        assert (sharded.probabilities_3d is None) == (not record)
 
 
 class TestMultiprocessPath:

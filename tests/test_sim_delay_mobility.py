@@ -215,23 +215,6 @@ class TestTopologyPlan:
 
         return prepare_run(scenario, seed=0, record_probabilities=False).topology
 
-    def test_activity_mask_matches_is_active(self):
-        import numpy as np
-
-        from repro.sim.scenario import dynamic_join_leave_scenario
-
-        scenario = dynamic_join_leave_scenario(horizon_slots=850)
-        plan = self._plan(scenario)
-        mask = plan.activity_mask()
-        devices = [spec.device for spec in scenario.device_specs]
-        expected = np.asarray(
-            [
-                [device.is_active(slot) for slot in range(1, 851)]
-                for device in devices
-            ]
-        )
-        assert np.array_equal(mask, expected)
-
     def test_events_mirror_reference_updates(self):
         from repro.sim.scenario import mobility_scenario
 
@@ -251,8 +234,3 @@ class TestTopologyPlan:
         scenario = mobility_scenario(horizon_slots=850)
         plan = self._plan(scenario)
         assert plan.era_starts == (1, 401, 801)
-        first, second, _third = plan.visibility_eras
-        cols = {n: c for c, n in enumerate(plan.network_order)}
-        # Device row 0 (id 1) moves food court -> study area at t=401.
-        assert set(first[0].nonzero()[0]) == {cols[2], cols[3], cols[4]}
-        assert set(second[0].nonzero()[0]) == {cols[1], cols[3]}

@@ -309,17 +309,10 @@ class TestInstrumentation:
         assert config.telemetry_dir == str(tmp_path)
 
     def test_fused_window_truncation_reasons(self, tmp_path):
-        # The fused-window path requires a batch kernel (exp3; smart_exp3's
-        # reset machinery falls back to per-slot execution) *and* a
-        # stream-free delay model (setting1's empirical sampler draws RNG
-        # per switch, which forces the per-slot loop).
-        import dataclasses
-
-        from repro.sim.delay import NoDelayModel
-
-        scenario = dataclasses.replace(
-            setting1_scenario(policy="exp3", num_devices=6, horizon_slots=80),
-            delay_model=NoDelayModel(),
+        # Draw windows need a kernel that draws one uniform per row per
+        # slot (exp3; smart_exp3's draws depend on its block starts).
+        scenario = setting1_scenario(
+            policy="exp3", num_devices=6, horizon_slots=80
         )
         set_telemetry_dir(tmp_path)
         run_simulation(scenario, seed=1, backend="vectorized")
