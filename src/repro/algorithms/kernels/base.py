@@ -55,18 +55,14 @@ class SlotFeedback:
     """Per-slot physics context handed to kernels that need full feedback.
 
     ``member_gain`` / ``join_gain`` are global per-network-column arrays (the
-    closed-form equal-share counterfactuals), one block of columns per run
-    of a stacked engine: recorder row ``r`` reads cells ``row_base[r] +
-    column``.  On the generic physics path they are ``None`` and ``counts``
-    + ``environment`` provide the dict-based fallback used by the reference
-    backend.
+    closed-form equal-share counterfactuals, which hold under every gain
+    model), one block of columns per run of a stacked engine: recorder row
+    ``r`` reads cells ``row_base[r] + column``.
     """
 
-    member_gain: np.ndarray | None = None
-    join_gain: np.ndarray | None = None
-    row_base: np.ndarray | None = None
-    counts: dict[int, int] | None = None
-    environment: object | None = None
+    member_gain: np.ndarray
+    join_gain: np.ndarray
+    row_base: np.ndarray
 
 
 def sequential_row_sum(matrix: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Batched Full Information (Hedge): full-feedback updates as matrix ops.
 
 The counterfactual feedback the scalar policy receives as a per-device dict
-becomes a ``(devices × networks)`` gain matrix assembled from the backend's
-closed-form member/join counterfactual vectors (or, on the generic physics
-path, from the environment's dict API), and the per-network loss update
+becomes a ``(devices × networks)`` gain matrix assembled from the engine's
+closed-form member/join counterfactual vectors (equal share of the nominal
+bandwidths under every gain model), and the per-network loss update
 ``w ← w · exp(−η · loss)`` becomes one fused array expression.
 """
 
@@ -55,26 +55,11 @@ class FullInformationKernel(BatchKernel):
         return self.cols[local]
 
     def _feedback_matrix(self, feedback: SlotFeedback) -> np.ndarray:
-        if feedback.member_gain is not None:
-            # Each row reads its own run's cells (one run: base 0).
-            base = feedback.row_base[self.rows]
-            gains = feedback.join_gain[base[:, None] + self.cols]
-            chosen_cells = base + self.cols[self._last_local]
-            gains[self._arange, self._last_local] = feedback.member_gain[
-                chosen_cells
-            ]
-            return gains
-        # Generic physics path: the environment's dict API, one row per device
-        # (identical to what the reference backend hands the scalar policy).
-        gains = np.zeros((self.size, self.num_networks), dtype=float)
-        for j, runtime in enumerate(self.runtimes):
-            per_network = feedback.environment.counterfactual_gains(
-                feedback.counts,
-                self.nets[self._last_local[j]],
-                runtime.visible or frozenset(),
-            )
-            for col, net in enumerate(self.nets):
-                gains[j, col] = float(per_network.get(net, 0.0))
+        # Each row reads its own run's cells (one run: base 0).
+        base = feedback.row_base[self.rows]
+        gains = feedback.join_gain[base[:, None] + self.cols]
+        chosen_cells = base + self.cols[self._last_local]
+        gains[self._arange, self._last_local] = feedback.member_gain[chosen_cells]
         return gains
 
     def end_slot(

@@ -30,7 +30,7 @@ harness in ``benchmarks/`` simply calls these functions.
 | ``wild`` | §VII-B — in-the-wild 500 MB download race |
 | ``theory_validation`` | Theorems 2 & 3 — bounds vs empirical values |
 | ``churn_stress`` | beyond the paper — generative churn/mobility/outage scenarios |
-| ``megascale`` | beyond the paper — million-device populations on the sharded engine |
+| ``megascale`` | beyond the paper — million-device populations on the sharded engine (``run`` takes its settings as parameters, not a config) |
 """
 
 from repro.experiments.common import ALL_POLICIES, BLOCK_POLICIES, DYNAMIC_POLICIES, ExperimentConfig

@@ -20,7 +20,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     run_with_config,
 )
-from repro.sim.backends.base import prepare_run
+from repro.sim.backends.base import TopologyPlan
 from repro.sim.mobility import NetworkDynamics
 from repro.sim.scenario import (
     DEFAULT_HORIZON_SLOTS,
@@ -35,7 +35,11 @@ DEFAULT_AREAS = {"campus": (0, 2), "dorm": (1, 2)}
 
 def churn_profile(scenario) -> dict[str, int]:
     """Realised topology intensity of a scenario: event counts from the plan."""
-    plan = prepare_run(scenario, seed=0, record_probabilities=False).topology
+    devices = sorted(
+        (spec.device for spec in scenario.device_specs),
+        key=lambda device: device.device_id,
+    )
+    plan = TopologyPlan(scenario, devices, scenario.horizon_slots)
     joins = sum(len(ev.joins) for ev in plan.events.values())
     leaves = sum(len(ev.leaves) for ev in plan.events.values())
     visibility = sum(len(ev.visibility) for ev in plan.events.values())

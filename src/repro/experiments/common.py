@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 from repro.sim.metrics import SimulationResult
 from repro.sim.runner import run_many, validate_execution
 from repro.sim.scenario import Scenario
-from repro.telemetry import scoped_telemetry_dir
 
 #: The policies of Table II and Table III, in the order the paper lists them.
 ALL_POLICIES: tuple[str, ...] = (
@@ -72,33 +71,19 @@ class ExperimentConfig:
         Device-axis shard count per run; requires a backend that supports
         it, i.e. ``backend="sharded"`` (see :mod:`repro.sim.sharded`).
         ``None`` leaves the backend's default configuration.
-    checkpoint:
-        A :class:`~repro.sim.sharded.CheckpointConfig` enabling periodic
-        shard-state snapshots of every run (requires ``shards``); with
-        ``runs > 1`` each run checkpoints into its own ``run_<index>``
-        subdirectory.  ``None`` (default) disables durability.
-    resume_from:
-        A checkpoint directory written by a previous, interrupted
-        invocation of the *same* experiment configuration (requires
-        ``shards``); resumed results are bit-identical to an
-        uninterrupted run.
     cache:
         Run-registry mode for reduced runs (:mod:`repro.registry`):
         ``"off"`` (default) always simulates, ``"reuse"`` loads cached
-        (config × seed) cells and simulates only the missing ones,
-        ``"refresh"`` recomputes and overwrites.  A
-        :class:`~repro.registry.CacheSpec` selects an explicit store root.
-        Validated eagerly; only applies to reduced runs (``reduce=``) —
-        a driver that keeps full results simulates every run.
-    telemetry_dir:
-        Directory for the run's telemetry event streams
-        (:mod:`repro.telemetry`): sets ``REPRO_TELEMETRY_DIR`` while each
-        of the experiment's ``run_many`` calls runs (inherited by worker
-        processes), so every run emits structured events the monitor CLI
-        can merge, and restores the caller's setting, set or unset,
-        afterwards.  ``None`` (default) leaves the environment untouched —
-        telemetry stays off unless the caller exported the variable
-        themselves.
+        (config × seed) cells and simulates only the missing ones — which
+        is also how an interrupted experiment resumes — and ``"refresh"``
+        recomputes and overwrites.  A :class:`~repro.registry.CacheSpec`
+        selects an explicit store root.  Validated eagerly; only applies to
+        reduced runs (``reduce=``) — a driver that keeps full results
+        simulates every run.
+
+    Telemetry is not a field: set ``REPRO_TELEMETRY_DIR``, or wrap the
+    driver call in :func:`repro.telemetry.scoped_telemetry_dir`, to record
+    an experiment's events.
     """
 
     runs: int = 5
@@ -107,10 +92,7 @@ class ExperimentConfig:
     backend: str = "vectorized"
     workers: int | None = None
     shards: int | None = None
-    checkpoint: object | None = None
-    resume_from: str | None = None
     cache: object = "off"
-    telemetry_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.runs < 1:
@@ -121,8 +103,6 @@ class ExperimentConfig:
             self.backend,
             workers=self.workers,
             shards=self.shards,
-            checkpoint=self.checkpoint,
-            resume_from=self.resume_from,
             cache=self.cache,
         )
 
@@ -161,19 +141,16 @@ def run_with_config(scenario: Scenario, config: ExperimentConfig, reduce=None):
     calls only: the registry stores reducer payloads, so a call that keeps
     full results always simulates.
     """
-    with scoped_telemetry_dir(config.telemetry_dir):
-        return run_many(
-            scenario,
-            config.runs,
-            config.base_seed,
-            backend=config.backend,
-            workers=config.workers,
-            reduce=reduce,
-            shards=config.shards,
-            checkpoint=config.checkpoint,
-            resume_from=config.resume_from,
-            cache=config.cache if reduce is not None else "off",
-        )
+    return run_many(
+        scenario,
+        config.runs,
+        config.base_seed,
+        backend=config.backend,
+        workers=config.workers,
+        reduce=reduce,
+        shards=config.shards,
+        cache=config.cache if reduce is not None else "off",
+    )
 
 
 def run_scenario(scenario: Scenario, config: ExperimentConfig, reduce=None):

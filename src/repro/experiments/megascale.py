@@ -28,7 +28,7 @@ import sys
 import time
 
 from repro.analysis.reducers import SummaryReducer
-from repro.experiments.common import ExperimentConfig
+from repro.sim.runner import validate_execution
 from repro.sim.sharded import (
     CheckpointConfig,
     HomogeneousPopulation,
@@ -55,7 +55,6 @@ def peak_rss_bytes(include_children: bool = True) -> int | None:
 
 
 def run(
-    config: ExperimentConfig | None = None,
     num_devices: int = DEFAULT_DEVICES,
     horizon_slots: int | None = None,
     policy: str = "exp3",
@@ -71,10 +70,11 @@ def run(
 ) -> dict:
     """One megascale population run, summarised through the shard reducer.
 
-    ``shards``/``workers`` default to the config's values, then to
-    ``min(cpu_count, 8)`` shards driven by one worker process per shard
-    when the machine has the cores (``workers=1`` falls back to the serial
-    in-process lockstep, which is the bit-exact debugging mode).
+    ``horizon_slots`` defaults to :data:`DEFAULT_SLOTS`; ``shards`` and
+    ``workers`` default to ``min(cpu_count, 8)`` shards driven by one
+    worker process per shard when the machine has the cores (``workers=1``
+    falls back to the serial in-process lockstep, which is the bit-exact
+    debugging mode).
 
     ``checkpoint`` enables periodic shard-state snapshots — a multi-hour
     million-device run survives worker crashes and machine restarts —
@@ -90,15 +90,12 @@ def run(
     often each worker writes a ``progress`` event there; without telemetry
     the run reports no progress.
     """
-    config = config or ExperimentConfig(runs=1, horizon_slots=None)
-    if telemetry_dir is None:
-        telemetry_dir = config.telemetry_dir
-    slots = horizon_slots or config.horizon_slots or DEFAULT_SLOTS
+    slots = horizon_slots or DEFAULT_SLOTS
     cpus = os.cpu_count() or 1
     if shards is None:
-        shards = config.shards or max(1, min(cpus, 8))
+        shards = max(1, min(cpus, 8))
     if workers is None:
-        workers = config.workers or min(shards, cpus)
+        workers = min(shards, cpus)
     workers = max(1, min(workers, shards))
 
     population = HomogeneousPopulation(
@@ -160,11 +157,6 @@ def run(
     }
 
 
-def paper_config() -> ExperimentConfig:
-    """Config sketch for the full-scale run (drive it from the CLI)."""
-    return ExperimentConfig(runs=1, horizon_slots=1000, backend="sharded", shards=8)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--devices", type=int, default=1_000_000)
@@ -221,21 +213,14 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(name)s %(message)s"
     )
-    # The CLI flags thread through an ExperimentConfig so the execution
-    # knobs get the config layer's eager validation (a bad --shards or
-    # --workers value fails here, not mid-run).
-    config = ExperimentConfig(
-        runs=1,
+    # A bad --shards or --workers value fails here, not mid-run.
+    validate_execution("sharded", workers=args.workers, shards=args.shards)
+    payload = run(
+        num_devices=args.devices,
         horizon_slots=args.slots,
-        backend="sharded",
+        policy=args.policy,
         shards=args.shards,
         workers=args.workers,
-        telemetry_dir=args.telemetry_dir,
-    )
-    payload = run(
-        config=config,
-        num_devices=args.devices,
-        policy=args.policy,
         dtype=args.dtype,
         window_slots=args.window,
         seed=args.seed,
@@ -250,6 +235,7 @@ def main(argv=None) -> int:
             else None
         ),
         resume_from=args.resume,
+        telemetry_dir=args.telemetry_dir,
     )
     text = json.dumps(payload, indent=2)
     print(text)

@@ -1,7 +1,7 @@
 """Gain (utility) models: how a network's bandwidth maps to per-device bit rate.
 
 The paper's gain ``g_i(t) = U_i(n_i(t))`` is the bit rate a device observes on
-its chosen network, scaled to ``[0, 1]``.  Two models are provided:
+its chosen network, scaled to ``[0, 1]``.  Two models are provided here:
 
 * :class:`EqualShareModel` — the simulation assumption of Section VI-A: a
   network's bandwidth is divided equally among its clients.
@@ -9,18 +9,15 @@ its chosen network, scaled to ``[0, 1]``.  Two models are provided:
   simulated testbed (Section VII-A substitution): shares are perturbed
   per-device and per-slot, so devices on the same network can observe different
   rates, as the paper observes on the Raspberry Pi testbed.
-* :class:`TimeVaryingCapacityModel` — a wrapper applying per-network
-  piecewise-constant capacity multipliers (the "capacity flapping" half of
-  :class:`repro.sim.mobility.NetworkDynamics`) before delegating to a base
-  model.
+
+The third, :class:`repro.sim.traces.TraceGainModel`, replays measured
+per-network rate traces.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_right
-from dataclasses import replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -159,62 +156,3 @@ class NoisyShareModel(GainModel):
             for device_id, share in zip(client_ids, shares)
         }
 
-
-class TimeVaryingCapacityModel(GainModel):
-    """Piecewise-constant per-network capacity multipliers over a base model.
-
-    ``schedule`` maps ``network_id -> ((start_slot, multiplier), ...)``: from
-    ``start_slot`` onward the network's usable bandwidth is its nominal
-    bandwidth times ``multiplier`` (until the next era).  Networks absent
-    from the schedule — and slots before a network's first era — run at the
-    nominal multiplier of 1.  The wrapper consumes no randomness itself, but
-    because rates become slot-dependent, scenarios using it execute on the
-    backends' generic (per-slot) physics path rather than the closed-form
-    equal-share fast path.
-    """
-
-    def __init__(
-        self,
-        base: GainModel,
-        schedule: Mapping[int, Sequence[tuple[int, float]]],
-    ) -> None:
-        self.base = base
-        self._eras: dict[int, tuple[list[int], list[float]]] = {}
-        for network_id, eras in schedule.items():
-            pairs = sorted((int(start), float(factor)) for start, factor in eras)
-            for start, factor in pairs:
-                if start < 1:
-                    raise ValueError("capacity eras start at slot 1 or later")
-                if factor <= 0:
-                    raise ValueError(
-                        f"capacity multiplier must be positive, got {factor}"
-                    )
-            if pairs:
-                self._eras[int(network_id)] = (
-                    [start for start, _ in pairs],
-                    [factor for _, factor in pairs],
-                )
-
-    def multiplier(self, network_id: int, slot: int) -> float:
-        """Capacity multiplier in effect for ``network_id`` at ``slot``."""
-        eras = self._eras.get(network_id)
-        if eras is None:
-            return 1.0
-        starts, factors = eras
-        index = bisect_right(starts, slot) - 1
-        return factors[index] if index >= 0 else 1.0
-
-    def rates(
-        self,
-        network: Network,
-        client_ids: tuple[int, ...],
-        slot: int,
-        rng: np.random.Generator,
-    ) -> Mapping[int, float]:
-        factor = self.multiplier(network.network_id, slot)
-        if factor == 1.0:
-            return self.base.rates(network, client_ids, slot, rng)
-        scaled = replace(
-            network, bandwidth_mbps=network.bandwidth_mbps * factor
-        )
-        return self.base.rates(scaled, client_ids, slot, rng)

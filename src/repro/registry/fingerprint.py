@@ -21,10 +21,9 @@ Canonicalization rules (:func:`describe`): mappings become sorted key/value
 pair lists (insertion order never leaks into the hash), sets are sorted,
 dataclasses serialize by field, enums by qualified name, ndarrays by
 dtype/shape/content digest, functions by module-qualified name.  Private
-(``_``-prefixed) attributes are skipped for plain objects — they are lazy
-caches on this codebase's model classes — with explicit handlers where the
-canonical state genuinely lives in a private slot
-(:class:`~repro.game.gain.TimeVaryingCapacityModel`).
+(``_``-prefixed) attributes are skipped for plain objects: they are lazy
+caches on this codebase's model classes, and no model keeps canonical
+state in one.
 
 Provenance (not part of the cell key) is a **code fingerprint** over the
 result-affecting source tree: the game physics, core loop, policy
@@ -46,8 +45,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-
-from repro.game.gain import TimeVaryingCapacityModel
 
 #: Bump when the canonical description schema changes (invalidates all keys).
 FINGERPRINT_VERSION = 1
@@ -88,13 +85,6 @@ def describe(obj: Any) -> Any:
         }
     if isinstance(obj, Enum):
         return {"__enum__": f"{type(obj).__qualname__}.{obj.name}"}
-    if isinstance(obj, TimeVaryingCapacityModel):
-        # The compiled schedule lives in a private slot; hash it explicitly.
-        return {
-            "__class__": _qualname(type(obj)),
-            "base": describe(obj.base),
-            "eras": describe(obj._eras),
-        }
     if isinstance(obj, Mapping):
         items = [[describe(key), describe(value)] for key, value in obj.items()]
         return {"__items__": sorted(items, key=_sort_key)}

@@ -199,11 +199,13 @@ class RunStore:
     def store(self, key: CellKey, payload, wall_seconds: float | None = None) -> Path:
         """Commit one cell's payload atomically; returns the entry directory.
 
-        When the committing process just executed the run (serial paths —
-        pool workers store parent-side, where no profile ran), the last run
-        summary recorded by the profiling layer is attached under the
-        ``telemetry`` meta key, so ``python -m repro.registry inspect``
-        shows where a cached run spent its time.
+        When the committing process just executed the run on its own (a
+        serial solo run, or a stack of one run), the last run summary
+        recorded by the profiling layer is attached under the ``telemetry``
+        meta key, so ``python -m repro.registry inspect`` shows where a
+        cached run spent its time.  Entries of a stack of several runs carry
+        none, because its one profile covers the whole stack; nor do pool
+        runs, which store parent-side, where no profile ran.
         """
         from repro.telemetry import take_run_summary
 

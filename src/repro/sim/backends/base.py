@@ -12,14 +12,13 @@ here, so that any two backends produce bit-for-bit equal
 * :class:`SlotRecorder` — preallocated ``(device, slot)`` result arrays that
   backends write into directly; the final per-device arrays handed to
   :class:`SimulationResult` are row views into these blocks.
-* :class:`TopologyPlan` — the run's topology, precomputed as arrays and
-  per-slot edit events: the ``(devices × slots)`` activity mask from the
-  join/leave presence epochs, per-era ``(devices × networks)`` visibility
-  matrices, and for every slot the exact joins, departures and
-  visible-set changes a backend must apply before selection.  The
-  vectorized backend consumes the plan *in-loop* — topology changes are
+* :class:`TopologyPlan` — the run's topology, precomputed as per-slot edit
+  events: for every slot the exact joins, departures and visible-set
+  changes a backend must apply before selection, plus the coverage eras.
+  The slot engine consumes the plan *in-loop* — topology changes are
   membership edits on persistent kernel groups, not segment breaks — so
-  high-churn scenarios stay on the batched path.
+  high-churn scenarios stay on the batched path.  The event oracle does
+  not build one: it checks presence and visibility per device per slot.
 * :func:`execute_reference_slot` — the reference per-slot semantics
   (selection → physics → feedback/recording), used verbatim by the event
   backend and by the cross-backend equivalence suite as the behavioural
@@ -399,11 +398,9 @@ class RunState:
     environment: WirelessEnvironment
     runtimes: dict[int, DeviceRuntime]
     device_ids: tuple[int, ...]
-    network_order: tuple[int, ...]
     any_full_feedback: bool
     num_slots: int
     recorder: SlotRecorder
-    topology: TopologyPlan
 
     def finish(self) -> SimulationResult:
         return self.recorder.result(self.scenario, self.seed, self.runtimes)
@@ -437,18 +434,12 @@ def prepare_run(
     device_ids = tuple(sorted(runtimes))
     network_order = tuple(sorted(scenario.network_map))
     num_slots = scenario.horizon_slots
-    topology = TopologyPlan(
-        scenario,
-        [runtimes[d].spec.device for d in device_ids],
-        num_slots,
-    )
     return RunState(
         scenario=scenario,
         seed=label,
         environment=environment,
         runtimes=runtimes,
         device_ids=device_ids,
-        network_order=network_order,
         any_full_feedback=any(
             r.policy.needs_full_feedback for r in runtimes.values()
         ),
@@ -456,7 +447,6 @@ def prepare_run(
         recorder=SlotRecorder(
             device_ids, network_order, num_slots, record_probabilities, dtype
         ),
-        topology=topology,
     )
 
 

@@ -36,7 +36,8 @@ def equal_share_feedback(
     observes (bandwidth shared among its current clients); ``join_gain[c]``
     the gain a newcomer would observe (shared among current clients plus
     itself).  Matches :meth:`WirelessEnvironment.counterfactual_gains`
-    element for element on the equal-share model.
+    element for element, under every gain model (the counterfactuals are
+    equal share of the nominal bandwidths).
     """
     member = np.minimum(
         np.where(counts <= 1, bandwidths, bandwidths / np.maximum(counts, 1))

@@ -13,10 +13,8 @@ side of dynamic scenarios:
   outage disappears from every area's visible set for the duration of the
   window, which both execution backends pick up as an ordinary
   visible-network change.
-* :class:`NetworkDynamics` samples outage windows (capacity "flapping" on the
-  availability axis) and piecewise-constant capacity multiplier schedules
-  (flapping on the bandwidth axis, consumed by
-  :class:`repro.game.gain.TimeVaryingCapacityModel`).
+* :class:`NetworkDynamics` samples outage windows: networks "flapping" in
+  and out of coverage.
 * :func:`random_waypoint_schedule` generates ``Device.area_schedule`` dicts
   from a random-waypoint walk over named service areas.
 
@@ -261,17 +259,13 @@ def random_waypoint_schedule(
 
 @dataclass(frozen=True)
 class NetworkDynamics:
-    """Generative time dynamics of the network side.
+    """Generative time dynamics of the network side: outages.
 
-    Two effects, both sampled from a scenario-construction RNG (independent
-    of the run seeds, so one compiled scenario is reproducible across runs):
-
-    * **outages** — explicit windows plus sampled up/down flapping for the
-      networks in ``flapping_networks``; compiled windows go into
-      :attr:`CoverageMap.outages` and surface as visible-set changes.
-    * **capacity flapping** — piecewise-constant bandwidth multipliers for
-      the networks in ``capacity_networks``; the compiled schedule feeds
-      :class:`repro.game.gain.TimeVaryingCapacityModel`.
+    Explicit outage windows plus sampled up/down flapping for the networks
+    in ``flapping_networks``, drawn from a scenario-construction RNG
+    (independent of the run seeds, so one compiled scenario is reproducible
+    across runs).  Compiled windows go into :attr:`CoverageMap.outages` and
+    surface as visible-set changes.
 
     Parameters
     ----------
@@ -280,10 +274,6 @@ class NetworkDynamics:
     flapping_networks / mean_up_slots / mean_outage_slots:
         Networks whose availability flaps, with exponential mean up/down
         durations (in slots).
-    capacity_networks / capacity_factors / mean_capacity_dwell_slots:
-        Networks whose capacity flaps between the multipliers in
-        ``capacity_factors`` (each > 0), holding each level for an
-        exponential number of slots.
     """
 
     outage_windows: Mapping[int, Sequence[tuple[int, int]]] = field(
@@ -292,22 +282,10 @@ class NetworkDynamics:
     flapping_networks: tuple[int, ...] = ()
     mean_up_slots: float = 200.0
     mean_outage_slots: float = 10.0
-    capacity_networks: tuple[int, ...] = ()
-    capacity_factors: tuple[float, ...] = (1.0, 0.5)
-    mean_capacity_dwell_slots: float = 50.0
 
     def __post_init__(self) -> None:
         if self.mean_up_slots <= 0 or self.mean_outage_slots <= 0:
             raise ValueError("flapping mean durations must be positive")
-        if self.mean_capacity_dwell_slots <= 0:
-            raise ValueError("mean_capacity_dwell_slots must be positive")
-        if self.capacity_networks and (
-            len(self.capacity_factors) < 2
-            or any(f <= 0 for f in self.capacity_factors)
-        ):
-            raise ValueError(
-                "capacity_factors needs at least two positive multipliers"
-            )
 
     def compile_outages(
         self, horizon_slots: int, rng: np.random.Generator
@@ -331,25 +309,3 @@ class NetworkDynamics:
             for network_id, spans in windows.items()
             if spans
         }
-
-    def compile_capacity_schedule(
-        self, horizon_slots: int, rng: np.random.Generator
-    ) -> dict[int, tuple[tuple[int, float], ...]]:
-        """Sample per-network ``(start_slot, multiplier)`` eras."""
-        schedule: dict[int, tuple[tuple[int, float], ...]] = {}
-        factors = tuple(float(f) for f in self.capacity_factors)
-        for network_id in self.capacity_networks:
-            eras: list[tuple[int, float]] = []
-            level = 0  # start at the nominal (first) multiplier
-            slot = 1
-            while slot <= horizon_slots:
-                eras.append((slot, factors[level]))
-                slot += _dwell(rng, self.mean_capacity_dwell_slots)
-                choices = [i for i in range(len(factors)) if i != level]
-                level = choices[int(rng.integers(len(choices)))]
-            schedule[int(network_id)] = tuple(eras)
-        return schedule
-
-    @property
-    def has_capacity_flapping(self) -> bool:
-        return bool(self.capacity_networks)

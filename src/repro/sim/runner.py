@@ -53,17 +53,17 @@ reduced experiment holds one stack of records at a time regardless of
 IPC contract of the parallel path
 ---------------------------------
 
-The run context — scenario, resolved executor instance, reducer and the
-probability-recording flag — is pickled **once per worker process** through
-the pool initializer, not once per job.  A job is a batch of bare ``int``
-run indices (the worker reconstructs the spawned seeds locally), about
-four batches per worker, so submitting 500 runs costs 500 small integers
-over the pipe instead of 500 copies of the scenario.  Shipping the
-resolved executor (rather than the backend name) means custom backends
-registered via ``register_backend`` do not depend on the worker's freshly
-imported registry; on spawn/forkserver platforms this still requires the
-executor class to be picklable, i.e. importable by module path in the
-worker (a class defined in a REPL is not).
+The run context — scenario, resolved executor instance, reducer, the
+probability-recording flag and the base seed — is pickled **once per worker
+process** through the pool initializer, not once per job.  A job is a batch
+of bare ``int`` run indices (the worker reconstructs the spawned seeds
+locally), about four batches per worker, so submitting 500 runs costs 500
+small integers over the pipe instead of 500 copies of the scenario.
+Shipping the resolved executor (rather than the backend name) means custom
+backends registered via ``register_backend`` do not depend on the worker's
+freshly imported registry; on spawn/forkserver platforms this still
+requires the executor class to be picklable, i.e. importable by module path
+in the worker (a class defined in a REPL is not).
 """
 
 from __future__ import annotations
@@ -71,8 +71,7 @@ from __future__ import annotations
 import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -155,8 +154,6 @@ def validate_execution(
     backend: str,
     workers: int | None = None,
     shards: int | None = None,
-    checkpoint=None,
-    resume_from=None,
     cache="off",
     scenario: Scenario | None = None,
 ):
@@ -198,53 +195,10 @@ def validate_execution(
                 f"workers would sit idle — use workers<={shards} or raise "
                 "shards="
             )
-    elif checkpoint is not None or resume_from is not None:
-        raise ValueError(
-            "checkpoint=/resume_from= require shards= — durability is "
-            "implemented by the sharded backend (runs execute serially and "
-            "workers= parallelizes inside each run)"
-        )
     # Imported lazily: the registry imports this module.
     from repro.registry.store import resolve_cache
 
     return resolve_cache(cache)
-
-
-def _durable_executor(
-    executor: SlotExecutor,
-    checkpoint,
-    resume_from,
-    runs: int,
-    index: int,
-) -> SlotExecutor:
-    """The executor for run ``index``, with per-run durability wired in.
-
-    Multi-run experiments checkpoint each run into its own ``run_<index>``
-    subdirectory; on resume, runs whose subdirectory holds no committed
-    checkpoint simply start fresh (they may never have begun before the
-    interruption), while a single-run resume of a missing checkpoint fails
-    loudly inside the executor.
-    """
-    if checkpoint is None and resume_from is None:
-        return executor
-    run_checkpoint = checkpoint
-    run_resume = resume_from
-    if runs > 1:
-        from repro.sim.sharded.checkpoint import latest_checkpoint
-
-        name = f"run_{index:04d}"
-        if checkpoint is not None:
-            run_checkpoint = checkpoint.for_run(name)
-        if resume_from is not None:
-            candidate = Path(resume_from) / name
-            run_resume = (
-                str(candidate)
-                if latest_checkpoint(candidate) is not None
-                else None
-            )
-    return executor.with_durability(
-        checkpoint=run_checkpoint, resume_from=run_resume
-    )
 
 
 def _run_one(
@@ -254,9 +208,6 @@ def _run_one(
     reducer,
     record_probabilities: bool,
     base_seed: int,
-    runs: int,
-    checkpoint,
-    resume_from,
 ):
     """Run ``index`` as ``(index, payload, wall_seconds)``.
 
@@ -268,7 +219,6 @@ def _run_one(
     expensive the artifact was to produce.
     """
     run_seed = _spawned_run_seed(base_seed, index)
-    executor = _durable_executor(executor, checkpoint, resume_from, runs, index)
     started = time.perf_counter()
     try:
         mapper = getattr(executor, "map_reduced", None)
@@ -345,21 +295,13 @@ def _finished_runs(indices, context: dict, workers):
 class RunCells:
     """One scenario's ``runs`` cells in the run loop (:func:`run_cells`).
 
-    Holds the registry keys (when caching) and the payloads as they land,
-    reporting ``progress(done, runs)`` after each one.
+    Holds the registry keys (when caching) and the payloads as they land.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        runs: int,
-        base_seed: int = 0,
-        progress: Callable[[int, int], None] | None = None,
-    ) -> None:
+    def __init__(self, scenario: Scenario, runs: int, base_seed: int = 0) -> None:
         self.scenario = scenario
         self.runs = runs
         self.base_seed = base_seed
-        self.progress = progress
         self.keys: list = []
         self.payloads: dict = {}
 
@@ -370,8 +312,6 @@ class RunCells:
         self.payloads[index] = payload
         if store is not None:
             store.store(self.keys[index], payload, wall_seconds=seconds)
-        if self.progress is not None:
-            self.progress(len(self.payloads), self.runs)
 
     def output(self, reducer):
         """The payloads in run order, or the reducer's finalized left fold."""
@@ -443,12 +383,13 @@ def _run_stack(stack: _Stack, executor, reducer, record_probabilities, store):
                 reducer=None,
                 record_probabilities=record_probabilities,
                 base_seed=group.base_seed,
-                runs=group.runs,
-                checkpoint=None,
-                resume_from=None,
             )
         raise
     seconds = (time.perf_counter() - started) / len(cells)
+    if len(cells) > 1:
+        # The stack's phase profile covers every stacked run, so it belongs
+        # to none of the cells' registry entries.
+        take_run_summary()
     for (group, index), (scenario, run_seed), payload in zip(
         stack.cells, cells, results
     ):
@@ -468,18 +409,17 @@ def run_cells(
     workers: int | None = None,
     store=None,
     reuse: bool = False,
-    checkpoint=None,
-    resume_from=None,
 ) -> None:
     """The run loop: every missing cell of ``groups``, solo or stacked.
 
     With a ``store``, each group's cells are fingerprinted and, when
     ``reuse``, loaded from it first; fresh payloads are stored as they
-    land.  The missing cells of groups whose physics match
-    (:func:`~repro.sim.sharded.executor.stack_physics`) execute as row
-    blocks of one engine (:meth:`execute_stack`), in stacks of at most
-    :data:`STACK_BUDGET_BYTES` of records; every payload equals the cell's
-    solo payload.  Cells stay solo on a process pool, on a backend
+    land (a stack of several runs stores them without its phase profile,
+    which covers the whole stack).  The missing cells of groups whose
+    physics match (:func:`~repro.sim.sharded.executor.stack_physics`)
+    execute as row blocks of one engine (:meth:`execute_stack`), in stacks
+    of at most :data:`STACK_BUDGET_BYTES` of records; every payload equals
+    the cell's solo payload.  Cells stay solo on a process pool, on a backend
     without stacking (``event``, ``sharded``), on another gain model than
     equal share, or above the budget — each one recorded as a ``run_solo``
     telemetry event with its reason, each stack as a ``run_stack`` event.
@@ -507,8 +447,6 @@ def run_cells(
                     hit = store.load(key.fingerprint)  # CacheError when corrupt
                     if hit is not MISS:
                         group.payloads[index] = hit
-            if group.progress is not None and group.payloads:
-                group.progress(len(group.payloads), group.runs)
 
     telemetry = get_telemetry()
     pool = workers is not None and workers > 1
@@ -534,9 +472,6 @@ def run_cells(
                 "reducer": reducer,
                 "record_probabilities": record_probabilities,
                 "base_seed": group.base_seed,
-                "runs": group.runs,
-                "checkpoint": checkpoint,
-                "resume_from": resume_from,
             }
             for index, payload, seconds in _finished_runs(
                 missing, context, workers
@@ -567,9 +502,6 @@ def run_many(
     reduce=None,
     record_probabilities: bool | None = None,
     shards: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    checkpoint=None,
-    resume_from=None,
     cache="off",
 ):
     """Run ``scenario`` ``runs`` times with independently spawned seeds.
@@ -603,23 +535,9 @@ def run_many(
     shards:
         Shard the device population of every run into this many blocks
         (requires a backend that supports it, i.e. ``backend="sharded"``;
-        see :mod:`repro.sim.sharded`).
-    progress:
-        ``progress(done, total)`` is invoked once for the registry hits, if
-        any, then after each completed run — in run order (the parallel
-        path yields results in submission order, so a slow early run delays
-        the callback even while later runs finish) — making multi-minute
-        experiments observable.
-    checkpoint:
-        A :class:`~repro.sim.sharded.CheckpointConfig` enabling periodic
-        shard-state snapshots (requires ``shards=``).  With ``runs > 1``
-        each run checkpoints into its own ``run_<index>`` subdirectory of
-        ``checkpoint.dir``.
-    resume_from:
-        A checkpoint directory written by a previous, interrupted
-        invocation with the *same* scenario/seed/shard configuration
-        (requires ``shards=``).  Completed slots are not re-executed and
-        the resumed results are bit-identical to an uninterrupted run.
+        see :mod:`repro.sim.sharded`).  Checkpoints and resume of one
+        sharded run are settings of
+        :class:`~repro.sim.sharded.ShardedSlotExecutor`, not of this call.
     cache:
         ``"off"`` (default) always simulates.  ``"reuse"`` consults the run
         registry (:mod:`repro.registry`): cells whose canonical fingerprint
@@ -630,9 +548,14 @@ def run_many(
         when the registry refuses a stale/corrupt entry).  A
         :class:`~repro.registry.CacheSpec` selects an explicit store root.
         Requires ``reduce=`` — the registry persists reducer payloads, not
-        full slot-by-slot records.
+        full slot-by-slot records.  This is how an interrupted multi-run
+        experiment resumes: rerun it with ``cache="reuse"`` and only the
+        runs that never committed execute.
 
-    Invalid options raise ``ValueError`` before any run starts (see
+    Progress is telemetry: with ``REPRO_TELEMETRY_DIR`` set, each run on
+    the ``vectorized`` or ``sharded`` backend writes a ``run_end`` event as
+    it finishes (``python -m repro.telemetry tail --follow`` prints them
+    live).  Invalid options raise ``ValueError`` before any run starts (see
     :func:`validate_execution`); a failing run raises :class:`RunFailure`
     naming its run index, seed label and scenario.
     """
@@ -642,8 +565,6 @@ def run_many(
         backend,
         workers=workers,
         shards=shards,
-        checkpoint=checkpoint,
-        resume_from=resume_from,
         cache=cache,
         scenario=scenario,
     )
@@ -683,7 +604,7 @@ def run_many(
         )
         started = time.perf_counter()
 
-    group = RunCells(scenario, runs, base_seed, progress)
+    group = RunCells(scenario, runs, base_seed)
     run_cells(
         [group],
         executor,
@@ -692,8 +613,6 @@ def run_many(
         workers=pool_workers,
         store=cache_spec.resolve_store() if cache_spec.enabled else None,
         reuse=cache_spec.mode == "reuse",
-        checkpoint=checkpoint,
-        resume_from=resume_from,
     )
     result = group.output(reducer)
     if telemetry is not None:
@@ -704,22 +623,3 @@ def run_many(
         )
     return result
 
-
-def run_policies(
-    scenario: Scenario,
-    policies: Sequence[str],
-    runs: int,
-    base_seed: int = 0,
-    **options,
-) -> dict:
-    """Run the same scenario once per policy name (all devices use that policy).
-
-    Every keyword option (``backend``, ``workers``, ``reduce``, ``cache``,
-    ``record_probabilities``, ``checkpoint``, ...) is passed to
-    :func:`run_many` as is.  With ``reduce=`` each policy maps to its
-    finalized reduction instead of a list of full results.
-    """
-    return {
-        policy: run_many(scenario.with_policy(policy), runs, base_seed, **options)
-        for policy in policies
-    }

@@ -25,7 +25,7 @@ every backend executes bit-identically):
 * :func:`churn_scenario` — combines a churn model with optional
   random-waypoint mobility (:func:`repro.sim.mobility.random_waypoint_schedule`)
   and network dynamics (:class:`repro.sim.mobility.NetworkDynamics`: outage
-  windows and capacity flapping) into one scenario.
+  windows) into one scenario.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.game.device import Device, DeviceGroup
-from repro.game.gain import EqualShareModel, GainModel, TimeVaryingCapacityModel
+from repro.game.gain import EqualShareModel, GainModel
 from repro.game.network import Network, NetworkType, make_networks
 from repro.sim.delay import DelayModel, EmpiricalDelayModel
 from repro.sim.mobility import CoverageMap, NetworkDynamics, random_waypoint_schedule
@@ -541,8 +541,8 @@ def churn_scenario(
 ) -> Scenario:
     """Generate a dynamic scenario from churn/mobility/network-dynamics models.
 
-    All sampling (arrivals, lifetimes, waypoint walks, outage and capacity
-    flapping) draws from one construction generator seeded with ``seed`` —
+    All sampling (arrivals, lifetimes, waypoint walks, outage flapping)
+    draws from one construction generator seeded with ``seed`` —
     independent of the run seeds, so the generated scenario is a fixed,
     picklable object and repeated calls with equal arguments are identical.
 
@@ -559,9 +559,7 @@ def churn_scenario(
         (requires at least two areas to have any effect).
     dynamics:
         Optional :class:`repro.sim.mobility.NetworkDynamics`; its compiled
-        outage windows are installed on the coverage map and its capacity
-        schedule (if any) wraps the gain model in a
-        :class:`repro.game.gain.TimeVaryingCapacityModel`.
+        outage windows are installed on the coverage map.
     """
     if not 0.0 <= mobility_fraction <= 1.0:
         raise ValueError("mobility_fraction must be in [0, 1]")
@@ -573,16 +571,10 @@ def churn_scenario(
         coverage = CoverageMap.from_area_networks(
             areas, default_area=next(iter(areas))
         )
-    gain_model: GainModel = EqualShareModel()
     if dynamics is not None:
         outages = dynamics.compile_outages(horizon_slots, rng)
         if outages:
             coverage = coverage.with_outages(outages)
-        if dynamics.has_capacity_flapping:
-            gain_model = TimeVaryingCapacityModel(
-                gain_model,
-                dynamics.compile_capacity_schedule(horizon_slots, rng),
-            )
     if churn is None:
         windows: list[tuple[int, int | None]] = [
             (1, None) for _ in range(num_devices)
@@ -630,7 +622,6 @@ def churn_scenario(
         networks=networks,
         device_specs=_uniform_specs(devices, policy, policy_kwargs),
         coverage=coverage,
-        gain_model=gain_model,
         horizon_slots=horizon_slots,
         device_groups=groups,
     )

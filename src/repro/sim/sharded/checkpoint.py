@@ -47,7 +47,7 @@ import json
 import os
 import pickle
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,9 @@ class CheckpointError(RuntimeError):
 @dataclass(frozen=True)
 class CheckpointConfig:
     """Periodic checkpointing policy for a sharded run.
+
+    Set it on :class:`~repro.sim.sharded.ShardedSlotExecutor` (megascale's
+    ``--checkpoint-dir``); its directory holds one run's checkpoints.
 
     Attributes
     ----------
@@ -104,10 +107,6 @@ class CheckpointConfig:
     @property
     def path(self) -> Path:
         return Path(self.dir)
-
-    def for_run(self, name: str) -> "CheckpointConfig":
-        """A copy checkpointing into the ``name`` subdirectory (multi-run)."""
-        return replace(self, dir=self.path / name)
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,13 @@ sharded engine holds one run.
 
 The congestion game makes this exchange sufficient: equal-share rates (and
 the Full Information counterfactuals) depend on other devices only through
-the ``(networks,)``-sized occupancy vector.  Other gain models draw from
-the environment RNG over the *global* association grouping, so only an
-engine holding the whole population runs them, through
-:meth:`WirelessEnvironment.realized_rates` with the event backend's
-device-ordered grouping.
+the ``(networks,)``-sized occupancy vector.  Other gain models draw their
+rates from the environment RNG over the *global* association grouping, so
+only an engine holding the whole population runs them, taking the rates
+through :meth:`WirelessEnvironment.realized_rates` with the event backend's
+device-ordered grouping.  The counterfactuals stay the closed form under
+every gain model: they are equal share of the nominal bandwidths, as
+:meth:`WirelessEnvironment.counterfactual_gains` defines them.
 
 Work that is constant between topology events is done once per span: the
 activity mask and the mixed strategies of frozen rows (stationary policies
@@ -647,21 +649,23 @@ class ShardEngine:
         act_cols = self._act_cols
         col = slot - 1 - self.col_base
         recorder = self.recorder
+        bandwidths = self._cell_bandwidths
         if environment is None:
             cells = act_cols if self._act_base is None else self._act_cells
-            bandwidths = self._cell_bandwidths
             rates_act = (bandwidths / np.maximum(counts, 1))[cells]
-            if self.needs_feedback:
-                member_gain, join_gain = equal_share_feedback(
-                    counts, bandwidths, self.scale_ref
-                )
-                self._feedback = SlotFeedback(
-                    member_gain=member_gain,
-                    join_gain=join_gain,
-                    row_base=self.row_base,
-                )
         else:
             rates_act = self._environment_rates(slot, environment)
+        if self.needs_feedback:
+            # The Full Information counterfactuals are equal share of the
+            # nominal bandwidths under every gain model.
+            member_gain, join_gain = equal_share_feedback(
+                counts, bandwidths, self.scale_ref
+            )
+            self._feedback = SlotFeedback(
+                member_gain=member_gain,
+                join_gain=join_gain,
+                row_base=self.row_base,
+            )
         self._rates_act = rates_act
         if self._all_active:
             recorder.rates[:, col] = rates_act
@@ -698,13 +702,7 @@ class ShardEngine:
             device_ids[row]: network_id
             for row, network_id in zip(act_rows, chosen)
         }
-        groups = environment.client_groups(slot_choices)
-        if self.needs_feedback:
-            self._feedback = SlotFeedback(
-                counts=environment.allocation_counts(slot_choices, groups),
-                environment=environment,
-            )
-        realised = environment.realized_rates(slot_choices, slot, groups)
+        realised = environment.realized_rates(slot_choices, slot)
         return np.asarray(
             [realised[device_ids[row]] for row in act_rows], dtype=float
         )
@@ -742,18 +740,12 @@ class ShardEngine:
             network_id = int(net_ids[chosen_col])
             full_feedback = None
             if policy.needs_full_feedback:
-                visible = runtime.visible or frozenset()
-                if feedback.member_gain is None:
-                    full_feedback = feedback.environment.counterfactual_gains(
-                        feedback.counts, network_id, visible
-                    )
-                else:
-                    full_feedback = {
-                        k: float(feedback.member_gain[base + network_col[k]])
-                        if network_col[k] == chosen_col
-                        else float(feedback.join_gain[base + network_col[k]])
-                        for k in visible
-                    }
+                full_feedback = {
+                    k: float(feedback.member_gain[base + network_col[k]])
+                    if network_col[k] == chosen_col
+                    else float(feedback.join_gain[base + network_col[k]])
+                    for k in runtime.visible or frozenset()
+                }
             policy.end_slot(
                 slot,
                 Observation(

@@ -50,8 +50,9 @@ Other gain models consume the environment RNG per network over the *global*
 association grouping, which a device-partitioned execution cannot replay
 without shipping every choice; such scenarios run as one shard on the same
 engine — checkpointing and resume included — and the fallback is recorded
-as a ``one_shard_fallback`` telemetry event (``strict=True`` raises
-instead).  Delay models need no such restriction: stream-free models
+as a ``one_shard_fallback`` telemetry event
+(:meth:`ShardedSlotExecutor.supports_scenario` tells in advance).  Delay
+models need no such restriction: stream-free models
 (:class:`~repro.sim.delay.NoDelayModel` / ``ConstantDelayModel``) sample
 shard-locally, and stochastic ones replay the global ascending-device-order
 draw on every worker's environment-RNG replica via the per-slot switcher
@@ -804,16 +805,15 @@ class ShardedSlotExecutor(SlotExecutor):
         Slot-window width of the streaming reduced path
         (:meth:`map_reduced`); bounds per-shard recorder memory at
         ``O(devices/shards × window_slots)``.
-    strict:
-        Raise instead of running the scenario as one shard when its gain
-        model is outside the shardable (equal-share) class.
     heartbeat_seconds:
         How often each worker writes a telemetry ``progress`` event during
         a run (only while telemetry is on); ``None`` writes none.
     checkpoint:
         A :class:`~repro.sim.sharded.checkpoint.CheckpointConfig` enabling
         periodic shard-state snapshots (and checkpoint-based crash
-        recovery); ``None`` disables durability.
+        recovery); ``None`` disables durability.  Its directory holds one
+        run's checkpoints; a multi-run experiment resumes through the run
+        registry instead (``run_many(..., cache="reuse")``).
     resume_from:
         A checkpoint directory (the configured ``checkpoint.dir`` or one
         specific ``ckpt_<slot>`` subdirectory) to restore the run from.
@@ -838,7 +838,6 @@ class ShardedSlotExecutor(SlotExecutor):
         workers: int = 1,
         dtype: str = "float64",
         window_slots: int = DEFAULT_WINDOW_SLOTS,
-        strict: bool = False,
         heartbeat_seconds: float | None = None,
         checkpoint: CheckpointConfig | None = None,
         resume_from: str | Path | None = None,
@@ -855,7 +854,6 @@ class ShardedSlotExecutor(SlotExecutor):
         self.workers = workers
         self.dtype = dtype
         self.window_slots = window_slots
-        self.strict = strict
         self.heartbeat_seconds = heartbeat_seconds
         self.checkpoint = checkpoint
         self.resume_from = None if resume_from is None else str(resume_from)
@@ -868,7 +866,6 @@ class ShardedSlotExecutor(SlotExecutor):
             workers=self.workers,
             dtype=self.dtype,
             window_slots=self.window_slots,
-            strict=self.strict,
             heartbeat_seconds=self.heartbeat_seconds,
             checkpoint=self.checkpoint,
             resume_from=self.resume_from,
@@ -892,7 +889,7 @@ class ShardedSlotExecutor(SlotExecutor):
         checkpoint: CheckpointConfig | None = None,
         resume_from: str | Path | None = None,
     ) -> "ShardedSlotExecutor":
-        """A copy with checkpointing/resume configured (``run_many`` hook)."""
+        """A copy with checkpointing/resume configured."""
         return self._copy(checkpoint=checkpoint, resume_from=resume_from)
 
     # ----------------------------------------------------------- capability
@@ -914,23 +911,15 @@ class ShardedSlotExecutor(SlotExecutor):
         Gain models other than equal share run as the whole population's
         only shard on the same engine, so checkpointing and resume keep
         working; the fallback is recorded as a ``one_shard_fallback``
-        telemetry event.  ``strict=True`` raises instead.
+        telemetry event.
         """
         if self.supports_scenario(scenario):
             return self.shards
-        gain_model = type(scenario.gain_model).__name__
-        if self.strict:
-            raise ValueError(
-                f"backend 'sharded' cannot split scenario "
-                f"{scenario.name!r}: gain model {gain_model} requires the "
-                "global association grouping (only the equal-share model is "
-                "shardable); use strict=False to run it as one shard"
-            )
         tele = get_telemetry()
         if tele is not None:
             tele.event(
                 "one_shard_fallback",
-                gain_model=gain_model,
+                gain_model=type(scenario.gain_model).__name__,
                 shards=self.shards,
                 scenario=scenario.name,
             )

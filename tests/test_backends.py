@@ -22,7 +22,7 @@ from repro.algorithms.full_information import FullInformationPolicy
 from repro.algorithms.registry import register_policy
 from repro.experiments.common import ALL_POLICIES, ExperimentConfig
 from repro.game.device import Device
-from repro.game.gain import NoisyShareModel
+from repro.game.gain import EqualShareModel, NoisyShareModel
 from repro.sim.backends import (
     DEFAULT_BACKEND,
     VectorizedSlotExecutor,
@@ -33,7 +33,7 @@ from repro.sim.backends import (
 from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel, NoDelayModel
 from repro.sim.metrics import NO_NETWORK
 from repro.sim.mobility import CoverageMap, NetworkDynamics
-from repro.sim.runner import run_many, run_policies, run_simulation
+from repro.sim.runner import run_many, run_simulation
 from repro.sim.scenario import (
     DeviceSpec,
     PoissonChurn,
@@ -48,6 +48,7 @@ from repro.sim.scenario import (
     setting2_scenario,
 )
 from repro.sim.testbed import controlled_dynamic_scenario
+from repro.sim.traces import TraceGainModel, TracePair
 
 RESULT_ARRAY_FIELDS = (
     "choices",
@@ -235,10 +236,9 @@ class TestStationaryPoliciesUnderTopologyChange:
 
 def generic_physics_scenario(case: str) -> Scenario:
     """Scenarios whose gain model draws from the environment RNG."""
-    if case == "capacity_churn":
-        # TimeVaryingCapacityModel via capacity flapping, with Poisson churn,
-        # mobility and outages around it.
-        return churn_scenario(
+    if case == "noisy_churn":
+        # NoisyShareModel with Poisson churn, mobility and outages around it.
+        scenario = churn_scenario(
             num_devices=10,
             policy="full_information",
             horizon_slots=120,
@@ -255,11 +255,10 @@ def generic_physics_scenario(case: str) -> Scenario:
                 flapping_networks=(1,),
                 mean_up_slots=40.0,
                 mean_outage_slots=8.0,
-                capacity_networks=(2,),
-                mean_capacity_dwell_slots=20.0,
             ),
             seed=4,
         )
+        return replace(scenario, name="noisy_churn", gain_model=NoisyShareModel())
     if case == "noisy_mixed":
         base = mixed_policy_scenario(
             {
@@ -289,7 +288,7 @@ class TestGenericPhysicsEquivalence:
         "use_kernels", (True, False), ids=("vectorized", "vectorized-nokernel")
     )
     @pytest.mark.parametrize(
-        "case", ("capacity_churn", "noisy_mixed", "controlled_dynamic")
+        "case", ("noisy_churn", "noisy_mixed", "controlled_dynamic")
     )
     def test_matches_event(self, case, use_kernels, seed):
         scenario = generic_physics_scenario(case)
@@ -399,6 +398,7 @@ def dynamic_scenario(
     bandwidths=(4.0, 7.0, 22.0),
     delay_model=None,
     slot_duration_s=None,
+    gain_model=None,
 ) -> Scenario:
     """A dynamic scenario: churn, mobility over three areas, outages and a
     per-device policy mix.
@@ -426,6 +426,8 @@ def dynamic_scenario(
         scenario = replace(scenario, delay_model=delay_model)
     if slot_duration_s is not None:
         scenario = replace(scenario, slot_duration_s=slot_duration_s)
+    if gain_model is not None:
+        scenario = replace(scenario, gain_model=gain_model)
     return scenario
 
 
@@ -480,15 +482,23 @@ def random_churn_scenario(case: int) -> Scenario:
 
 @st.composite
 def dynamic_scenarios(
-    draw, bandwidths=None, horizon=None, delay_model=None, slot_duration_s=None
+    draw,
+    bandwidths=None,
+    horizon=None,
+    delay_model=None,
+    slot_duration_s=None,
+    gain_model=None,
 ):
     """Generated dynamic scenarios: 1-30 devices on 1-5 networks, a mix of
     kernel, frozen and scalar-fallback policies, churn, mobility and
-    outages, a constant or empirical delay model, and a slot length from
-    :data:`SLOT_DURATIONS_S`.
+    outages, a constant or empirical delay model, a slot length from
+    :data:`SLOT_DURATIONS_S`, and a gain model: equal share two times in
+    three, otherwise a drawn :class:`NoisyShareModel` or, on exactly two
+    networks, a :class:`TraceGainModel` over a drawn trace.
 
-    ``bandwidths``, ``horizon``, ``delay_model`` and ``slot_duration_s``
-    pin the physics, so several draws can share it (and stack).
+    ``bandwidths``, ``horizon``, ``delay_model``, ``slot_duration_s`` and
+    ``gain_model`` pin the physics, so several draws can share it (and
+    stack).
     """
     if bandwidths is None:
         bandwidths = tuple(
@@ -508,6 +518,16 @@ def dynamic_scenarios(
         )
     if slot_duration_s is None:
         slot_duration_s = draw(st.sampled_from(SLOT_DURATIONS_S))
+    if gain_model is None:
+        # Equal share takes two of three branches (one_of drops a repeated
+        # strategy object, so each branch is its own ``just``).
+        gain_model = draw(
+            st.one_of(
+                st.just(EqualShareModel()),
+                st.just(EqualShareModel()),
+                drawn_gain_models(len(bandwidths), horizon),
+            )
+        )
     num_devices = draw(st.integers(1, 30))
     churn = draw(
         st.one_of(
@@ -555,7 +575,31 @@ def dynamic_scenarios(
         bandwidths=bandwidths,
         delay_model=delay_model,
         slot_duration_s=slot_duration_s,
+        gain_model=gain_model,
     )
+
+
+@st.composite
+def drawn_gain_models(draw, num_networks: int, horizon: int):
+    """A drawn noisy share or, on two networks (ids 0 and 1), a drawn trace
+    of ``horizon`` rates."""
+    noisy = st.builds(
+        NoisyShareModel,
+        rate_noise_std=st.floats(0.0, 0.4),
+        share_concentration=st.floats(1.0, 40.0),
+        dip_probability=st.floats(0.0, 0.2),
+        dip_factor=st.floats(0.1, 1.0),
+    )
+    if num_networks != 2:
+        return draw(noisy)
+    rates = st.lists(st.floats(0.1, 25.0), min_size=horizon, max_size=horizon)
+    trace = st.builds(
+        TracePair,
+        name=st.just("drawn"),
+        wifi_mbps=rates.map(np.asarray),
+        cellular_mbps=rates.map(np.asarray),
+    ).map(TraceGainModel)
+    return draw(st.one_of(noisy, trace))
 
 
 class TestRandomizedChurnEquivalence:
@@ -617,34 +661,6 @@ class TestRunMany:
         assert len(parallel) == 3
         for ref, cand in zip(serial, parallel):
             assert_results_identical(ref, cand)
-
-    def test_backend_threads_through_run_policies(self):
-        scenario = setting1_scenario(num_devices=3, horizon_slots=40)
-        by_policy = run_policies(
-            scenario, ("greedy", "fixed_random"), runs=2, backend="vectorized"
-        )
-        reference = run_policies(scenario, ("greedy", "fixed_random"), runs=2)
-        for policy in by_policy:
-            for ref, cand in zip(reference[policy], by_policy[policy]):
-                assert_results_identical(ref, cand)
-
-    def test_run_policies_forwards_run_many_options(self):
-        scenario = setting1_scenario(num_devices=3, horizon_slots=40)
-        seen = []
-        by_policy = run_policies(
-            scenario,
-            ("greedy", "exp3"),
-            runs=2,
-            backend="vectorized",
-            record_probabilities=False,
-            progress=lambda done, total: seen.append((done, total)),
-        )
-        for policy, results in by_policy.items():
-            assert len(results) == 2
-            for result in results:
-                assert result.probabilities_3d is None
-                assert result.policy_names[0] == policy
-        assert seen == [(1, 2), (2, 2)] * 2
 
     def test_workers_one_is_serial(self):
         scenario = setting1_scenario(policy="greedy", num_devices=3, horizon_slots=40)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig
 from repro.experiments import (
+    churn_stress,
     fig02_switching,
     fig03_stability,
     fig04_distance_static,
@@ -146,6 +147,26 @@ def test_wild_structure():
     output = wild.run(ExperimentConfig(runs=2, horizon_slots=None), file_size_mb=100.0)
     assert output["per_policy"]["smart_exp3"]["completed_runs"] == 2
     assert output["speedup_smart_over_greedy"] > 0
+
+
+def test_churn_stress_structure():
+    output = churn_stress.run(
+        ExperimentConfig(runs=1, horizon_slots=80),
+        policies=("exp3", "greedy"),
+        num_devices=10,
+    )
+    assert set(output["policies"]) == {"exp3", "greedy"}
+    # The generated scenario's topology, counted from its plan.
+    assert output["scenario"] == {
+        "name": "churn_d10_s7",
+        "num_devices": 10,
+        "horizon_slots": 80,
+        "event_slots": 24,
+        "joins": 10,
+        "leaves": 3,
+        "visibility_changes": 80,
+        "coverage_eras": 17,
+    }
 
 
 def test_theory_validation_rows():

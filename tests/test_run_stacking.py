@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import repro.sim.runner as runner
 from repro.algorithms.kernels.exp3 import EXP3Kernel
 from repro.analysis.reducers import Reducer
-from repro.game.gain import NoisyShareModel
+from repro.game.gain import EqualShareModel, NoisyShareModel
 from repro.registry.sweep import SweepCase, run_sweep
 from repro.sim.backends import get_backend
 from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel
@@ -76,7 +76,9 @@ def test_stacked_runs_equal_solo_event_runs(scenario, runs, base_seed, record):
             record_probabilities=record,
         )
     # Equal-share physics and a small recorder: every run shares one stack.
-    assert _stack_sizes(spy) == [runs]
+    # Any other gain model keeps every run solo.
+    stacked_runs = [runs] if type(scenario.gain_model) is EqualShareModel else []
+    assert _stack_sizes(spy) == stacked_runs
     solo = run_many(
         scenario, runs, base_seed, backend="event", record_probabilities=record
     )
@@ -95,7 +97,9 @@ def mixed_physics_cases(draw):
     horizon = draw(st.integers(10, 30))
     delay = draw(st.sampled_from((ConstantDelayModel(), EmpiricalDelayModel())))
     slot_duration_s = draw(st.sampled_from(SLOT_DURATIONS_S))
-    shared = dynamic_scenarios(bandwidths, horizon, delay, slot_duration_s)
+    shared = dynamic_scenarios(
+        bandwidths, horizon, delay, slot_duration_s, EqualShareModel()
+    )
     scenarios = draw(
         st.lists(
             st.one_of(
@@ -128,7 +132,7 @@ def test_sweep_of_mixed_physics_equals_cold_run_many_per_case(cases, record):
             record_probabilities=record,
         )
     stackable = [
-        case for case in cases if not isinstance(case.scenario.gain_model, NoisyShareModel)
+        case for case in cases if type(case.scenario.gain_model) is EqualShareModel
     ]
     assert sum(_stack_sizes(spy)) == sum(case.runs for case in stackable)
     for case in cases:

@@ -8,8 +8,8 @@ same global ascending-device-order draw on every shard's environment-RNG
 replica.  These tests pin that
 contract across stationary, churn and mobility scenarios (with and without
 probability recording), the multiprocess shared-memory path, the float32
-recorder option, the in-shard reducer protocol, and the ``shards=`` /
-``progress=`` threading through ``run_many``.
+recorder option, the in-shard reducer protocol, and the ``shards=``
+threading through ``run_many``.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ from tests.test_backends import (
 
 
 def run_sharded(scenario, seed, shards, workers=1, **kwargs):
-    executor = ShardedSlotExecutor(
-        shards=shards, workers=workers, strict=True, **kwargs
-    )
+    assert ShardedSlotExecutor.supports_scenario(scenario)
+    executor = ShardedSlotExecutor(shards=shards, workers=workers, **kwargs)
     return executor.execute(scenario, seed)
 
 
@@ -148,8 +147,9 @@ class TestShardInvariance:
         reference = run_simulation(
             scenario, seed=2, backend="event", record_probabilities=False
         )
+        assert ShardedSlotExecutor.supports_scenario(scenario)
         for shards in (1, 4):
-            candidate = ShardedSlotExecutor(shards=shards, strict=True).execute(
+            candidate = ShardedSlotExecutor(shards=shards).execute(
                 scenario, 2, record_probabilities=False
             )
             assert candidate.probabilities_3d is None
@@ -194,8 +194,9 @@ class TestShardInvariance:
 
 
 class TestGeneratedScenarios:
-    """Generated dynamic scenarios (churn, mobility, outages, mixed policies)
-    on 1-4 shards against the event oracle."""
+    """Generated dynamic scenarios (churn, mobility, outages, mixed policies,
+    drawn gain models) on 1-4 shards against the event oracle; physics that
+    cannot be split runs on the one-shard fallback."""
 
     @settings(
         deadline=None,
@@ -215,7 +216,7 @@ class TestGeneratedScenarios:
             scenario, seed=seed, backend="event", record_probabilities=record
         )
         sharded = ShardedSlotExecutor(
-            shards=min(shards, scenario.num_devices), strict=True, dtype=dtype
+            shards=min(shards, scenario.num_devices), dtype=dtype
         ).execute(scenario, seed, record_probabilities=record)
         if dtype == "float64":
             assert_results_identical(event, sharded)
@@ -288,14 +289,9 @@ class TestPhysicsSupport:
             horizon_slots=40,
         )
 
-    def test_strict_rejects_global_physics(self):
-        with pytest.raises(ValueError, match="equal-share"):
-            ShardedSlotExecutor(shards=2, strict=True).execute(
-                self._noisy_scenario(), 1
-            )
-
     def test_fallback_matches_vectorized(self):
         scenario = self._noisy_scenario()
+        assert not ShardedSlotExecutor.supports_scenario(scenario)
         reference = run_simulation(scenario, seed=1, backend="event")
         candidate = ShardedSlotExecutor(shards=2).execute(scenario, 1)
         assert_results_identical(reference, candidate)
@@ -332,9 +328,10 @@ class TestInShardReduction:
             scenario, 4, record_probabilities=False
         )
         expected = reducer.map(full)
-        actual = ShardedSlotExecutor(
-            shards=3, window_slots=7, strict=True
-        ).map_reduced(scenario, 4, reducer)
+        assert ShardedSlotExecutor.supports_scenario(scenario)
+        actual = ShardedSlotExecutor(shards=3, window_slots=7).map_reduced(
+            scenario, 4, reducer
+        )
         if isinstance(expected, list):
             assert_rows_close(expected, actual)
         else:
@@ -350,9 +347,8 @@ class TestInShardReduction:
         expected = reducer.map(
             get_backend("vectorized").execute(scenario, 2)
         )
-        actual = ShardedSlotExecutor(shards=3, strict=True).map_reduced(
-            scenario, 2, reducer
-        )
+        assert ShardedSlotExecutor.supports_scenario(scenario)
+        actual = ShardedSlotExecutor(shards=3).map_reduced(scenario, 2, reducer)
         assert expected == actual
 
     def test_run_many_sharded_reduce_matches_vectorized(self):
@@ -403,28 +399,6 @@ class TestRunManySeeding:
         assert not np.array_equal(
             overlapping.choices_2d, shifted.choices_2d
         )
-
-    def test_progress_callback(self, tiny_setting1):
-        calls: list[tuple[int, int]] = []
-        run_many(
-            tiny_setting1,
-            runs=3,
-            backend="vectorized",
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        assert calls == [(1, 3), (2, 3), (3, 3)]
-
-    def test_progress_callback_parallel(self, tiny_setting1):
-        calls: list[tuple[int, int]] = []
-        run_many(
-            tiny_setting1,
-            runs=3,
-            backend="vectorized",
-            workers=2,
-            reduce="summary",
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        assert calls == [(1, 3), (2, 3), (3, 3)]
 
 
 class TestShardPlan:

@@ -7,11 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.game.device import Device
 from repro.game.network import Network, NetworkType
+from repro.sim.backends.base import TopologyPlan
 from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel, NoDelayModel
 from repro.sim.mobility import CoverageMap, ServiceArea
+from repro.sim.runner import run_simulation
+from tests.test_backends import dynamic_scenarios
 
 
 class TestDelayModels:
@@ -158,9 +162,6 @@ class TestOutagesAndDynamics:
             flapping_networks=(0,),
             mean_up_slots=20.0,
             mean_outage_slots=5.0,
-            capacity_networks=(1,),
-            capacity_factors=(1.0, 0.25),
-            mean_capacity_dwell_slots=15.0,
         )
         rng = np.random.default_rng(2)
         outages = dynamics.compile_outages(200, rng)
@@ -168,10 +169,6 @@ class TestOutagesAndDynamics:
         assert outages[0]  # the flapping process produced windows
         for start, end in outages[0]:
             assert 1 <= start <= end <= 200
-        schedule = dynamics.compile_capacity_schedule(200, rng)
-        starts = [start for start, _ in schedule[1]]
-        assert starts == sorted(starts) and starts[0] == 1
-        assert {factor for _, factor in schedule[1]} <= {1.0, 0.25}
 
     def test_random_waypoint_schedule_walks_areas(self):
         import numpy as np
@@ -189,31 +186,38 @@ class TestOutagesAndDynamics:
         for before, after in zip(starts, starts[1:]):
             assert schedule[before] != schedule[after]
 
-    def test_time_varying_capacity_model_scales_rates(self):
-        import numpy as np
-
-        from repro.game.gain import EqualShareModel, TimeVaryingCapacityModel
-        from repro.game.network import Network
-
-        model = TimeVaryingCapacityModel(
-            EqualShareModel(), {7: ((1, 1.0), (50, 0.5))}
-        )
-        network = Network(network_id=7, bandwidth_mbps=20.0)
-        rng = np.random.default_rng(0)
-        assert model.rates(network, (0, 1), 10, rng) == {0: 10.0, 1: 10.0}
-        assert model.rates(network, (0, 1), 50, rng) == {0: 5.0, 1: 5.0}
-        # Unscheduled networks run at the nominal multiplier.
-        other = Network(network_id=8, bandwidth_mbps=8.0)
-        assert model.rates(other, (3,), 99, rng) == {3: 8.0}
-        assert model.multiplier(7, 49) == 1.0
-        assert model.multiplier(7, 50) == 0.5
-
 
 class TestTopologyPlan:
     def _plan(self, scenario):
-        from repro.sim.backends.base import prepare_run
+        devices = sorted(
+            (spec.device for spec in scenario.device_specs),
+            key=lambda device: device.device_id,
+        )
+        return TopologyPlan(scenario, devices, scenario.horizon_slots)
 
-        return prepare_run(scenario, seed=0, record_probabilities=False).topology
+    @settings(
+        deadline=None,
+        derandomize=True,
+        max_examples=100,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(scenario=dynamic_scenarios())
+    def test_plan_replays_the_oracle_activity(self, scenario):
+        # The event oracle checks presence per device per slot; replaying
+        # the plan's joins and leaves slot by slot must give the same matrix.
+        plan = self._plan(scenario)
+        present = np.zeros(scenario.num_devices, dtype=bool)
+        active = np.zeros((scenario.num_devices, scenario.horizon_slots), dtype=bool)
+        for slot in range(1, scenario.horizon_slots + 1):
+            events = plan.events.get(slot)
+            if events is not None:
+                present[events.leaves] = False
+                present[events.joins] = True
+            active[:, slot - 1] = present
+        oracle = run_simulation(
+            scenario, seed=0, backend="event", record_probabilities=False
+        )
+        assert np.array_equal(active, oracle.active_2d)
 
     def test_events_mirror_reference_updates(self):
         from repro.sim.scenario import mobility_scenario

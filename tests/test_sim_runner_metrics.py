@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.reducers import RowsReducer
 from repro.sim.metrics import NO_NETWORK
-from repro.sim.runner import RunFailure, run_many, run_simulation, run_policies
+from repro.sim.runner import RunFailure, run_many, run_simulation
 from repro.sim.scenario import (
     dynamic_join_leave_scenario,
     mobility_scenario,
@@ -126,12 +126,6 @@ class TestMultiRunHelpers:
     def test_run_many_rejects_zero_runs(self, tiny_setting1):
         with pytest.raises(ValueError):
             run_many(tiny_setting1, runs=0)
-
-    def test_run_policies_swaps_policy(self, tiny_setting1):
-        results = run_policies(tiny_setting1, ["greedy", "fixed_random"], runs=1)
-        assert set(results) == {"greedy", "fixed_random"}
-        greedy_result = results["greedy"][0]
-        assert all(name == "greedy" for name in greedy_result.policy_names.values())
 
 
 class _ExplodingReducer(RowsReducer):

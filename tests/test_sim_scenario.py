@@ -291,7 +291,6 @@ class TestGenerativeChurnLayer:
         assert events == set(range(2, horizon + 1))
 
     def test_churn_scenario_composition(self):
-        from repro.game.gain import TimeVaryingCapacityModel
         from repro.sim.mobility import NetworkDynamics
         from repro.sim.scenario import PoissonChurn, churn_scenario
 
@@ -306,14 +305,11 @@ class TestGenerativeChurnLayer:
                 flapping_networks=(0,),
                 mean_up_slots=50.0,
                 mean_outage_slots=5.0,
-                capacity_networks=(2,),
-                mean_capacity_dwell_slots=40.0,
             ),
             seed=4,
         )
         assert scenario.num_devices == 12
         assert scenario.coverage.outages  # flapping compiled into outages
-        assert isinstance(scenario.gain_model, TimeVaryingCapacityModel)
         mobile = [
             spec.device
             for spec in scenario.device_specs
@@ -332,8 +328,6 @@ class TestGenerativeChurnLayer:
                 flapping_networks=(0,),
                 mean_up_slots=50.0,
                 mean_outage_slots=5.0,
-                capacity_networks=(2,),
-                mean_capacity_dwell_slots=40.0,
             ),
             seed=4,
         )

@@ -288,26 +288,6 @@ class TestInstrumentation:
         )
         assert TELEMETRY_DIR_ENV not in os.environ
 
-    def test_experiment_telemetry_dir_is_scoped_to_the_call(self, tmp_path):
-        from repro.experiments import fig02_switching
-        from repro.experiments.common import ExperimentConfig
-
-        config = ExperimentConfig(runs=1, horizon_slots=20)
-        fig02_switching.run(config.replace(telemetry_dir=str(tmp_path)))
-        count = len(read_events(tmp_path))
-        assert count > 0
-        assert TELEMETRY_DIR_ENV not in os.environ
-        # A later experiment without the field leaves the directory alone.
-        fig02_switching.run(config)
-        assert len(read_events(tmp_path)) == count
-
-    def test_experiment_config_field(self, tmp_path):
-        from repro.experiments.common import ExperimentConfig
-
-        config = ExperimentConfig(runs=1, horizon_slots=50,
-                                  telemetry_dir=str(tmp_path))
-        assert config.telemetry_dir == str(tmp_path)
-
     def test_fused_window_truncation_reasons(self, tmp_path):
         # Draw windows need a kernel that draws one uniform per row per
         # slot (exp3; smart_exp3's draws depend on its block starts).
