@@ -5,6 +5,9 @@ This is a miniature version of Figs. 2/5 and Table V: for each algorithm we run
 the same scenario a few times and report the average number of switches, the
 median cumulative download and the fairness (std-dev of downloads).
 
+The whole (setting x algorithm) grid is one ``run_policy_grid`` call on the
+vectorized backend, so every run of both settings advances in one engine.
+
 Run with:  python examples/compare_algorithms.py
 """
 
@@ -12,40 +15,43 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.fairness import download_std_mb
 from repro.analysis.aggregate import per_run_median_download_gb
+from repro.analysis.fairness import download_std_mb
 from repro.analysis.reporting import format_table
-from repro.experiments.common import ALL_POLICIES
-from repro.sim.runner import run_many
-from repro.sim.scenario import setting1_scenario, setting2_scenario
+from repro.experiments.common import (
+    ALL_POLICIES,
+    STATIC_SETTINGS,
+    ExperimentConfig,
+    run_policy_grid,
+)
 
-RUNS = 3
-HORIZON = 600
+CONFIG = ExperimentConfig(runs=3, horizon_slots=600)
+TITLES = {
+    "setting1": "Setting 1 (4 / 7 / 22 Mbps)",
+    "setting2": "Setting 2 (11 / 11 / 11 Mbps)",
+}
 
 
-def evaluate(setting_name: str, factory) -> list[dict]:
-    rows = []
-    for policy in ALL_POLICIES:
-        results = run_many(factory(policy=policy, horizon_slots=HORIZON), RUNS)
-        rows.append(
-            {
-                "algorithm": policy,
-                "switches": float(np.mean([r.mean_switches_per_device() for r in results])),
-                "download_gb": float(np.mean([per_run_median_download_gb(r) for r in results])),
-                "fairness_std_mb": float(np.mean([download_std_mb(r) for r in results])),
-            }
-        )
-    return rows
+def summarize(grid: dict) -> list[dict]:
+    """One row per algorithm: mean switches, median download and fairness."""
+    return [
+        {
+            "algorithm": policy,
+            "switches": float(np.mean([r.mean_switches_per_device() for r in results])),
+            "download_gb": float(np.mean([per_run_median_download_gb(r) for r in results])),
+            "fairness_std_mb": float(np.mean([download_std_mb(r) for r in results])),
+        }
+        for policy, results in grid.items()
+    ]
 
 
 def main() -> None:
-    for setting_name, factory in (
-        ("Setting 1 (4 / 7 / 22 Mbps)", setting1_scenario),
-        ("Setting 2 (11 / 11 / 11 Mbps)", setting2_scenario),
-    ):
-        rows = evaluate(setting_name, factory)
+    grids = run_policy_grid(STATIC_SETTINGS, ALL_POLICIES, CONFIG)
+    for setting, grid in grids.items():
+        rows = summarize(grid)
+        title = f"{TITLES[setting]} — {CONFIG.runs} runs x {CONFIG.horizon_slots} slots"
         print()
-        print(format_table(rows, title=f"{setting_name} — {RUNS} runs x {HORIZON} slots"))
+        print(format_table(rows, title=title))
         best = min(rows, key=lambda row: row["fairness_std_mb"])
         print(f"fairest algorithm: {best['algorithm']}")
 

@@ -86,8 +86,9 @@ register_policy_kernel(EXP3Policy, EXP3Kernel)
 register_policy_kernel(FullInformationPolicy, FullInformationKernel)
 register_policy_kernel(GreedyPolicy, GreedyKernel)
 # One kernel covers Smart EXP3 and the Table-III variants (Block EXP3,
-# Hybrid Block EXP3, Smart EXP3 w/o Reset): they restrict the config, not
-# the per-slot behaviour, and the config is part of the batching key.
+# Hybrid Block EXP3, Smart EXP3 w/o Reset): they switch mechanisms off in
+# the config, which the kernel holds as per-row flags, so all four share one
+# group; the rest of the config is the batching key.
 register_policy_kernel(SmartEXP3Policy, SmartEXP3Kernel)
 
 __all__ = [

@@ -40,6 +40,16 @@ lookup is bit-equal to the scalar value.  Block lengths are float64: each
 count the scalar expression can evaluate, where int64 would overflow from
 ``x ≈ 440`` at ``β = 0.1``.
 
+One kernel serves the whole Table III family.  Block EXP3, Hybrid Block
+EXP3, Smart EXP3 w/o Reset and Smart EXP3 differ only in which of the four
+mechanisms is switched on, so the four ``enable_*`` flags of
+:class:`~repro.core.config.SmartEXP3Config` are boolean row arrays and the
+rest of the config is the batching key (:meth:`SmartEXP3Kernel.group_key`).
+Every place the scalar policy checks a flag is a row mask here, and a
+mechanism's side effects touch only the rows whose flag is on: exploration
+and its refill on reset, the greedy gate and its latch, switch-back arming
+and detection, drop detection, and the reset decision.
+
 State round-trips through the scalar policy at segment boundaries via the
 array-view accessors on the :mod:`repro.core` mechanism classes
 (``export_counts``/``load_counts``, ``export_arrays``/``load_arrays``,
@@ -65,6 +75,7 @@ from repro.algorithms.kernels.base import (
     sample_rows,
 )
 from repro.core.blocking import Block, SelectionType
+from repro.core.config import SmartEXP3Config
 from repro.core.smart_exp3 import SmartEXP3Policy
 from repro.core.switchback import BlockHistory
 
@@ -83,6 +94,19 @@ _RANDOM = _TYPE_CODE[SelectionType.RANDOM]
 _RANDOM_AFTER_COIN = _TYPE_CODE[SelectionType.RANDOM_AFTER_COIN]
 _GREEDY = _TYPE_CODE[SelectionType.GREEDY]
 _SWITCH_BACK = _TYPE_CODE[SelectionType.SWITCH_BACK]
+
+#: The Table III mechanism flags: row state of the kernel, not part of its key.
+_FLAGS = (
+    "enable_initial_exploration",
+    "enable_greedy",
+    "enable_switchback",
+    "enable_reset",
+)
+
+
+def _shared_config(config: SmartEXP3Config) -> SmartEXP3Config:
+    """``config`` with its mechanism flags cleared: what a group shares."""
+    return config.replace(**dict.fromkeys(_FLAGS, False))
 
 
 def switch_back_rows(
@@ -139,7 +163,13 @@ def _middle(sorted_rows: np.ndarray, count) -> np.ndarray:
 
 
 class SmartEXP3Kernel(BatchKernel):
-    """Array-native Smart EXP3 (and its Table-III variants, via the config)."""
+    """Array-native Smart EXP3 and its Table-III variants, in one group.
+
+    Rows of different variants share a kernel whenever their configs agree
+    on everything but the four mechanism flags, which each row carries in
+    ``explore_on``, ``greedy_on``, ``switchback_on`` and ``reset_on``; the
+    shared remainder is :attr:`config` (flags cleared).
+    """
 
     SHARED_ARRAY_ATTRS = BatchKernel.SHARED_ARRAY_ATTRS + (
         "_gamma_table",
@@ -148,15 +178,19 @@ class SmartEXP3Kernel(BatchKernel):
 
     @classmethod
     def group_key(cls, policy):
-        # The config drives every mechanism flag and constant, so devices
-        # batch together only when their whole parameterisation matches.
-        return (type(policy), policy.available_networks, policy.config)
+        # The mechanism flags are row state; every other constant (β, γ,
+        # windows, thresholds, greedy probability) is shared by the group.
+        return (policy.available_networks, _shared_config(policy.config))
 
     def __init__(self, entries, recorder) -> None:
         super().__init__(entries, recorder)
         policies: list[SmartEXP3Policy] = self.policies
         first = policies[0]
-        self.config = first.config
+        self.config = _shared_config(first.config)
+        self.explore_on, self.greedy_on, self.switchback_on, self.reset_on = (
+            np.asarray([getattr(p.config, flag) for p in policies], dtype=bool)
+            for flag in _FLAGS
+        )
         detector = first._reset_policy.drop_detector
         self.sb_window = self.config.switchback_window
         self.drop_window = detector.window_slots
@@ -345,7 +379,6 @@ class SmartEXP3Kernel(BatchKernel):
 
     def _start_blocks(self, rows: np.ndarray) -> None:
         """``SmartEXP3Policy._start_new_block`` for every row in ``rows``."""
-        config = self.config
         block_index = self.block_index[rows] + 1
         self.block_index[rows] = block_index
         self.gamma[rows] = self._gammas(block_index)
@@ -358,18 +391,22 @@ class SmartEXP3Kernel(BatchKernel):
         # Rows that neither switch back nor explore choose from what they
         # learned: the greedy coin or the distribution.
         learned = np.ones(rows.size, dtype=bool)
-        if config.enable_switchback:
-            back = self.sb_pending[rows] & (self.sb_target[rows] != _NONE)
-            hit = rows[back]
-            if hit.size:
-                net[back] = self.sb_target[hit]
-                prob[back] = 1.0
-                kind[back] = _SWITCH_BACK
-                self.sb_pending[hit] = False
-                self.sb_target[hit] = _NONE
-                learned &= ~back
-        if config.enable_initial_exploration and self.explore.any():
-            exploring = learned & self.explore.take(rows, axis=0).any(axis=1)
+        switchback = self.switchback_on[rows]
+        back = switchback & self.sb_pending[rows] & (self.sb_target[rows] != _NONE)
+        hit = rows[back]
+        if hit.size:
+            net[back] = self.sb_target[hit]
+            prob[back] = 1.0
+            kind[back] = _SWITCH_BACK
+            self.sb_pending[hit] = False
+            self.sb_target[hit] = _NONE
+            learned &= ~back
+        if self.explore.any():
+            exploring = (
+                learned
+                & self.explore_on[rows]
+                & self.explore.take(rows, axis=0).any(axis=1)
+            )
             for i in exploring.nonzero()[0]:
                 j = rows[i]
                 candidates = self.explore[j].nonzero()[0]
@@ -399,29 +436,31 @@ class SmartEXP3Kernel(BatchKernel):
         self.blk_done[rows] = False
         self.tail[rows] = 0.0
         self.pre_tail_sum[rows] = 0.0
-        if config.enable_switchback:
-            # The rule's structural conditions: this block is neither a
-            # switch-back nor exploration, and the previous one has data, is
-            # on another network and was not a switch-back either.
-            self.sb_armed[rows] = (
-                learned
-                & (self.prev_len[rows] > 0)
-                & (self.prev_net[rows] != net)
-                & ~self.prev_was_sb[rows]
-            )
+        # The rule's structural conditions: this block is neither a
+        # switch-back nor exploration, and the previous one has data, is on
+        # another network and was not a switch-back either.
+        self.sb_armed[rows] = (
+            switchback
+            & learned
+            & (self.prev_len[rows] > 0)
+            & (self.prev_net[rows] != net)
+            & ~self.prev_was_sb[rows]
+        )
 
     def _choose_learned(
         self, rows: np.ndarray, probs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``SmartEXP3Policy._choose_learned`` for ``rows``: the greedy coin,
         else one sample from the distribution."""
-        config = self.config
         rngs = self.rngs
-        greedy_probability = config.greedy_probability
-        if config.enable_greedy and self.num_networks > 1:
-            gated = self._greedy_gate(rows, probs)
-        else:
-            gated = np.zeros(rows.size, dtype=bool)
+        greedy_probability = self.config.greedy_probability
+        gated = np.zeros(rows.size, dtype=bool)
+        if self.num_networks > 1:
+            considered = self.greedy_on[rows].nonzero()[0]
+            if considered.size:
+                gated[considered] = self._greedy_gate(
+                    rows[considered], probs[considered]
+                )
         net = np.empty(rows.size, dtype=np.intp)
         greedy = np.zeros(rows.size, dtype=bool)
         flips = gated.nonzero()[0]
@@ -485,7 +524,6 @@ class SmartEXP3Kernel(BatchKernel):
         gains: np.ndarray,
         feedback: SlotFeedback | None = None,
     ) -> None:
-        config = self.config
         arange = self._arange
         net = self.blk_net
         gain = np.clip(gains, 0.0, 1.0)
@@ -502,11 +540,11 @@ class SmartEXP3Kernel(BatchKernel):
         self.gain_cnt[arange, net] += 1
         self.usage[arange, net] += 1
 
-        if config.enable_switchback:
-            armed = self.sb_armed.nonzero()[0]
-            if armed.size:
-                self._apply_switch_back(armed, gain)
-        if config.enable_reset:
+        # Only rows with switch-back on are ever armed.
+        armed = self.sb_armed.nonzero()[0]
+        if armed.size:
+            self._apply_switch_back(armed, gain)
+        if self.reset_on.any():
             self._apply_drop_detection(gain)
 
         self.blk_done = self.blk_trunc | (self.blk_elapsed >= self.blk_len)
@@ -527,13 +565,17 @@ class SmartEXP3Kernel(BatchKernel):
         self.sb_target[hit] = self.prev_net[hit]
 
     def _apply_drop_detection(self, gain: np.ndarray) -> None:
-        net = self.blk_net
+        on = self.reset_on
+        # Rows without the reset mechanism keep no connection history: their
+        # detector stays on no network with length 0, so their buffer columns
+        # are never read.
+        net = np.where(on, self.blk_net, _NONE)
         # Connection histories restart whenever the device changes network.
         self.det_len[self.det_net != net] = 0
         self.det_net[:] = net
         self.det_buf[:, :-1] = self.det_buf[:, 1:]
         self.det_buf[:, -1] = gain
-        np.minimum(self.det_len + 1, self.max_hist, out=self.det_len)
+        np.minimum(self.det_len + on, self.max_hist, out=self.det_len)
 
         rows = (self.det_len > self.min_conn + self.drop_window).nonzero()[0]
         if not rows.size:
@@ -574,10 +616,11 @@ class SmartEXP3Kernel(BatchKernel):
         self.prev_len[rows] = np.minimum(self.blk_elapsed[rows], self.sb_window)
         self.prev_was_sb[rows] = self.blk_type[rows] == _SWITCH_BACK
 
-        if not config.enable_reset:
+        on = self.reset_on[rows]
+        if not on.any():
             return
-        reset = self.drop_pending[rows]
-        locked = probs.max(axis=1) >= config.reset_probability_threshold
+        reset = self.drop_pending[rows] & on
+        locked = on & (probs.max(axis=1) >= config.reset_probability_threshold)
         locked = locked.nonzero()[0]
         if locked.size:
             top = probs[locked].argmax(axis=1)
@@ -596,8 +639,7 @@ class SmartEXP3Kernel(BatchKernel):
         self.gain_cnt[rows] = 0
         self.det_net[rows] = _NONE
         self.det_len[rows] = 0
-        if self.config.enable_initial_exploration:
-            self.explore[rows] = True
+        self.explore[rows[self.explore_on[rows]]] = True
         self.sb_pending[rows] = False
         self.sb_target[rows] = _NONE
         self.prev_net[rows] = _NONE

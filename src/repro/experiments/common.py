@@ -9,11 +9,11 @@ the full-scale parameters the paper used (500 runs of 1200 slots).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Hashable, Mapping, Sequence
 
-from repro.sim.metrics import SimulationResult
-from repro.sim.runner import run_many, validate_execution
-from repro.sim.scenario import Scenario
+from repro.sim.runner import run_many_scenarios, validate_execution
+from repro.sim.scenario import Scenario, setting1_scenario, setting2_scenario
 
 #: The policies of Table II and Table III, in the order the paper lists them.
 ALL_POLICIES: tuple[str, ...] = (
@@ -41,6 +41,11 @@ DYNAMIC_POLICIES: tuple[str, ...] = (
     "smart_exp3_no_reset",
     "smart_exp3",
     "greedy",
+)
+
+#: The two static settings of Section VI-A, by the name the drivers report.
+STATIC_SETTINGS: Mapping[str, Callable[..., Scenario]] = MappingProxyType(
+    {"setting1": setting1_scenario, "setting2": setting2_scenario}
 )
 
 
@@ -141,8 +146,23 @@ def run_with_config(scenario: Scenario, config: ExperimentConfig, reduce=None):
     calls only: the registry stores reducer payloads, so a call that keeps
     full results always simulates.
     """
-    return run_many(
-        scenario,
+    return run_scenarios({0: scenario}, config, reduce=reduce)[0]
+
+
+def run_scenarios(
+    scenarios: Mapping[Hashable, Scenario], config: ExperimentConfig, reduce=None
+) -> dict:
+    """:func:`run_with_config` for every scenario of ``scenarios`` at once.
+
+    Returns ``{key: output}``, each output equal to ``run_with_config`` on
+    that scenario (no horizon override is applied here either).  Every
+    scenario's runs go to one run loop
+    (:func:`~repro.sim.runner.run_many_scenarios`), so on the vectorized
+    backend the runs of all scenarios of equal physics advance as one
+    engine, and each kernel group is called once per slot for all of them.
+    """
+    return run_many_scenarios(
+        scenarios,
         config.runs,
         config.base_seed,
         backend=config.backend,
@@ -159,19 +179,32 @@ def run_scenario(scenario: Scenario, config: ExperimentConfig, reduce=None):
 
 
 def run_policy_grid(
-    scenario_factory: Callable[..., Scenario],
+    settings: Mapping[str, Callable[..., Scenario]],
     policies: Sequence[str],
     config: ExperimentConfig,
     reduce=None,
-    **factory_kwargs,
 ) -> dict:
-    """Run ``scenario_factory(policy=p, **kwargs)`` for every policy ``p``.
+    """Run ``factory(policy=p)`` for every setting's factory and policy ``p``.
 
-    With ``reduce=`` each policy maps to the reducer's finalized output
-    instead of a list of full :class:`SimulationResult` records.
+    Returns ``{setting: {policy: output}}``: a list of full
+    :class:`~repro.sim.metrics.SimulationResult` records per cell, or with
+    ``reduce=`` the reducer's finalized output.  The config's horizon
+    override applies to every cell, and the whole grid is one
+    :func:`run_scenarios` call: on the vectorized backend every setting's
+    and policy's runs advance as one engine, up to the stack budget
+    (settings 1 and 2 share their network ids, and each run keeps its own
+    network values), with the Smart EXP3 family in one kernel group.
     """
-    results: dict = {}
-    for policy in policies:
-        scenario = scenario_factory(policy=policy, **factory_kwargs)
-        results[policy] = run_scenario(scenario, config, reduce=reduce)
-    return results
+    outputs = run_scenarios(
+        {
+            (setting, policy): apply_horizon(factory(policy=policy), config)
+            for setting, factory in settings.items()
+            for policy in policies
+        },
+        config,
+        reduce=reduce,
+    )
+    return {
+        setting: {policy: outputs[setting, policy] for policy in policies}
+        for setting in settings
+    }

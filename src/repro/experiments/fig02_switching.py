@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.common import ALL_POLICIES, ExperimentConfig, run_policy_grid
-from repro.sim.scenario import setting1_scenario, setting2_scenario
+from repro.experiments.common import (
+    ALL_POLICIES,
+    STATIC_SETTINGS,
+    ExperimentConfig,
+    run_policy_grid,
+)
 
 #: Centralized and Fixed Random never switch, so the paper omits them in Fig. 2.
 FIG2_POLICIES = tuple(p for p in ALL_POLICIES if p not in ("centralized", "fixed_random"))
@@ -26,8 +30,8 @@ def run(config: ExperimentConfig | None = None) -> list[dict]:
     config = config or ExperimentConfig.default()
     rows: list[dict] = []
     per_setting: dict[str, dict[str, tuple[float, float]]] = {}
-    for setting_name, factory in (("setting1", setting1_scenario), ("setting2", setting2_scenario)):
-        grid = run_policy_grid(factory, FIG2_POLICIES, config, reduce="summary")
+    grids = run_policy_grid(STATIC_SETTINGS, FIG2_POLICIES, config, reduce="summary")
+    for setting_name, grid in grids.items():
         for policy, summaries in grid.items():
             switches = summaries.values("mean_switches")
             per_setting.setdefault(policy, {})[setting_name] = (

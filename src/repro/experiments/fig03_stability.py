@@ -9,16 +9,20 @@ Reset stabilises at the equilibrium in essentially every run.
 from __future__ import annotations
 
 from repro.analysis.stability import stability_report
-from repro.experiments.common import BLOCK_POLICIES, ExperimentConfig, run_policy_grid
-from repro.sim.scenario import setting1_scenario, setting2_scenario
+from repro.experiments.common import (
+    BLOCK_POLICIES,
+    STATIC_SETTINGS,
+    ExperimentConfig,
+    run_policy_grid,
+)
 
 
 def run(config: ExperimentConfig | None = None) -> list[dict]:
     """Return one row per algorithm and setting with stable-state percentages."""
     config = config or ExperimentConfig(runs=5, horizon_slots=1200)
     rows: list[dict] = []
-    for setting_name, factory in (("setting1", setting1_scenario), ("setting2", setting2_scenario)):
-        grid = run_policy_grid(factory, BLOCK_POLICIES, config)
+    grids = run_policy_grid(STATIC_SETTINGS, BLOCK_POLICIES, config)
+    for setting_name, grid in grids.items():
         for policy in BLOCK_POLICIES:
             reports = [stability_report(r) for r in grid[policy]]
             total = len(reports)

@@ -11,8 +11,12 @@ import numpy as np
 
 from repro.analysis.aggregate import downsample_series, mean_of_series
 from repro.analysis.distance import distance_to_nash_series, fraction_of_time_at_equilibrium
-from repro.experiments.common import ALL_POLICIES, ExperimentConfig, run_policy_grid
-from repro.sim.scenario import setting1_scenario, setting2_scenario
+from repro.experiments.common import (
+    ALL_POLICIES,
+    STATIC_SETTINGS,
+    ExperimentConfig,
+    run_policy_grid,
+)
 
 #: ε used for the shaded band in Fig. 4.
 EPSILON_PERCENT = 7.5
@@ -26,8 +30,8 @@ def run(
     """Return mean distance series (downsampled) and time-at-equilibrium fractions."""
     config = config or ExperimentConfig.default()
     output: dict = {"epsilon_percent": EPSILON_PERCENT, "settings": {}}
-    for setting_name, factory in (("setting1", setting1_scenario), ("setting2", setting2_scenario)):
-        grid = run_policy_grid(factory, policies, config)
+    grids = run_policy_grid(STATIC_SETTINGS, policies, config)
+    for setting_name, grid in grids.items():
         setting_entry: dict = {"series": {}, "fraction_at_equilibrium": {}, "final_distance": {}}
         for policy in policies:
             series = [distance_to_nash_series(r) for r in grid[policy]]

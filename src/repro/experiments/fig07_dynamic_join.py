@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.analysis.aggregate import downsample_series, mean_of_series
 from repro.analysis.distance import distance_to_nash_series
-from repro.experiments.common import DYNAMIC_POLICIES, ExperimentConfig, run_with_config
+from repro.experiments.common import DYNAMIC_POLICIES, ExperimentConfig, run_scenarios
 from repro.sim.scenario import dynamic_join_leave_scenario
 
 
@@ -24,11 +24,14 @@ def run(
     """Return mean distance-to-equilibrium series per policy plus phase averages."""
     config = config or ExperimentConfig(runs=3, horizon_slots=None)
     output: dict = {"series": {}, "phase_means": {}}
+    scenarios = {}
     for policy in policies:
         scenario = dynamic_join_leave_scenario(policy=policy)
         if config.horizon_slots is not None and config.horizon_slots >= scenario.horizon_slots:
             scenario = scenario.with_horizon(config.horizon_slots)
-        results = run_with_config(scenario, config)
+        scenarios[policy] = scenario
+    grid = run_scenarios(scenarios, config)
+    for policy, results in grid.items():
         series = mean_of_series([distance_to_nash_series(r) for r in results])
         output["series"][policy] = downsample_series(series, series_points).tolist()
         output["phase_means"][policy] = {

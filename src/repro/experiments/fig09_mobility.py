@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.analysis.aggregate import downsample_series, mean_of_series
 from repro.analysis.distance import distance_to_nash_series
-from repro.experiments.common import DYNAMIC_POLICIES, ExperimentConfig, run_with_config
+from repro.experiments.common import DYNAMIC_POLICIES, ExperimentConfig, run_scenarios
 from repro.sim.scenario import mobility_scenario
 
 
@@ -38,11 +38,14 @@ def run(
         "bus stop (16-20)": (3, 4, 5),
     }
     output: dict = {"groups": {name: {} for name in groups}, "mean_over_run": {}}
+    scenarios = {}
     for policy in policies:
         scenario = mobility_scenario(policy=policy)
         if config.horizon_slots is not None and config.horizon_slots >= scenario.horizon_slots:
             scenario = scenario.with_horizon(config.horizon_slots)
-        results = run_with_config(scenario, config)
+        scenarios[policy] = scenario
+    grid = run_scenarios(scenarios, config)
+    for policy, results in grid.items():
         overall: list[float] = []
         for group_name, device_ids in groups.items():
             network_ids = group_networks.get(group_name)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.common import ExperimentConfig, run_with_config
+from repro.experiments.common import ExperimentConfig, run_scenarios
 from repro.sim.scenario import (
     Scenario,
     dynamic_join_leave_scenario,
@@ -21,16 +21,12 @@ from repro.sim.scenario import (
 )
 
 
-def _mean_switches(
-    scenario: Scenario, config: ExperimentConfig, device_ids: tuple[int, ...]
-) -> tuple[float, float]:
-    results = run_with_config(scenario, config)
-    values = [r.mean_switches_per_device(device_ids) for r in results]
-    return float(np.mean(values)), float(np.std(values))
-
-
 def run(config: ExperimentConfig | None = None, policy: str = "smart_exp3") -> list[dict]:
-    """Return the mean switch count of persistent devices in every setting."""
+    """Return the mean switch count of persistent devices in every setting.
+
+    Each scenario is simulated once, all of them in one run loop; the
+    mobility scenario's runs serve both of its device groups.
+    """
     config = config or ExperimentConfig(runs=3, horizon_slots=None)
     rows: list[dict] = []
 
@@ -58,17 +54,27 @@ def run(config: ExperimentConfig | None = None, policy: str = "smart_exp3") -> l
         for device_id in ids
     )
 
+    results = run_scenarios(
+        {"static1": static1, "static2": static2, "join": join, "leave": leave, "mobile": mobile},
+        config,
+    )
     cases = [
-        ("static setting 1 (20 devices)", static1, all_ids_1),
-        ("static setting 2 (20 devices)", static2, all_ids_2),
-        ("dynamic join/leave (11 persistent devices)", join, join_groups["persistent"]),
-        ("dynamic leave (4 persistent devices)", leave, leave_groups["stayers"]),
-        ("mobility (8 moving devices)", mobile, moving_ids),
-        ("mobility (other 12 devices)", mobile, static_mobile_ids),
+        ("static setting 1 (20 devices)", "static1", all_ids_1),
+        ("static setting 2 (20 devices)", "static2", all_ids_2),
+        ("dynamic join/leave (11 persistent devices)", "join", join_groups["persistent"]),
+        ("dynamic leave (4 persistent devices)", "leave", leave_groups["stayers"]),
+        ("mobility (8 moving devices)", "mobile", moving_ids),
+        ("mobility (other 12 devices)", "mobile", static_mobile_ids),
     ]
-    for label, scenario, device_ids in cases:
-        mean, std = _mean_switches(scenario, config, device_ids)
-        rows.append({"setting": label, "mean_switches": mean, "std_switches": std})
+    for label, key, device_ids in cases:
+        values = [r.mean_switches_per_device(device_ids) for r in results[key]]
+        rows.append(
+            {
+                "setting": label,
+                "mean_switches": float(np.mean(values)),
+                "std_switches": float(np.std(values)),
+            }
+        )
     return rows
 
 

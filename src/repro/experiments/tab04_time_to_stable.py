@@ -10,16 +10,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.stability import time_to_stable
-from repro.experiments.common import BLOCK_POLICIES, ExperimentConfig, run_policy_grid
-from repro.sim.scenario import setting1_scenario, setting2_scenario
+from repro.experiments.common import (
+    BLOCK_POLICIES,
+    STATIC_SETTINGS,
+    ExperimentConfig,
+    run_policy_grid,
+)
 
 
 def run(config: ExperimentConfig | None = None) -> list[dict]:
     """Return one row per algorithm with the median stabilisation slot per setting."""
     config = config or ExperimentConfig(runs=5, horizon_slots=1200)
     medians: dict[str, dict[str, float]] = {}
-    for setting_name, factory in (("setting1", setting1_scenario), ("setting2", setting2_scenario)):
-        grid = run_policy_grid(factory, BLOCK_POLICIES, config)
+    grids = run_policy_grid(STATIC_SETTINGS, BLOCK_POLICIES, config)
+    for setting_name, grid in grids.items():
         for policy in BLOCK_POLICIES:
             times = [time_to_stable(r) for r in grid[policy]]
             stabilised = [t for t in times if t is not None]

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.common import ALL_POLICIES, ExperimentConfig, run_policy_grid
-from repro.sim.scenario import setting1_scenario, setting2_scenario
+from repro.experiments.common import (
+    ALL_POLICIES,
+    STATIC_SETTINGS,
+    ExperimentConfig,
+    run_policy_grid,
+)
 
 
 def run(config: ExperimentConfig | None = None) -> list[dict]:
@@ -21,8 +25,8 @@ def run(config: ExperimentConfig | None = None) -> list[dict]:
     """
     config = config or ExperimentConfig.default()
     downloads: dict[str, dict[str, float]] = {}
-    for setting_name, factory in (("setting1", setting1_scenario), ("setting2", setting2_scenario)):
-        grid = run_policy_grid(factory, ALL_POLICIES, config, reduce="downloads")
+    grids = run_policy_grid(STATIC_SETTINGS, ALL_POLICIES, config, reduce="downloads")
+    for setting_name, grid in grids.items():
         for policy in ALL_POLICIES:
             values = grid[policy].values("median_download_mb") / 1000.0
             downloads.setdefault(policy, {})[setting_name] = float(np.mean(values))

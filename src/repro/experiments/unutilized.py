@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.fairness import total_available_gb, unutilized_bandwidth_gb
-from repro.experiments.common import ExperimentConfig, run_policy_grid
-from repro.sim.scenario import setting1_scenario, setting2_scenario
+from repro.experiments.common import STATIC_SETTINGS, ExperimentConfig, run_policy_grid
 
 POLICIES = ("greedy", "smart_exp3", "smart_exp3_no_reset", "exp3", "centralized")
 
@@ -21,8 +20,8 @@ def run(config: ExperimentConfig | None = None) -> list[dict]:
     """Return one row per algorithm and setting with mean unutilized GB."""
     config = config or ExperimentConfig.default()
     rows: list[dict] = []
-    for setting_name, factory in (("setting1", setting1_scenario), ("setting2", setting2_scenario)):
-        grid = run_policy_grid(factory, POLICIES, config)
+    grids = run_policy_grid(STATIC_SETTINGS, POLICIES, config)
+    for setting_name, grid in grids.items():
         for policy in POLICIES:
             results = grid[policy]
             unused = [unutilized_bandwidth_gb(r) for r in results]

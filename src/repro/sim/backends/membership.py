@@ -28,16 +28,18 @@ FROZEN, KERNEL, FALLBACK = 0, 1, 2
 
 
 def equal_share_feedback(
-    counts: np.ndarray, bandwidths: np.ndarray, scale_ref: float
+    counts: np.ndarray, bandwidths: np.ndarray, scale_ref: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(member_gain, join_gain)`` counterfactual arrays from global counts.
 
-    ``member_gain[c]`` is the gain a current client of network column ``c``
+    ``member_gain[c]`` is the gain a current client of occupancy cell ``c``
     observes (bandwidth shared among its current clients); ``join_gain[c]``
     the gain a newcomer would observe (shared among current clients plus
-    itself).  Matches :meth:`WirelessEnvironment.counterfactual_gains`
-    element for element, under every gain model (the counterfactuals are
-    equal share of the nominal bandwidths).
+    itself).  ``scale_ref`` is each cell's gain-scaling reference (its
+    run's own, in a stack of runs).  Matches
+    :meth:`WirelessEnvironment.counterfactual_gains` element for element,
+    under every gain model (the counterfactuals are equal share of the
+    nominal bandwidths).
     """
     member = np.minimum(
         np.where(counts <= 1, bandwidths, bandwidths / np.maximum(counts, 1))

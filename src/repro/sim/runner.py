@@ -4,7 +4,8 @@
 backend (see :mod:`repro.sim.backends`) and returns a
 :class:`repro.sim.metrics.SimulationResult`; ``run_many`` repeats it with
 independent seeds — stacked into one engine, one at a time or on a process
-pool — which is how every multi-run experiment of the paper is produced.
+pool — which is how every multi-run experiment of the paper is produced,
+and ``run_many_scenarios`` does so for several scenarios in one run loop.
 
 Every backend is bit-exact: for a fixed seed, ``backend="event"``,
 ``backend="vectorized"`` and ``backend="sharded"`` return identical
@@ -28,15 +29,19 @@ One run loop, over cells
 ------------------------
 
 A cell is one (scenario, run index) pair.  ``run_many`` hands its cells,
-and :func:`~repro.registry.sweep.run_sweep` the cells of all its cases, to
-one loop, :func:`run_cells`.  Registry hits (with ``cache="reuse"``) are
+:func:`run_many_scenarios` the cells of all its scenarios (a paper
+driver's whole setting × policy grid), and
+:func:`~repro.registry.sweep.run_sweep` the cells of all its cases, to one
+loop, :func:`run_cells`.  Registry hits (with ``cache="reuse"``) are
 loaded first.  The missing cells then execute: cells whose scenarios share
-their physics (:func:`~repro.sim.sharded.executor.stack_physics`: one
-network map, equal-share rates, one delay model, slot length and horizon)
+their physics (:func:`~repro.sim.sharded.executor.stack_physics`: one set
+of network ids, equal-share rates, one delay model, slot length and
+horizon; each run keeps its own bandwidths, gain scale and network types)
 advance together as row blocks of one engine
 (:meth:`~repro.sim.backends.vectorized.VectorizedSlotExecutor.execute_stack`),
 in stacks of at most :data:`STACK_BUDGET_BYTES` of records, so each kernel
-call serves every stacked run.  A cell stays solo, through
+call serves every stacked run of its policy family (the four Smart EXP3
+variants of Table III share one kernel group).  A cell stays solo, through
 :func:`_run_one`, on a process pool, on a backend without stacking
 (``event``, ``sharded``), on another gain model, or above the budget; the
 reason is a ``run_solo`` telemetry event, and each stack a ``run_stack``
@@ -71,7 +76,7 @@ from __future__ import annotations
 import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -552,22 +557,56 @@ def run_many(
         experiment resumes: rerun it with ``cache="reuse"`` and only the
         runs that never committed execute.
 
-    Progress is telemetry: with ``REPRO_TELEMETRY_DIR`` set, each run on
-    the ``vectorized`` or ``sharded`` backend writes a ``run_end`` event as
-    it finishes (``python -m repro.telemetry tail --follow`` prints them
-    live).  Invalid options raise ``ValueError`` before any run starts (see
+    Progress is telemetry: with ``REPRO_TELEMETRY_DIR`` set, every run
+    writes a ``run_start``/``run_end`` pair, whatever its backend, and the
+    call a ``run_many_start``/``run_many_end`` pair around them
+    (``python -m repro.telemetry tail --follow`` prints them live).
+    Invalid options raise ``ValueError`` before any run starts (see
     :func:`validate_execution`); a failing run raises :class:`RunFailure`
     naming its run index, seed label and scenario.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    cache_spec = validate_execution(
-        backend,
+    return run_many_scenarios(
+        {0: scenario},
+        runs,
+        base_seed,
+        backend=backend,
         workers=workers,
+        reduce=reduce,
+        record_probabilities=record_probabilities,
         shards=shards,
         cache=cache,
-        scenario=scenario,
-    )
+    )[0]
+
+
+def run_many_scenarios(
+    scenarios: Mapping[Hashable, Scenario],
+    runs: int,
+    base_seed: int = 0,
+    backend: str = DEFAULT_BACKEND,
+    workers: int | None = None,
+    reduce=None,
+    record_probabilities: bool | None = None,
+    shards: int | None = None,
+    cache="off",
+) -> dict:
+    """:func:`run_many` for every scenario of ``scenarios``, in one run loop.
+
+    Returns ``{key: output}``, each output exactly what ``run_many`` returns
+    for that scenario with the same arguments: the options are validated
+    per scenario before any run starts, and every scenario's runs draw
+    from the same spawned seeds as they would alone.  All the scenarios'
+    cells go to one :func:`run_cells` call, so on the ``vectorized``
+    backend the runs of every scenario of equal physics advance as one
+    engine.  One ``run_many_start``/``run_many_end`` telemetry pair
+    brackets the call.
+    """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    # Every scenario is checked (shards against its device count) before
+    # any run starts.
+    for scenario in scenarios.values():
+        validate_execution(backend, workers=workers, shards=shards, scenario=scenario)
+    cache_spec = validate_execution(backend, workers=workers, shards=shards, cache=cache)
     # Imported lazily: repro.analysis modules import repro.sim.metrics, so a
     # top-level import here would be circular through repro.sim.__init__.
     from repro.analysis.reducers import resolve_reducer
@@ -594,19 +633,24 @@ def run_many(
 
     telemetry = get_telemetry()
     if telemetry is not None:
+        names = [getattr(scenario, "name", None) for scenario in scenarios.values()]
         telemetry.event(
             "run_many_start",
             runs=runs,
             backend=backend,
-            scenario=getattr(scenario, "name", None),
+            scenario=names[0] if len(names) == 1 else None,
+            scenarios=len(names),
             workers=workers,
             shards=shards,
         )
         started = time.perf_counter()
 
-    group = RunCells(scenario, runs, base_seed)
+    groups = {
+        key: RunCells(scenario, runs, base_seed)
+        for key, scenario in scenarios.items()
+    }
     run_cells(
-        [group],
+        list(groups.values()),
         executor,
         reducer,
         record_probabilities,
@@ -614,12 +658,11 @@ def run_many(
         store=cache_spec.resolve_store() if cache_spec.enabled else None,
         reuse=cache_spec.mode == "reuse",
     )
-    result = group.output(reducer)
+    outputs = {key: group.output(reducer) for key, group in groups.items()}
     if telemetry is not None:
         telemetry.event(
             "run_many_end",
             runs=runs,
             seconds=round(time.perf_counter() - started, 6),
         )
-    return result
-
+    return outputs

@@ -6,16 +6,18 @@ driver (:func:`repro.sim.sharded.executor.run_lockstep`).  The
 ``"vectorized"`` backend runs the whole population as one engine; the
 ``"sharded"`` backend runs ``K`` of them in one or more processes.
 
-The engine also has a run axis: runs with identical physics (one network
-map, equal-share rates, one delay model, slot length and horizon) can
-advance as contiguous row blocks of one engine (:class:`RunRows`), so each
-kernel group is called once per slot for every stacked run.  Each run keeps
-its own device ids, policy seeds and ranks, topology plan (placed at its row
+The engine also has a run axis: runs with identical physics (one set of
+network ids, equal-share rates, one delay model, slot length and horizon)
+can advance as contiguous row blocks of one engine (:class:`RunRows`), so
+each kernel group is called once per slot for every stacked run — across
+policies too, since a group is keyed by policy family, not by run.  Each
+run keeps its own network values (bandwidths and gain-scaling reference),
+device ids, policy seeds and ranks, topology plan (placed at its row
 offset), environment RNG (held by the driver) and result, a row-block slice
 of the shared recorder.  Occupancy is one ``bincount`` over ``run × N +
 column``; rates and the Full Information counterfactuals read their run's
-``N`` cells through a per-row base (:attr:`ShardEngine.row_base`).  A
-sharded engine holds one run.
+``N`` cells, each with its run's bandwidth and scale, through a per-row
+base (:attr:`ShardEngine.row_base`).  A sharded engine holds one run.
 
 1. :meth:`begin` — apply the slot's topology events (membership edits on
    persistent kernel groups, :mod:`repro.sim.backends.membership`), run
@@ -230,6 +232,11 @@ class ShardEngine:
     ``runs`` lists ``(spec, policy_seeds, seed_label)`` per run; a sharded
     engine holds one run's shard, a stacked one several whole runs whose
     scenarios share :func:`~repro.sim.sharded.executor.stack_physics`.
+    Those runs may differ in everything else: their policies (rows of one
+    policy family share a kernel group whichever run they belong to) and
+    their network values — each run's bandwidths and gain-scaling reference
+    fill its own occupancy cells (``_cell_bandwidths``, ``_cell_scale``)
+    and rows (``_row_scale``), so settings 1 and 2 of the paper stack.
     """
 
     def __init__(
@@ -264,11 +271,6 @@ class ShardEngine:
         self.network_order = tuple(sorted(scenario.network_map))
         self.num_networks = len(self.network_order)
         self.net_ids = np.asarray(self.network_order, dtype=np.int64)
-        self.bandwidths = np.asarray(
-            [scenario.network_map[k].bandwidth_mbps for k in self.network_order],
-            dtype=float,
-        )
-        self.scale_ref = float(scenario.scale_reference_mbps)
         # The run axis: run r's occupancy cells are r*N .. r*N + N-1.
         num_runs = len(self.runs)
         sizes = [run.hi - run.lo for run in self.runs]
@@ -280,7 +282,19 @@ class ShardEngine:
         self.run_bounds = np.asarray(
             [run.lo for run in self.runs] + [num_devices], dtype=np.intp
         )
-        self._cell_bandwidths = np.tile(self.bandwidths, num_runs)
+        # Each run's own network values: bandwidth per occupancy cell, and
+        # the gain-scaling reference per cell and per row.
+        self._cell_bandwidths = np.asarray(
+            [
+                run.scenario.network_map[k].bandwidth_mbps
+                for run in self.runs
+                for k in self.network_order
+            ],
+            dtype=float,
+        )
+        scales = [float(run.scenario.scale_reference_mbps) for run in self.runs]
+        self._cell_scale = np.repeat(scales, self.num_networks)
+        self._row_scale = np.repeat(scales, sizes)
 
         self.window = min(int(window), num_slots) if window else None
         width = self.window or num_slots
@@ -343,6 +357,7 @@ class ShardEngine:
         "_prev_act": None,
         "_act_cols": _NO_ROWS,
         "_act_base": None,
+        "_act_scale": np.empty(0, dtype=float),
         "_act_cells": _NO_ROWS,
         "_rates_act": np.empty(0, dtype=float),
         "_switch_rows": _NO_ROWS,
@@ -500,6 +515,7 @@ class ShardEngine:
         self._all_active = act_rows.size == membership.active.size
         if len(self.runs) > 1:
             self._act_base = self.row_base[act_rows]
+        self._act_scale = self._row_scale[act_rows]
         entries = []
         for kernel in membership.kernels_by_key.values():
             positions = np.searchsorted(act_rows, kernel.rows)
@@ -659,7 +675,7 @@ class ShardEngine:
             # The Full Information counterfactuals are equal share of the
             # nominal bandwidths under every gain model.
             member_gain, join_gain = equal_share_feedback(
-                counts, bandwidths, self.scale_ref
+                counts, bandwidths, self._cell_scale
             )
             self._feedback = SlotFeedback(
                 member_gain=member_gain,
@@ -719,7 +735,7 @@ class ShardEngine:
         if switch_rows.size:
             recorder.delays[switch_rows, col] = delays
             recorder.switches[switch_rows, col] = True
-        gains_act = np.minimum(self._rates_act / self.scale_ref, 1.0)
+        gains_act = np.minimum(self._rates_act / self._act_scale, 1.0)
         feedback = self._feedback
         for kernel, positions in self._kernel_entries:
             kernel.end_slot(

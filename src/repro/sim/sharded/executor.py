@@ -5,7 +5,9 @@ advances a group of :class:`~repro.sim.sharded.engine.ShardEngine` objects
 through the engine's phases, slot by slot, with the exchanges between them.
 The ``"vectorized"`` backend runs it in-process on a single engine holding
 the whole population, or several whole runs of identical physics
-(:func:`stack_physics`) as row blocks of one engine (:func:`run_stacked`).
+(:func:`stack_physics`: network ids, delay model, slot length and horizon;
+each run keeps its own network values) as row blocks of one engine
+(:func:`run_stacked`).
 
 :class:`ShardedSlotExecutor` partitions a run's device population into
 ``shards`` contiguous blocks (:mod:`repro.sim.sharded.plan`), executes each
@@ -249,7 +251,11 @@ def run_lockstep(
     full results (gather mode; one per shard, or one per run of a stacked
     engine) or the reducer's per-shard states (streaming mode,
     ``params.window`` set).  ``environments`` holds one environment per
-    run of ``engines[0]`` (a sharded group runs one run).
+    run of ``engines[0]`` (a sharded group runs one run); each resolves its
+    own run's switching delays with its own networks — stochastic delays
+    through its RNG (:func:`_switching_delays`), stream-free ones through
+    a delay table with one cell per run and network, indexed like the
+    occupancy (``row_base[rows] + cols``).
     ``start_slot``/``window_start``/``states`` carry a restored checkpoint's
     cursors; a fresh run starts at slot 1 with empty state.  ``tag`` names
     a standalone in-process run (the vectorized backend), which reports
@@ -281,12 +287,18 @@ def run_lockstep(
     delay_table = None
     if not params.coupled:
         # Stream-free delay models are pure per-network constants: sample
-        # each network once (consuming nothing) and resolve a slot's
+        # each run's networks once (consuming nothing) and resolve a slot's
         # switchers with one vectorized table lookup instead of a Python
         # call per switching device — at megascale the early learning phase
-        # switches most of the population every slot.
+        # switches most of the population every slot.  The table has one
+        # cell per run and network, as the occupancy has: each run's own
+        # network types decide its delays.
         delay_table = np.asarray(
-            [environment.switching_delay(int(network_id)) for network_id in net_ids],
+            [
+                run_environment.switching_delay(int(network_id))
+                for run_environment in environments
+                for network_id in net_ids
+            ],
             dtype=float,
         )
     physics = None if engine.closed_form else environment
@@ -368,7 +380,7 @@ def run_lockstep(
             if not rows.size:
                 delays = _NO_DELAYS
             elif delay_table is not None:
-                delays = delay_table[cols]
+                delays = delay_table[engine.row_base[rows] + cols]
             else:
                 delays = _switching_delays(engine, environments, rows, net_ids[cols])
             if prof is not None:
@@ -716,19 +728,18 @@ def _run_params(
 def stack_physics(scenario: Scenario) -> tuple:
     """What runs must share to advance as row blocks of one engine.
 
-    The network map and bandwidths (every recorder column, rate and Full
-    Information counterfactual), the gain-scaling reference, the delay
-    model (one delay table, or one sampler each run calls with its own
-    RNG), the slot length and the horizon.  Runs whose scenarios compare
-    equal here, on the equal-share gain model, stack bit-exactly; each
-    keeps its own devices, policies, topology and environment RNG.
+    Only what is shared by construction: the network ids (the recorder and
+    kernel columns), the delay model (one sampler each run calls with its
+    own RNG and its own networks), the slot length and the horizon.  Each
+    run keeps its own network values — bandwidths, gain-scaling reference
+    and network types (:class:`~repro.sim.sharded.engine.ShardEngine` holds
+    them per occupancy cell, :func:`run_lockstep` per delay-table cell) —
+    and its own devices, policies, topology and environment RNG.  Runs
+    whose scenarios compare equal here, on the equal-share gain model,
+    stack bit-exactly: settings 1 and 2 of the paper share one engine.
     """
     return (
-        tuple(
-            (network.network_id, network.bandwidth_mbps, network.network_type)
-            for network in sorted(scenario.networks, key=lambda n: n.network_id)
-        ),
-        scenario.scale_reference_mbps,
+        tuple(sorted(network.network_id for network in scenario.networks)),
         scenario.delay_model,
         scenario.slot_duration_s,
         scenario.horizon_slots,

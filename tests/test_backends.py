@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.exp3 import EXP3Policy
 from repro.algorithms.full_information import FullInformationPolicy
-from repro.algorithms.registry import register_policy
+from repro.algorithms.registry import create_policy, register_policy
 from repro.experiments.common import ALL_POLICIES, ExperimentConfig
 from repro.game.device import Device
 from repro.game.gain import EqualShareModel, NoisyShareModel
@@ -378,10 +378,28 @@ class _ScalarFullInformation(FullInformationPolicy):
 
 register_policy("exp3_scalar", _ScalarEXP3, overwrite=True)
 register_policy("full_information_scalar", _ScalarFullInformation, overwrite=True)
+# A Smart EXP3 config that differs beyond the mechanism flags (β): its rows
+# form a kernel group of their own beside the Table III family's.
+register_policy(
+    "smart_exp3_beta02",
+    lambda context, **kwargs: create_policy("smart_exp3", context, beta=0.2, **kwargs),
+    overwrite=True,
+)
 
-#: The generated scenarios' policy mix: kernel rows, frozen rows and rows
-#: on the scalar fallback (policies with overrides no kernel may batch).
-KERNEL_POLICIES = ("smart_exp3", "exp3", "greedy", "full_information", "block_exp3")
+#: The generated scenarios' policy mix: kernel rows (the whole Table III
+#: family, which shares one Smart EXP3 group with per-row mechanism flags,
+#: and a config variant in a group of its own), frozen rows and rows on the
+#: scalar fallback (policies with overrides no kernel may batch).
+KERNEL_POLICIES = (
+    "smart_exp3",
+    "exp3",
+    "greedy",
+    "full_information",
+    "block_exp3",
+    "hybrid_block_exp3",
+    "smart_exp3_no_reset",
+    "smart_exp3_beta02",
+)
 FROZEN_POLICIES = ("fixed_random", "centralized")
 FALLBACK_POLICIES = ("exp3_scalar", "full_information_scalar")
 

@@ -25,6 +25,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.algorithms.kernels import SmartEXP3Kernel
 from repro.analysis.reducers import DownloadReducer, SummaryReducer
 from repro.experiments.common import ExperimentConfig
 from repro.game.gain import NoisyShareModel
@@ -48,7 +49,11 @@ from repro.sim.sharded import (
     SupervisionConfig,
     latest_checkpoint,
 )
-from repro.sim.sharded.checkpoint import MANIFEST_NAME
+from repro.sim.sharded.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
+    MANIFEST_NAME,
+    shard_file_name,
+)
 from repro.telemetry import read_events, set_telemetry_dir
 from tests.test_backends import assert_results_identical
 
@@ -196,6 +201,37 @@ class TestSerialCrashResume:
             fault_plan=FaultPlan((KillWorker(worker=0, slot=23),)),
         )
         assert_results_identical(reference, executor.execute(scenario, seed=5))
+
+    def test_mixed_variant_family_group_bit_exact(self, tmp_path):
+        # The four Table III variants share one Smart EXP3 kernel group with
+        # per-row mechanism flags.  The run is killed after a checkpoint
+        # taken while that mixed group is live; the restored rows, flags
+        # included, finish byte-identical to the event oracle.
+        scenario = setting1_scenario(
+            policy="smart_exp3", num_devices=12, horizon_slots=40
+        )
+        variants = (
+            "block_exp3",
+            "hybrid_block_exp3",
+            "smart_exp3_no_reset",
+            "smart_exp3",
+        )
+        for index, spec in enumerate(scenario.device_specs):
+            spec.policy = variants[index % len(variants)]
+        reference = run_simulation(scenario, seed=5, backend="event")
+        executor = durable_executor(
+            tmp_path,
+            fault_plan=FaultPlan((KillWorker(worker=0, slot=23),)),
+        )
+        assert_results_identical(reference, executor.execute(scenario, seed=5))
+        found = latest_checkpoint(tmp_path / "ckpt")
+        manifest = json.loads((found / MANIFEST_NAME).read_text())
+        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION
+        engine, _ = pickle.loads((found / shard_file_name(0)).read_bytes())
+        (kernel,) = engine.membership.kernels_by_key.values()
+        assert isinstance(kernel, SmartEXP3Kernel) and kernel.size == 4
+        assert kernel.reset_on.tolist() == [False, False, False, True]
+        assert kernel.switchback_on.tolist() == [False, False, True, True]
 
     def test_one_shard_fallback_checkpoints_and_resumes(self, tmp_path):
         # A gain model the all-reduce cannot split runs as one shard on the

@@ -112,15 +112,27 @@ class TestKernelRegistry:
             register_policy_kernel(EXP3Policy, EXP3Kernel)
 
     def test_group_key_separates_configs(self):
+        # The Table III variants differ only in their mechanism flags, which
+        # are row state: they share one key.  Any other config difference
+        # (here β) separates the groups.
         from repro.core.config import SmartEXP3Config
         from repro.core.smart_exp3 import SmartEXP3Policy
         from tests.conftest import make_context
 
-        full = SmartEXP3Policy(make_context(seed=1))
-        no_reset = SmartEXP3Policy(
-            make_context(seed=2), SmartEXP3Config.without_reset()
+        def key(config, seed):
+            return SmartEXP3Kernel.group_key(
+                SmartEXP3Policy(make_context(seed=seed), config)
+            )
+
+        full = SmartEXP3Config.full()
+        family = (
+            full,
+            SmartEXP3Config.without_reset(),
+            SmartEXP3Config.hybrid_block_exp3(),
+            SmartEXP3Config.block_exp3(),
         )
-        assert SmartEXP3Kernel.group_key(full) != SmartEXP3Kernel.group_key(no_reset)
+        assert len({key(config, seed) for seed, config in enumerate(family)}) == 1
+        assert key(full, 1) != key(full.replace(beta=0.2), 2)
 
 
 class TestReplicationPrimitives:

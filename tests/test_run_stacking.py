@@ -2,10 +2,12 @@
 
 ``run_many`` and ``run_sweep`` feed their missing cells to one run loop
 (:func:`repro.sim.runner.run_cells`), which executes cells of equal
-physics as stacks of one engine.  The generated properties hold every
-stacked run to its solo event run bit for bit, and a sweep over cases of
-mixed physics to a cold ``run_many`` per case; the event tests pin which
-path each cell took and why.
+physics as stacks of one engine; each run keeps its own network values.
+The generated properties hold every stacked run to its solo event run bit
+for bit, and a sweep over cases of mixed physics and per-run network
+values to a cold ``run_many`` per case; the event tests pin which path
+each cell took and why, and the grid-shape tests count the stacks and
+kernel calls of two paper drivers.
 """
 
 from __future__ import annotations
@@ -18,14 +20,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.sim.runner as runner
+from repro.algorithms.kernels.base import BatchKernel
 from repro.algorithms.kernels.exp3 import EXP3Kernel
 from repro.analysis.reducers import Reducer
 from repro.game.gain import EqualShareModel, NoisyShareModel
 from repro.registry.sweep import SweepCase, run_sweep
 from repro.sim.backends import get_backend
 from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel
+from repro.experiments import fig04_distance_static, fig07_dynamic_join
+from repro.experiments.common import ExperimentConfig
+from repro.game.network import NetworkType
 from repro.sim.runner import run_many
-from repro.sim.scenario import setting1_scenario
+from repro.sim.scenario import setting1_scenario, setting2_scenario
+from repro.sim.sharded.executor import stack_physics
 from repro.telemetry import read_events, set_telemetry_dir
 from repro.telemetry.__main__ import build_report
 from tests.test_backends import (
@@ -89,16 +96,22 @@ def test_stacked_runs_equal_solo_event_runs(scenario, runs, base_seed, record):
 @st.composite
 def mixed_physics_cases(draw):
     """Sweep cases: most share one physics (and stack), the others do not —
-    their own network map, horizon, delay model or slot length, or a gain
-    model that keeps them solo."""
-    bandwidths = tuple(
-        draw(st.lists(st.sampled_from((4.0, 7.0, 22.0)), min_size=1, max_size=4))
-    )
+    their own network ids, horizon, delay model or slot length, or a gain
+    model that keeps them solo.  Each shared case draws its own bandwidths
+    over the same network ids, and so its own cellular network (the fastest)
+    and gain-scaling reference."""
+    num_networks = draw(st.integers(1, 4))
     horizon = draw(st.integers(10, 30))
     delay = draw(st.sampled_from((ConstantDelayModel(), EmpiricalDelayModel())))
     slot_duration_s = draw(st.sampled_from(SLOT_DURATIONS_S))
-    shared = dynamic_scenarios(
-        bandwidths, horizon, delay, slot_duration_s, EqualShareModel()
+    shared = st.lists(
+        st.sampled_from((4.0, 7.0, 22.0)),
+        min_size=num_networks,
+        max_size=num_networks,
+    ).flatmap(
+        lambda bandwidths: dynamic_scenarios(
+            tuple(bandwidths), horizon, delay, slot_duration_s, EqualShareModel()
+        )
     )
     scenarios = draw(
         st.lists(
@@ -135,6 +148,13 @@ def test_sweep_of_mixed_physics_equals_cold_run_many_per_case(cases, record):
         case for case in cases if type(case.scenario.gain_model) is EqualShareModel
     ]
     assert sum(_stack_sizes(spy)) == sum(case.runs for case in stackable)
+    # One stack per distinct physics: cases that differ only in their
+    # network values share an engine.
+    physics = []
+    for case in stackable:
+        if stack_physics(case.scenario) not in physics:
+            physics.append(stack_physics(case.scenario))
+    assert len(spy.call_args_list) == len(physics)
     for case in cases:
         cold = run_many(
             case.scenario, case.runs, case.base_seed, backend="vectorized",
@@ -209,3 +229,60 @@ def test_a_stack_refuses_runs_of_other_physics(tiny):
     for other in (longer, noisy):
         with pytest.raises(ValueError, match="cannot join this stack"):
             executor.execute_stack([(tiny, 0), (other, 1)])
+
+
+def test_stacked_runs_keep_their_own_network_types():
+    # Constant delays charge WiFi and cellular differently, and the cellular
+    # network (the fastest) is id 2 in setting 1 but id 0 in setting 2: a
+    # stack of both resolves each run's switches with its own types.
+    delay = ConstantDelayModel(wifi_delay_s=2.0, cellular_delay_s=3.0)
+    cells = [
+        (replace(factory(policy="exp3", num_devices=6, horizon_slots=30), delay_model=delay), seed)
+        for seed, factory in enumerate((setting1_scenario, setting2_scenario))
+    ]
+    cellular = [
+        [n.network_id for n in scenario.networks if n.network_type is NetworkType.CELLULAR]
+        for scenario, _ in cells
+    ]
+    assert cellular == [[2], [0]]
+    assert stack_physics(cells[0][0]) == stack_physics(cells[1][0])
+    stacked = get_backend("vectorized").execute_stack(cells)
+    for (scenario, seed), result in zip(cells, stacked):
+        assert_results_identical(get_backend("event").execute(scenario, seed), result)
+        charged = set(result.delays_2d[result.switches_2d].tolist())
+        assert charged == {2.0, 3.0}
+
+
+# ------------------------------------------------------------- grid shape
+
+
+def _kernel_calls(monkeypatch) -> list[int]:
+    """Count kernel slot calls (``begin_slot``), still making them."""
+    calls = []
+    for kernel_cls in BatchKernel.__subclasses__():
+        begin_slot = kernel_cls.begin_slot
+
+        def counted(self, slot, begin_slot=begin_slot):
+            calls.append(slot)
+            return begin_slot(self, slot)
+
+        monkeypatch.setattr(kernel_cls, "begin_slot", counted)
+    return calls
+
+
+def test_fig04_grid_is_one_stack_with_four_kernel_calls_a_slot(monkeypatch):
+    # Both settings x nine policies, one run each: one stack of 18 runs.
+    # EXP3, the Smart EXP3 family, Greedy and Full Information make four
+    # kernel calls a slot; Centralized and Fixed Random rows are frozen.
+    calls = _kernel_calls(monkeypatch)
+    config = ExperimentConfig(runs=1, horizon_slots=20)
+    with _stack_spy() as spy:
+        fig04_distance_static.run(config)
+    assert _stack_sizes(spy) == [18]
+    assert len(calls) == 4 * config.horizon_slots
+
+
+def test_fig07_policies_are_one_stack():
+    with _stack_spy() as spy:
+        fig07_dynamic_join.run(ExperimentConfig(runs=1, horizon_slots=20))
+    assert _stack_sizes(spy) == [4]

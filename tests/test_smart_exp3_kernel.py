@@ -4,6 +4,8 @@ The kernel replaces the scalar policy's per-row arithmetic with batched
 helpers and per-kernel lookup tables; each must equal the scalar expression
 bit for bit.  The churn test drives membership edits at a kernel size equal
 to a table's length, where a lookup table could be mistaken for row state.
+The family tests pin the grouping: the Table III variants share one kernel
+per visible set, and a config that differs beyond the flags does not.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from repro.core.blocking import BlockScheduler, SelectionType
 from repro.core.config import SmartEXP3Config
 from repro.core.smart_exp3 import SmartEXP3Policy
 from repro.core.switchback import BlockHistory, SwitchBackRule
+from repro.experiments import fig04_distance_static
+from repro.experiments.common import ExperimentConfig
 from repro.sim.backends import VectorizedSlotExecutor
 from repro.sim.runner import run_simulation
-from repro.sim.scenario import TraceChurn, churn_scenario
+from repro.sim.scenario import TraceChurn, churn_scenario, mobility_scenario
 
 from tests.conftest import make_context
 from tests.test_backends import assert_results_identical
@@ -226,4 +230,64 @@ class TestRowStateUnderChurn:
             and SelectionType.EXPLORATION in kinds
             and kinds & learned
             for kinds in starts
+        )
+
+
+class TestFamilyGroup:
+    """The Table III variants share one kernel group per visible set."""
+
+    @staticmethod
+    def built_kernels(monkeypatch) -> list[SmartEXP3Kernel]:
+        """Record every Smart EXP3 kernel the engine constructs."""
+        built = []
+        init = SmartEXP3Kernel.__init__
+
+        def recording(self, entries, recorder):
+            init(self, entries, recorder)
+            built.append(self)
+
+        monkeypatch.setattr(SmartEXP3Kernel, "__init__", recording)
+        return built
+
+    def test_fig04_grid_builds_one_family_kernel(self, monkeypatch):
+        # Both settings and all nine policies in one engine: every family
+        # row (4 variants x 2 settings x 20 devices) sees networks 0-2, so
+        # one kernel holds them all, each row with its variant's flags.
+        built = self.built_kernels(monkeypatch)
+        fig04_distance_static.run(ExperimentConfig(runs=1, horizon_slots=20))
+        (kernel,) = built
+        assert kernel.nets == (0, 1, 2)
+        assert kernel.size == 4 * 2 * 20
+        flags = np.stack(
+            [kernel.explore_on, kernel.greedy_on, kernel.switchback_on, kernel.reset_on],
+            axis=1,
+        )
+        assert {tuple(row) for row in flags.tolist()} == {
+            (False, False, False, False),  # Block EXP3
+            (True, True, False, False),  # Hybrid Block EXP3
+            (True, True, True, False),  # Smart EXP3 w/o Reset
+            (True, True, True, True),  # Smart EXP3
+        }
+
+    def test_one_kernel_per_visible_set_and_config(self, monkeypatch):
+        # Mobility: a kernel per visible set at the first slot (members are
+        # gathered there, before any move).  A config that differs beyond the
+        # flags (β) adds a group of its own on each visible set it reaches.
+        built = self.built_kernels(monkeypatch)
+        scenario = mobility_scenario(horizon_slots=1)
+        variants = ("block_exp3", "smart_exp3_no_reset", "smart_exp3")
+        for index, spec in enumerate(scenario.device_specs):
+            spec.policy = variants[index % len(variants)]
+        beta = scenario.device_specs[0]
+        beta.policy, beta.policy_kwargs = "smart_exp3", {"beta": 0.2}
+        result = run_simulation(scenario, seed=1, backend="vectorized")
+        visible = {
+            frozenset(scenario.coverage.visible_networks(spec.device, 1))
+            for spec in scenario.device_specs
+        }
+        groups = {(kernel.nets, kernel.config.beta) for kernel in built}
+        assert len(built) == len(groups) == len(visible) + 1
+        assert {nets for nets, _ in groups} == {tuple(sorted(v)) for v in visible}
+        assert_results_identical(
+            run_simulation(scenario, seed=1, backend="event"), result
         )

@@ -225,6 +225,21 @@ class TestInstrumentation:
         assert kinds[-1] == "run_many_end"
         assert kinds.count("run_start") == 2
 
+    def test_event_backend_runs_report_progress(self, tmp_path, tiny_setting1):
+        # Every backend's runs write run_start/run_end, so `tail --follow`
+        # shows event-backend experiments progressing too.
+        set_telemetry_dir(tmp_path)
+        run_many(tiny_setting1, 3, backend="event", reduce="summary")
+        set_telemetry_dir(None)
+        assert validate_directory(tmp_path) == []
+        events = read_events(tmp_path)
+        ends = [e for e in events if e["type"] == "run_end"]
+        assert len(ends) == 3
+        assert {e["tag"] for e in ends} == {"event"}
+        starts = [e for e in events if e["type"] == "run_start"]
+        assert [e["seed"] for e in starts] == [e["seed"] for e in ends] == [0, 1, 2]
+        assert starts[0]["devices"] == 6 and starts[0]["slots"] == 80
+
     def test_registry_events_and_meta_summary(self, tmp_path, tiny_setting1):
         from repro.registry.store import CacheSpec, RunStore
 
