@@ -49,13 +49,21 @@ Greedy, Smart EXP3 and its Table-III variants) get there as follows:
   module-level cache.  A table is not row state: the kernel lists it in
   :attr:`~repro.algorithms.kernels.base.BatchKernel.SHARED_ARRAY_ATTRS`
   so that membership edits never slice or extend it.
-* Draw windows (:meth:`~repro.algorithms.kernels.base.BatchKernel.prepare_window`)
-  pre-draw a row's uniforms for a membership-stable span with one
-  ``Generator.random(out=row)`` call per row into a preallocated
-  ``(rows × slots)`` buffer — the same doubles, and the same final
-  stream position, as ``Generator.random(slots)`` or that many
-  sequential ``random()`` calls.  A window ends at every membership
-  edit, so no row leaves a kernel with draws it has not consumed.
+* Draw windows belong to the slot engine
+  (:class:`~repro.sim.sharded.engine.ShardEngine`), not to the kernels.
+  A row of a kernel with
+  :attr:`~repro.algorithms.kernels.base.BatchKernel.uses_slot_draws`
+  takes exactly one uniform from its private generator per slot in which
+  it is present, whichever kernel group holds it.  So the engine fills
+  one ``(drawing rows × slots)`` block with one
+  ``Generator.random(out=...)`` call per row, covering each row from the
+  later of the window start and its join to its own last present slot —
+  the same doubles, and the same final stream position, as that many
+  sequential ``random()`` calls — and hands each kernel its rows' column
+  every slot (``begin_slot(slot, draws)``).  Joins, leaves and coverage
+  changes do not end a window; only a checkpoint barrier, the draw
+  budget or the horizon does.  A row that leaves the kernel path with
+  draws it has not consumed raises.
 
 A kernel must leave every consumed generator in a valid state of *its
 own stream only* (device generators are private; the environment

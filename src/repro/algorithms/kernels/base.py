@@ -111,12 +111,12 @@ def sample_rows(
     normalise → cumulative sum → divide by the last partial sum →
     ``searchsorted(..., side="right")`` on one uniform draw.
 
-    ``draws`` (one uniform per row) skips the per-row generator calls: window
-    preparation (:meth:`BatchKernel.prepare_window`) draws a whole
-    membership-stable window ahead with one ``Generator.random(n)`` call per
-    row, which yields the *identical* double stream as ``n`` sequential
-    ``.random()`` calls — so the buffered path stays bit-exact while paying
-    the Python generator-call overhead once per window instead of per slot.
+    ``draws`` (one uniform per row) skips the per-row generator calls: the
+    slot engine draws each row's uniforms for a whole window ahead with one
+    ``Generator.random(out=...)`` call per row, which yields the
+    *identical* double stream as that many sequential ``.random()`` calls
+    — so the pre-drawn path stays bit-exact while paying the Python
+    generator-call overhead once per window instead of per slot.
     """
     # Array methods rather than np.sum / np.cumsum: the same reductions
     # without the function-level dispatch, which dominates on small groups.
@@ -141,17 +141,18 @@ class BatchKernel(ABC):
     #: alongside the arrays.
     ROW_LIST_ATTRS: tuple[str, ...] = ()
 
-    #: ``ndarray`` attributes that are *not* row state — column maps, draw
-    #: buffers, lookup tables — and must never be sliced or concatenated by
-    #: membership edits, even when their length happens to equal ``size``.
-    SHARED_ARRAY_ATTRS: tuple[str, ...] = ("cols", "_arange", "_window_draws")
+    #: ``ndarray`` attributes that are *not* row state — column maps, lookup
+    #: tables — and must never be sliced or concatenated by membership
+    #: edits, even when their length happens to equal ``size``.
+    SHARED_ARRAY_ATTRS: tuple[str, ...] = ("cols", "_arange")
 
     #: Whether ``begin_slot`` consumes exactly one uniform double per row per
-    #: slot unconditionally (EXP3 / Full Information).  Only such kernels can
-    #: pre-draw a whole membership-stable window (:meth:`prepare_window`);
-    #: kernels with data-dependent RNG consumption (Smart-EXP3's block
-    #: starts) or none at all (Greedy) leave this ``False`` and the window
-    #: machinery degrades to a per-slot no-op for them.
+    #: slot unconditionally (EXP3 / Full Information).  The slot engine
+    #: pre-draws such rows' uniforms for a whole window and hands
+    #: ``begin_slot`` each slot's column (``draws``); kernels with
+    #: data-dependent RNG consumption (Smart-EXP3's block starts) or none at
+    #: all (Greedy) leave this ``False`` and draw from their rows'
+    #: generators themselves.
     uses_slot_draws: bool = False
 
     @classmethod
@@ -192,77 +193,6 @@ class BatchKernel(ABC):
         self.size = len(self.policies)
         self._arange = np.arange(self.size)
         self._block_index = None
-        # Pre-drawn uniforms for a membership-stable window (see
-        # prepare_window): a (size, n) block plus a consumption cursor.
-        # Deliberately excluded from the structural row-state sweep via
-        # _drop_window_buffer so membership edits never slice or pad it.
-        self._window_draws: np.ndarray | None = None
-        self._window_pos = 0
-
-    # ---------------------------------------------------------- draw windows
-
-    def prepare_window(self, n_slots: int) -> None:
-        """Pre-draw ``n_slots`` uniforms per row for a membership-stable span.
-
-        ``Generator.random(n)`` yields the identical double stream as ``n``
-        sequential ``.random()`` calls, so pre-drawing is bit-exact; it
-        amortises the dominant per-row Python generator call over the window.
-        Each row's generator fills its row of one preallocated ``(size ×
-        n_slots)`` buffer in place (``random(out=row)``, the same stream as
-        ``random(n_slots)``), so a window costs one generator call per row
-        and no per-row arrays — per-slot churn ends a window every slot.
-        The caller (the slot engine) must size ``n_slots`` so the buffer is
-        exhausted before the next topology event, checkpoint or flush — a
-        partially consumed buffer at a membership edit is a stream-contract
-        violation and raises in :meth:`_drop_window_buffer`.
-
-        No-op for kernels without unconditional per-slot draws
-        (:attr:`uses_slot_draws`).
-        """
-        if not self.uses_slot_draws or n_slots < 1:
-            return
-        self._drop_window_buffer()
-        draws = np.empty((self.size, n_slots))
-        for rng, row in zip(self.rngs, draws):
-            rng.random(out=row)
-        self._window_draws = draws
-        self._window_pos = 0
-
-    @property
-    def window_exhausted(self) -> bool:
-        """Whether the pre-drawn uniform buffer has been fully consumed."""
-        draws = self._window_draws
-        return draws is None or self._window_pos >= draws.shape[1]
-
-    def _take_draws(self) -> np.ndarray | None:
-        """Consume one pre-drawn uniform column, or ``None`` when unbuffered."""
-        draws = self._window_draws
-        if draws is None:
-            return None
-        pos = self._window_pos
-        if pos >= draws.shape[1]:
-            self._window_draws = None
-            return None
-        self._window_pos = pos + 1
-        if self._window_pos == draws.shape[1]:
-            column = draws[:, pos].copy()
-            self._window_draws = None
-            return column
-        return draws[:, pos]
-
-    def _drop_window_buffer(self) -> None:
-        """Discard the draw buffer; raises if draws would be lost unconsumed."""
-        draws = self._window_draws
-        if draws is None:
-            return
-        if self._window_pos < draws.shape[1]:
-            raise RuntimeError(
-                f"{type(self).__name__}: window buffer dropped with "
-                f"{draws.shape[1] - self._window_pos} unconsumed draws — "
-                "windows must end at membership/checkpoint boundaries"
-            )
-        self._window_draws = None
-        self._window_pos = 0
 
     def _index_block(self) -> tuple:
         """Where the group's cells sit in a probability slot column.
@@ -328,7 +258,6 @@ class BatchKernel(ABC):
         changes (the device then re-enters another group via a fresh gather).
         """
         local = sorted({int(index) for index in local_indices})
-        self._drop_window_buffer()
         self._flush_rows(local)
         keep = np.ones(self.size, dtype=bool)
         keep[local] = False
@@ -353,8 +282,6 @@ class BatchKernel(ABC):
         """
         if type(other) is not type(self) or other.nets != self.nets:
             raise ValueError("can only absorb a kernel of the same group")
-        self._drop_window_buffer()
-        other._drop_window_buffer()
         for name in self._row_array_attrs():
             mine = getattr(self, name)
             theirs = getattr(other, name, None)
@@ -378,8 +305,13 @@ class BatchKernel(ABC):
         self._refresh_derived()
 
     @abstractmethod
-    def begin_slot(self, slot: int) -> np.ndarray:
-        """Select one network per row; returns *global* network columns."""
+    def begin_slot(self, slot: int, draws: np.ndarray | None = None) -> np.ndarray:
+        """Select one network per row; returns *global* network columns.
+
+        ``draws`` reaches kernels with :attr:`uses_slot_draws` only: each
+        row's uniform for this slot, taken from its own generator ahead of
+        time; ``None`` draws from the row generators now.
+        """
 
     @abstractmethod
     def end_slot(

@@ -78,7 +78,7 @@ class EXP3Kernel(BatchKernel):
         fixed = self.fixed_gamma
         return np.where(fixed == _NO_GAMMA, decayed, fixed)
 
-    def begin_slot(self, slot: int) -> np.ndarray:
+    def begin_slot(self, slot: int, draws: np.ndarray | None = None) -> np.ndarray:
         self.rounds += 1
         self._slot_gamma = gamma = self._gammas()
         weights = self.weights
@@ -88,7 +88,7 @@ class EXP3Kernel(BatchKernel):
             :, None
         ]
         self._probs = probs
-        local = sample_rows(probs, self.rngs, draws=self._take_draws())
+        local = sample_rows(probs, self.rngs, draws)
         self._last_local = local
         self._last_probability = probs[self._arange, local]
         return self.cols[local]

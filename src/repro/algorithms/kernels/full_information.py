@@ -20,8 +20,8 @@ class FullInformationKernel(BatchKernel):
     """Array-native multiplicative weights with full feedback."""
 
     needs_full_feedback = True
-    #: One uniform per row per slot, unconditionally — eligible for
-    #: pre-drawn window buffers.
+    #: One uniform per row per slot, unconditionally: the engine pre-draws
+    #: them.
     uses_slot_draws = True
 
     def __init__(self, entries, recorder) -> None:
@@ -46,11 +46,11 @@ class FullInformationKernel(BatchKernel):
             eta[decay] = np.sqrt(np.log(k) / np.maximum(self.rounds[decay], 1))
         return eta
 
-    def begin_slot(self, slot: int) -> np.ndarray:
+    def begin_slot(self, slot: int, draws: np.ndarray | None = None) -> np.ndarray:
         self.rounds += 1
         total = np.sum(self.weights, axis=1)
         probs = self.weights / total[:, None]
-        local = sample_rows(probs, self.rngs, draws=self._take_draws())
+        local = sample_rows(probs, self.rngs, draws)
         self._last_local = local
         return self.cols[local]
 

@@ -71,10 +71,13 @@ _KERNELS: dict[type, type] = {}
 #: Class-dict entries a subclass may define without invalidating an
 #: ancestor's kernel: construction and interpreter boilerplate only — any
 #: method or property override could change per-slot behaviour the kernel
-#: does not know about.
+#: does not know about.  ``__slotnames__`` is the cache ``copyreg`` adds to
+#: a class the first time one of its instances is pickled (a checkpoint's
+#: scalar rows, for one).
 _KERNEL_NEUTRAL_ATTRIBUTES = frozenset(
     {
         "__init__",
+        "__slotnames__",
         "__doc__",
         "__module__",
         "__qualname__",

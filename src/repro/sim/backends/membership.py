@@ -73,6 +73,7 @@ class MembershipState:
         "policies_by_row",
         "recorder",
         "category",
+        "slot_draws",
         "active",
         "kernels_by_key",
         "kernel_of",
@@ -87,6 +88,10 @@ class MembershipState:
         num_devices = len(runtimes_by_row)
 
         self.category = np.empty(num_devices, dtype=np.int8)
+        #: Kernel rows whose kernel takes one uniform per present slot
+        #: (:attr:`~repro.algorithms.kernels.base.BatchKernel.uses_slot_draws`):
+        #: the engine draws their uniforms ahead, in windows.
+        self.slot_draws = np.zeros(num_devices, dtype=bool)
         for row, policy in enumerate(self.policies_by_row):
             if policy.stationary and not policy.needs_full_feedback:
                 self.category[row] = FROZEN
@@ -99,6 +104,7 @@ class MembershipState:
                 _report_scalar_fallback(row, policy)
             else:
                 self.category[row] = KERNEL
+                self.slot_draws[row] = kernel_cls.uses_slot_draws
 
         self.active = np.zeros(num_devices, dtype=bool)
         self.kernels_by_key: dict = {}  # (kernel class, group key) -> kernel
@@ -118,6 +124,7 @@ class MembershipState:
         key = kernel_cls.group_key(policy) if kernel_cls is not None else None
         if key is None:
             self.category[row] = FALLBACK
+            self.slot_draws[row] = False
             self.fallback_rows.add(row)
             _report_scalar_fallback(row, policy)
             return

@@ -19,9 +19,10 @@ supervision or durability — which batches all of that:
   topology-stable span, and a span in which every active device is frozen
   is broadcast in one step;
 * learning policies run as batched kernels (:mod:`repro.algorithms.kernels`),
-  with a per-device scalar fallback for policies without one, and kernels
-  that draw one uniform per row per slot pre-draw a membership-stable
-  window of them with one generator call per row.
+  with a per-device scalar fallback for policies without one, and the
+  engine pre-draws the uniforms of kernels that take one per row per slot
+  in windows that span membership edits, with one generator call per row
+  per window.
 
 :meth:`VectorizedSlotExecutor.execute_stack` runs several runs with
 identical physics as contiguous row blocks of one engine, so a kernel call

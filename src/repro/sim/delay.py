@@ -13,11 +13,50 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
 from repro.game.network import Network, NetworkType
+
+
+class SwitchCells:
+    """The networks a batch of switches can land on: one cell per (run, network).
+
+    A stack of runs shares its network ids, but each run keeps its own
+    networks (bandwidths and types: the cellular network is id 2 in setting
+    1 and id 0 in setting 2).  Cell ``r * per_run + c`` is run ``r``'s
+    network of column ``c`` — the occupancy cells of the slot engine.
+    Built once per engine; :attr:`cellular` is its type table.
+    """
+
+    __slots__ = ("networks", "per_run", "cellular")
+
+    def __init__(self, networks_by_run: Sequence[Sequence[Network]]) -> None:
+        #: Every run's networks, run-major.
+        self.networks: tuple[Network, ...] = tuple(
+            network for networks in networks_by_run for network in networks
+        )
+        #: Cells per run (the shared network count).
+        self.per_run = len(networks_by_run[0]) if networks_by_run else 0
+        #: Whether each cell is a cellular network.
+        self.cellular = np.asarray(
+            [network.network_type is NetworkType.CELLULAR for network in self.networks],
+            dtype=bool,
+        )
+
+
+def clamp_to_slot(delays: np.ndarray, slot_duration_s: float) -> np.ndarray:
+    """``min(max(delay, 0.0), slot_duration_s)`` per element, as Python computes it.
+
+    Written as the compare the builtins make (the first argument wins ties
+    and NaNs), so ``-0.0`` and NaN pass through exactly as the scalar clamp
+    of :meth:`~repro.sim.environment.WirelessEnvironment.switching_delay`
+    leaves them.
+    """
+    delays = np.where(0.0 > delays, 0.0, delays)
+    return np.where(slot_duration_s < delays, slot_duration_s, delays)
 
 
 class DelayModel(ABC):
@@ -37,17 +76,38 @@ class DelayModel(ABC):
         """Delay in seconds for associating with ``network``."""
 
     def sample_many(
-        self, networks: list[Network], rng: np.random.Generator
-    ) -> list[float]:
-        """Delays for a batch of switches, in order.
+        self,
+        table: SwitchCells,
+        cells: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        slot_duration_s: float,
+    ) -> np.ndarray:
+        """One slot's switching delays for a whole stack, clamped to the slot.
 
-        Must consume the RNG stream exactly as the equivalent sequence of
-        :meth:`sample` calls (the vectorized backend batches one slot's
-        switching devices through this while the event backend draws them one
-        by one).  The default implementation simply loops; subclasses may
-        batch draws when their sampler is stream-stable under batching.
+        ``cells`` holds each switch's cell of ``table`` (its run and
+        network), ascending by run and, within a run, in ascending device
+        order; ``rngs`` holds each run's own environment generator.  Each
+        run's delays, and its generator's state afterwards, must equal that
+        run's own sequential :meth:`sample` calls, each clamped to
+        ``[0, slot_duration_s]`` as
+        :meth:`~repro.sim.environment.WirelessEnvironment.switching_delay`
+        does (the event backend draws switch by switch; the batched backends
+        resolve a slot's switches of every stacked run in this one call).
+        Returns a float64 array.  This default calls :meth:`sample` per
+        switch; subclasses may batch draws when their sampler is
+        stream-stable under batching.
         """
-        return [self.sample(network, rng) for network in networks]
+        networks = table.networks
+        per_run = table.per_run
+        delays = np.fromiter(
+            (
+                self.sample(networks[cell], rngs[cell // per_run])
+                for cell in cells.tolist()
+            ),
+            dtype=float,
+            count=len(cells),
+        )
+        return clamp_to_slot(delays, slot_duration_s)
 
 
 @dataclass
@@ -133,37 +193,52 @@ class EmpiricalDelayModel(DelayModel):
         return float(np.clip(raw, self.min_delay_s, self.max_delay_s))
 
     def sample_many(
-        self, networks: list[Network], rng: np.random.Generator
-    ) -> list[float]:
-        """Batched draws, bit-identical to sequential :meth:`sample` calls.
+        self,
+        table: SwitchCells,
+        cells: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        slot_duration_s: float,
+    ) -> np.ndarray:
+        """A stack's batched draws, bit-identical to sequential :meth:`sample`
+        calls on each run's own generator.
 
         Both scipy samplers are pure transforms of stream-stable generator
         draws — Johnson SU is inverse-CDF over one uniform
         (``sinh((ndtri(u) − a) / b) · scale + loc``) and Student's t wraps
-        ``Generator.standard_t`` — so the raw draws are consumed run-by-run
-        in switch order (keeping the stream position identical to scalar
-        sampling) while the transforms and the truncation vectorize over the
-        whole batch.  The runs of same-type networks are found with one array
-        comparison; only the generator call per run stays in Python, because
-        a Student's t draw consumes a data-dependent number of stream values.
+        ``Generator.standard_t`` — so the raw draws are consumed in switch
+        order, one generator call per maximal run of switches of one
+        (run, network type), found with one array comparison over the
+        table's type column.  WiFi runs fill their slice in place
+        (``random(out=...)``, the same doubles as ``uniform(size=k)``);
+        cellular runs call ``standard_t``, which consumes a data-dependent
+        number of stream values, so that call stays per run.  The
+        transforms, the truncation to ``[min_delay_s, max_delay_s]`` and
+        the clamp to the slot length then run once over the whole slot.
         The delay-model tests pin the bit-equivalence against
         ``scipy.stats.rvs``.
         """
-        count = len(networks)
+        count = cells.size
         if not count:
-            return []
-        cellular = np.asarray(
-            [network.network_type is NetworkType.CELLULAR for network in networks],
-            dtype=bool,
-        )
-        raw = np.empty(count, dtype=float)
-        edges = (np.flatnonzero(cellular[1:] != cellular[:-1]) + 1).tolist()
-        for start, stop in zip([0] + edges, edges + [count]):
-            if cellular[start]:
+            return np.empty(0)
+        per_run = table.per_run
+        cellular = table.cellular[cells]
+        owners = cells // per_run
+        key = owners * 2 + cellular
+        edges = np.flatnonzero(key[1:] != key[:-1]) + 1
+        starts = np.concatenate(([0], edges))
+        raw = np.empty(count)
+        for start, stop, owner, kind in zip(
+            starts.tolist(),
+            edges.tolist() + [count],
+            owners[starts].tolist(),
+            cellular[starts].tolist(),
+        ):
+            rng = rngs[owner]
+            if kind:
                 raw[start:stop] = rng.standard_t(self.cellular_df, size=stop - start)
             else:
-                raw[start:stop] = rng.uniform(size=stop - start)
-        values = np.empty(count, dtype=float)
+                rng.random(out=raw[start:stop])
+        values = np.empty(count)
         wifi = ~cellular
         if wifi.any():
             values[wifi] = (
@@ -173,7 +248,8 @@ class EmpiricalDelayModel(DelayModel):
             )
         if cellular.any():
             values[cellular] = raw[cellular] * self.cellular_scale + self.cellular_loc
-        return np.clip(values, self.min_delay_s, self.max_delay_s).tolist()
+        values = np.clip(values, self.min_delay_s, self.max_delay_s)
+        return clamp_to_slot(values, slot_duration_s)
 
     def mean_delay(self, network_type: NetworkType, samples: int = 4000, seed: int = 0) -> float:
         """Monte-Carlo estimate of the mean truncated delay (used by bounds)."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.game.gain import scale_gain
 from repro.game.network import Network
+from repro.sim.delay import SwitchCells
 from repro.sim.scenario import Scenario
 
 
@@ -27,6 +28,12 @@ class WirelessEnvironment:
         self.rng = rng
         self.networks: dict[int, Network] = scenario.network_map
         self.scale_reference_mbps = scenario.scale_reference_mbps
+        #: The run's network ids, ascending, and their cells: the one-run
+        #: table :meth:`switching_delays` hands the delay model.
+        self.network_ids = np.asarray(sorted(self.networks), dtype=np.int64)
+        self.switch_cells = SwitchCells(
+            [[self.networks[int(k)] for k in self.network_ids]]
+        )
 
     def client_groups(self, associations: dict[int, int]) -> dict[int, list[int]]:
         """Device ids grouped per network, in first-appearance network order.
@@ -66,26 +73,20 @@ class WirelessEnvironment:
         delay = self.scenario.delay_model.sample(self.networks[network_id], self.rng)
         return float(min(max(delay, 0.0), self.scenario.slot_duration_s))
 
-    def switching_delays(self, network_ids: list[int]) -> list[float]:
+    def switching_delays(self, network_ids) -> np.ndarray:
         """Delays for one slot's switching devices, in ascending device order.
 
-        Bit-identical to calling :meth:`switching_delay` per device (the delay
-        models' batched draws are stream-stable), but pays the sampler call
-        overhead once per run of same-type networks instead of once per switch.
-        The clamp is one array expression written as Python's ``max``/``min``
-        compare (the first argument wins ties and NaNs), so ``-0.0`` and NaN
-        pass through exactly as the scalar clamp leaves them.
+        The one-run case of :meth:`DelayModel.sample_many
+        <repro.sim.delay.DelayModel.sample_many>`, on this run's generator:
+        bit-identical to calling :meth:`switching_delay` per device, clamp
+        included, in one call (a float64 array).
         """
-        delays = np.asarray(
-            self.scenario.delay_model.sample_many(
-                [self.networks[network_id] for network_id in network_ids],
-                self.rng,
-            ),
-            dtype=float,
+        cells = np.searchsorted(
+            self.network_ids, np.asarray(network_ids, dtype=np.int64)
         )
-        duration = self.scenario.slot_duration_s
-        delays = np.where(0.0 > delays, 0.0, delays)
-        return np.where(duration < delays, duration, delays).tolist()
+        return self.scenario.delay_model.sample_many(
+            self.switch_cells, cells, (self.rng,), self.scenario.slot_duration_s
+        )
 
     def scaled_gain(self, bit_rate_mbps: float) -> float:
         """Scale a bit rate into the [0, 1] bandit reward."""

@@ -58,12 +58,15 @@ reduced experiment holds one stack of records at a time regardless of
 IPC contract of the parallel path
 ---------------------------------
 
-The run context — scenario, resolved executor instance, reducer, the
-probability-recording flag and the base seed — is pickled **once per worker
-process** through the pool initializer, not once per job.  A job is a batch
-of bare ``int`` run indices (the worker reconstructs the spawned seeds
-locally), about four batches per worker, so submitting 500 runs costs 500
-small integers over the pipe instead of 500 copies of the scenario.
+One :func:`run_cells` call opens at most one process pool, whatever the
+number of scenarios.  The run context — every scenario of the call with its
+base seed, the resolved executor instance, the reducer and the
+probability-recording flag — is pickled **once per worker process**
+through the pool initializer, not once per job.  A job is a batch of
+``(scenario number, run index)`` pairs of small integers (the worker
+reconstructs the spawned seeds locally), about four batches per worker, so
+submitting 500 runs costs 500 pairs over the pipe instead of 500 copies of
+the scenario.
 Shipping the resolved executor (rather than the backend name) means custom
 backends registered via ``register_backend`` do not depend on the worker's
 freshly imported registry; on spawn/forkserver platforms this still
@@ -263,13 +266,19 @@ def _init_worker(context: dict) -> None:
     _WORKER_CONTEXT.update(context)
 
 
-def _run_indices(indices: list[int]) -> list:
-    """Pool job: :func:`_run_one` over a batch of run indices, in order, on
-    the worker-resident context."""
-    return [_run_one(index, **_WORKER_CONTEXT) for index in indices]
+def _run_job(cells: list[tuple[int, int]]) -> list:
+    """Pool job: :func:`_run_one` over a batch of ``(group number, run
+    index)`` cells, in order, on the worker-resident context."""
+    context = dict(_WORKER_CONTEXT)
+    groups = context.pop("groups")
+    finished = []
+    for number, index in cells:
+        scenario, base_seed = groups[number]
+        finished.append(_run_one(index, scenario, base_seed=base_seed, **context))
+    return finished
 
 
-def _batches(indices: list[int], pool_width: int) -> list[list[int]]:
+def _batches(indices: list, pool_width: int) -> list[list]:
     """``indices`` in consecutive pool jobs: ~4 jobs per worker, like
     ``Pool.map``'s default chunking."""
     size, extra = divmod(len(indices), pool_width * 4)
@@ -277,24 +286,35 @@ def _batches(indices: list[int], pool_width: int) -> list[list[int]]:
     return [indices[lo : lo + size] for lo in range(0, len(indices), size)]
 
 
-def _finished_runs(indices, context: dict, workers):
-    """``_run_one`` over ``indices`` in order: pooled or in this process.
+def _run_pooled(
+    cells: list, executor, reducer, record_probabilities: bool, workers: int, store
+) -> None:
+    """Every solo cell of one :func:`run_cells` call, on one process pool.
 
-    More than one worker and more than one index fan the runs out over a
-    ``ProcessPoolExecutor`` in batches (:func:`_batches`); otherwise they
-    run serially, each one finished (and, when reducing, reduced) before
-    the next one starts.
+    ``cells`` lists ``(group, run index)``.  The context — each group's
+    scenario and base seed, the executor, the reducer and the
+    probability-recording flag — reaches each worker once, through the pool
+    initializer; a job is a batch of ``(group number, run index)`` pairs
+    (:func:`_batches`).  Each cell is finished as its batch lands, in cell
+    order.
     """
-    if workers is None or workers <= 1 or len(indices) <= 1:
-        for index in indices:
-            yield _run_one(index, **context)
-        return
-    pool_width = min(workers, len(indices))
+    groups = list({id(group): group for group, _ in cells}.values())
+    number = {id(group): position for position, group in enumerate(groups)}
+    jobs = [(number[id(group)], index) for group, index in cells]
+    context = {
+        "groups": [(group.scenario, group.base_seed) for group in groups],
+        "executor": executor,
+        "reducer": reducer,
+        "record_probabilities": record_probabilities,
+    }
+    pool_width = min(workers, len(jobs))
     with ProcessPoolExecutor(
         max_workers=pool_width, initializer=_init_worker, initargs=(context,)
     ) as pool:
-        for finished in pool.map(_run_indices, _batches(indices, pool_width)):
-            yield from finished
+        batches = pool.map(_run_job, _batches(jobs, pool_width))
+        finished = (run for batch in batches for run in batch)
+        for (group, _), (index, payload, seconds) in zip(cells, finished):
+            group.finish(index, payload, seconds, store)
 
 
 class RunCells:
@@ -428,6 +448,8 @@ def run_cells(
     without stacking (``event``, ``sharded``), on another gain model than
     equal share, or above the budget — each one recorded as a ``run_solo``
     telemetry event with its reason, each stack as a ``run_stack`` event.
+    With ``workers > 1`` every solo cell of every group goes to one process
+    pool (:func:`_run_pooled`).
     """
     # Imported lazily: the sharded package imports the backends package.
     from repro.sim.sharded.executor import stack_physics
@@ -455,6 +477,7 @@ def run_cells(
 
     telemetry = get_telemetry()
     pool = workers is not None and workers > 1
+    solo: list[tuple[RunCells, int]] = []
     stacks: list[_Stack] = []
     for group in groups:
         missing = group.missing()
@@ -471,17 +494,7 @@ def run_cells(
                         scenario=group.scenario.name,
                         run_index=index,
                     )
-            context = {
-                "scenario": group.scenario,
-                "executor": executor,
-                "reducer": reducer,
-                "record_probabilities": record_probabilities,
-                "base_seed": group.base_seed,
-            }
-            for index, payload, seconds in _finished_runs(
-                missing, context, workers
-            ):
-                group.finish(index, payload, seconds, store)
+            solo.extend((group, index) for index in missing)
             continue
         physics = stack_physics(group.scenario)
         stack = next((s for s in stacks if s.physics == physics), None)
@@ -494,6 +507,21 @@ def run_cells(
                 stacks.append(stack)
             stack.cells.append((group, index))
             stack.bytes += size
+    if pool and len(solo) > 1:
+        _run_pooled(solo, executor, reducer, record_probabilities, workers, store)
+    else:
+        for group, index in solo:
+            group.finish(
+                *_run_one(
+                    index,
+                    group.scenario,
+                    executor,
+                    reducer,
+                    record_probabilities,
+                    group.base_seed,
+                ),
+                store,
+            )
     for stack in stacks:
         _run_stack(stack, executor, reducer, record_probabilities, store)
 

@@ -56,7 +56,7 @@ from repro.sim.backends.base import DeviceRuntime
 
 #: Bump when the checkpoint layout or pickle payload shape changes; resume
 #: refuses manifests with a different version.
-CHECKPOINT_FORMAT_VERSION = 7
+CHECKPOINT_FORMAT_VERSION = 8
 
 MANIFEST_NAME = "MANIFEST.json"
 _CKPT_PREFIX = "ckpt_"

@@ -47,6 +47,15 @@ activity mask and the mixed strategies of frozen rows (stationary policies
 the per-slot phases of a span in which every active row is frozen
 (:meth:`ShardEngine.fast_forward` broadcasts it).
 
+Draw windows belong to the engine: the rows of kernels that take one
+uniform per slot (EXP3, Full Information) get their uniforms for a whole
+window ahead, one ``Generator.random(out=...)`` call per row into one
+``(drawing rows × slots)`` block, and each slot hands every drawing
+kernel its rows' column (:meth:`ShardEngine._fill_draws`).  A row takes
+one uniform per present slot whichever kernel group holds it, so joins,
+leaves and coverage changes do not end a window; a checkpoint barrier,
+the draw budget or the horizon does.
+
 Bit-exactness with the event backend holds because every RNG stream is
 consumed identically: per-device policy streams come from the same globally
 derived seeds (:func:`~repro.sim.backends.base.derive_run_streams`), kernels
@@ -82,10 +91,13 @@ from repro.sim.sharded.plan import ShardSpec
 
 _U64 = (1 << 64) - 1
 
-#: Uniform doubles buffered per kernel draw window: caps the window so a
-#: large shard buffers a few slots of pre-drawn uniforms (~32 MB), not the
-#: whole horizon.
+#: The draw budget: a draw window holds at most this many uniform doubles
+#: (~32 MB), so a large shard draws a few slots ahead, not the whole
+#: horizon ...
 _DRAW_BUDGET = 4_000_000
+#: ... and spans at most this many slots, so a mid-size population's block
+#: stays small too.
+_DRAW_SLOTS = 128
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
@@ -278,10 +290,6 @@ class ShardEngine:
         self.row_base = np.repeat(
             np.arange(num_runs, dtype=np.intp) * self.num_networks, sizes
         )
-        #: Row offset where each run starts, then the row count.
-        self.run_bounds = np.asarray(
-            [run.lo for run in self.runs] + [num_devices], dtype=np.intp
-        )
         # Each run's own network values: bandwidth per occupancy cell, and
         # the gain-scaling reference per cell and per row.
         self._cell_bandwidths = np.asarray(
@@ -328,8 +336,8 @@ class ShardEngine:
         self.choice_col = np.zeros(num_devices, dtype=np.intp)
         self.prev_col = np.full(num_devices, -1, dtype=np.intp)
         #: Checkpoint cadence in slots (set by the executor when durability
-        #: is on): kernel draw windows and fast-forwards end here so a
-        #: snapshot never has to carry a partially consumed uniform buffer.
+        #: is on): draw windows and fast-forwards end here, so a snapshot
+        #: never has to carry a partly consumed draw block.
         self.draw_barrier_every: int | None = None
         self._events = _merged_events(self.runs)
         self._event_slot_list = sorted(self._events)
@@ -339,7 +347,7 @@ class ShardEngine:
         self._next_event = 0
         #: Why draw windows ended (reason -> count), for telemetry's
         #: ``fused_windows`` events.  Always-on: one dict update per window
-        #: (not per slot) is noise next to the window's array work.
+        #: (not per slot) is noise next to the window's draws.
         self.window_truncations: dict[str, int] = {}
         self.__dict__.update(self._SCRATCH)
 
@@ -351,6 +359,8 @@ class ShardEngine:
         "_act_rows": _NO_ROWS,
         "_all_active": False,
         "_kernel_entries": [],
+        "_slot_kernels": [],
+        "_drawing": False,
         "_fallback_list": [],
         "_frozen_rows": _NO_ROWS,
         "_first_slot": True,
@@ -362,6 +372,18 @@ class ShardEngine:
         "_rates_act": np.empty(0, dtype=float),
         "_switch_rows": _NO_ROWS,
         "_feedback": None,
+        # The draw window (see _fill_draws): the (drawing rows × slots)
+        # block, the slots it covers, its engine rows, each one's last
+        # drawn slot and each engine row's block row (-1 outside it).  A
+        # restore starts with none, so the next slot opens a window.
+        "_draws": None,
+        "_draw_start": 0,
+        "_draw_end": 0,
+        "_draw_rows": _NO_ROWS,
+        "_draw_upto": _NO_ROWS,
+        "_draw_pos": _NO_ROWS,
+        "_draws_bound": True,
+        "_presence": None,
     }
 
     # ------------------------------------------------------- checkpointing
@@ -382,6 +404,11 @@ class ShardEngine:
     # scalar state and are pickled in full.
 
     def __getstate__(self) -> dict:
+        if self._draws is not None:
+            raise RuntimeError(
+                "engine snapshot inside a draw window: windows must end at "
+                "checkpoint barriers"
+            )
         self._sync_prev()
         state = dict(self.__dict__)
         drop_recorder = state.pop("_snapshot_drop_recorder", False)
@@ -415,6 +442,7 @@ class ShardEngine:
         kernel_rows = membership.kernel_of
         state["_columnar"] = {
             "category": membership.category,
+            "slot_draws": membership.slot_draws,
             "active": membership.active,
             "fallback_rows": membership.fallback_rows,
             "frozen_dirty": membership.frozen_dirty,
@@ -464,6 +492,7 @@ class ShardEngine:
         membership.policies_by_row = policies_by_row
         membership.recorder = self.recorder
         membership.category = columnar["category"]
+        membership.slot_draws = columnar["slot_draws"]
         membership.active = columnar["active"]
         membership.fallback_rows = columnar["fallback_rows"]
         membership.frozen_dirty = columnar["frozen_dirty"]
@@ -505,9 +534,20 @@ class ShardEngine:
         if self._prev_act is not None:
             self.prev_col[self._act_rows] = self._prev_act
 
-    def _refresh_layout(self) -> None:
+    def _refresh_layout(self, slot: int) -> None:
         """Recompute the active rows and where each execution class sits."""
         membership = self.membership
+        if self._draws is not None:
+            # A row whose kernel refused it now runs on the scalar path,
+            # which draws from the row's generator itself.
+            stranded = ~membership.slot_draws[self._draw_rows] & (
+                self._draw_upto >= slot
+            )
+            if stranded.any():
+                raise RuntimeError(
+                    f"row {int(self._draw_rows[stranded][0])} left the kernel "
+                    f"path at slot {slot} with draws it has not consumed"
+                )
         self._sync_prev()
         self._prev_act = None
         act_rows = np.nonzero(membership.active)[0]
@@ -526,6 +566,9 @@ class ShardEngine:
             )
             entries.append((kernel, None if identity else positions))
         self._kernel_entries = entries
+        self._slot_kernels = [(kernel, None) for kernel, _ in entries]
+        self._drawing = any(kernel.uses_slot_draws for kernel, _ in entries)
+        self._draws_bound = not self._drawing
         self._fallback_list = [
             (
                 row,
@@ -571,40 +614,101 @@ class ShardEngine:
                 recorder.record_probabilities(row, lo, policies_by_row[row])
                 block[row, lo + 1 : hi] = block[row, lo]
 
-    def _stable_last(self, slot: int) -> tuple[int, str]:
-        """Last slot of the membership-stable run from ``slot``, and why.
-
-        The run ends before the next topology event (a membership edit with
-        live buffered draws is a stream-contract violation), at the next
-        checkpoint barrier (snapshots stay free of half-consumed buffers) or
-        at the horizon.
-        """
-        last, reason = self._next_event - 1, "topology_event"
-        if last >= self.num_slots:
-            last, reason = self.num_slots, "horizon"
+    def _next_barrier(self, slot: int) -> int | None:
+        """The first checkpoint barrier at or after ``slot``, if any."""
         every = self.draw_barrier_every
-        if every:
-            barrier = ((slot + every - 1) // every) * every
-            if barrier < last:
-                last, reason = barrier, "checkpoint_barrier"
-        return last, reason
+        return ((slot + every - 1) // every) * every if every else None
 
-    def _draw_span(self, slot: int, size: int) -> int:
-        """Draw-window length starting at ``slot`` for a ``size``-row kernel.
+    def _stable_last(self, slot: int) -> int:
+        """Last slot of the membership-stable run from ``slot``: before the
+        next topology event, at the next checkpoint barrier or at the
+        horizon, whichever comes first."""
+        last = min(self._next_event - 1, self.num_slots)
+        barrier = self._next_barrier(slot)
+        return last if barrier is None else min(last, barrier)
 
-        Lockstep synchronisation keeps the *slot protocol* per slot, but the
-        per-row uniform draws can still be amortised over the
-        membership-stable run ahead (:meth:`_stable_last`), capped by the
-        draw-buffer memory budget.
+    def _presence_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's first and last present slot, from the topology events
+        (a row that never joins has an empty range)."""
+        presence = self._presence
+        if presence is None:
+            num_rows = len(self.device_ids)
+            first = np.full(num_rows, self.num_slots + 1, dtype=np.int64)
+            last = np.full(num_rows, self.num_slots, dtype=np.int64)
+            for slot, events in self._events.items():
+                if events.joins:
+                    first[events.joins] = slot
+                if events.leaves:
+                    last[events.leaves] = slot - 1
+            self._presence = presence = (first, last)
+        return presence
+
+    def _fill_draws(self, slot: int) -> None:
+        """Open a draw window at ``slot`` (see the module docstring).
+
+        The window ends at the next checkpoint barrier (a snapshot never
+        carries a partly consumed block), at the draw budget
+        (:data:`_DRAW_BUDGET` uniforms over the drawing rows, at most
+        :data:`_DRAW_SLOTS` slots) or at the horizon; the reason is tallied
+        for telemetry.  Each drawing row (``membership.slot_draws``)
+        present in the window gets its slots from the later of ``slot``
+        and its join to the earlier of the window end and its last present
+        slot, in one ``Generator.random(out=...)`` call; the block's other
+        cells are never read.
         """
-        last, reason = self._stable_last(slot)
-        span = last - slot + 1
-        budget = _DRAW_BUDGET // max(size, 1)
-        if budget < span:
-            span, reason = budget, "draw_budget"
+        membership = self.membership
+        first, last = self._presence_slots()
+        rows = np.flatnonzero(membership.slot_draws & (last >= slot))
+        end, reason = self.num_slots, "horizon"
+        barrier = self._next_barrier(slot)
+        if barrier is not None and barrier < end:
+            end, reason = barrier, "checkpoint_barrier"
+        budget = max(1, min(_DRAW_SLOTS, _DRAW_BUDGET // max(rows.size, 1)))
+        if slot + budget - 1 < end:
+            end, reason = slot + budget - 1, "draw_budget"
         truncations = self.window_truncations
         truncations[reason] = truncations.get(reason, 0) + 1
-        return max(1, span)
+
+        rows = rows[first[rows] <= end]
+        span = end - slot + 1
+        lo = np.maximum(first[rows] - slot, 0)
+        upto = np.minimum(last[rows], end)
+        block = np.empty((rows.size, span))
+        policies = membership.policies_by_row
+        if not lo.any() and (upto == end).all():
+            for row, out in zip(rows.tolist(), block):
+                policies[row].rng.random(out=out)
+        else:
+            stops = (upto - slot + 1).tolist()
+            for row, out, a, b in zip(rows.tolist(), block, lo.tolist(), stops):
+                policies[row].rng.random(out=out[a:b])
+        position = np.full(len(self.device_ids), -1, dtype=np.intp)
+        position[rows] = np.arange(rows.size)
+        self._draws = block
+        self._draw_start, self._draw_end = slot, end
+        self._draw_rows, self._draw_upto, self._draw_pos = rows, upto, position
+        self._draws_bound = False
+
+    def _bind_draws(self) -> None:
+        """Point each drawing kernel at its rows of the draw block: the
+        whole column when the kernel holds every block row in order."""
+        position = self._draw_pos
+        bound = []
+        for kernel, _positions in self._kernel_entries:
+            index = None
+            if kernel.uses_slot_draws:
+                if np.array_equal(kernel.rows, self._draw_rows):
+                    index = slice(None)
+                else:
+                    index = position[kernel.rows]
+                    if (index < 0).any():
+                        raise RuntimeError(
+                            f"{type(kernel).__name__}: a row of the kernel "
+                            "has no draws in the window"
+                        )
+            bound.append((kernel, index))
+        self._slot_kernels = bound
+        self._draws_bound = True
 
     # ---------------------------------------------------------- slot phases
 
@@ -626,15 +730,27 @@ class ShardEngine:
                 self.choice_col[row] = network_col[policy.begin_slot(slot)]
             membership.frozen_dirty.clear()
         if self._layout_dirty:
-            self._refresh_layout()
+            self._refresh_layout(slot)
         if slot >= self._span_end:
             self._write_span(slot)
 
         choice_col = self.choice_col
-        for kernel, _positions in self._kernel_entries:
-            if kernel.uses_slot_draws and kernel.window_exhausted:
-                kernel.prepare_window(self._draw_span(slot, kernel.size))
-            choice_col[kernel.rows] = kernel.begin_slot(slot)
+        block = column = None
+        if self._drawing:
+            if slot > self._draw_end:
+                self._fill_draws(slot)
+            if not self._draws_bound:
+                self._bind_draws()
+            block, column = self._draws, slot - self._draw_start
+        for kernel, draws in self._slot_kernels:
+            if draws is None:
+                choice_col[kernel.rows] = kernel.begin_slot(slot)
+            else:
+                choice_col[kernel.rows] = kernel.begin_slot(
+                    slot, block[draws, column]
+                )
+        if slot == self._draw_end:
+            self._draws = None  # exhausted
         if self._fallback_list:
             network_col = self.network_col
             for row, _runtime, policy, _pos, _base in self._fallback_list:
@@ -791,9 +907,11 @@ class ShardEngine:
         """
         if not self.closed_form or self._kernel_entries or self._fallback_list:
             return slot
-        last = min(
-            self._stable_last(slot)[0], self.col_base + self.recorder.num_slots
-        )
+        last = min(self._stable_last(slot), self.col_base + self.recorder.num_slots)
+        if last >= self._draw_end:
+            # No drawing row is present before the next event: the rest of
+            # the window is spent.
+            self._draws = None
         act_rows = self._act_rows
         if last > slot and act_rows.size:
             recorder = self.recorder

@@ -74,6 +74,7 @@ import numpy as np
 from repro.game.gain import EqualShareModel
 from repro.profiling import profile_run
 from repro.sim.backends.base import SlotExecutor, derive_run_streams
+from repro.sim.delay import SwitchCells
 from repro.sim.environment import WirelessEnvironment
 from repro.sim.metrics import SimulationResult
 from repro.sim.scenario import Scenario
@@ -213,25 +214,6 @@ def _build_group(
     return engines, [None] * len(engines), [environment], 1, 0
 
 
-def _switching_delays(
-    engine: ShardEngine, environments: list, rows: np.ndarray, nets: np.ndarray
-) -> list[float]:
-    """Stochastic delays of one engine's switchers, ``rows`` ascending.
-
-    Each run draws its own switchers' delays from its own environment RNG,
-    in ascending device order, exactly as it would alone; runs without a
-    switcher this slot draw nothing.
-    """
-    if len(environments) == 1:
-        return environments[0].switching_delays(nets.tolist())
-    cuts = np.searchsorted(rows, engine.run_bounds).tolist()
-    delays: list[float] = []
-    for environment, lo, hi in zip(environments, cuts, cuts[1:]):
-        if hi > lo:
-            delays += environment.switching_delays(nets[lo:hi].tolist())
-    return delays
-
-
 def run_lockstep(
     engines: list[ShardEngine],
     bus,
@@ -251,11 +233,14 @@ def run_lockstep(
     full results (gather mode; one per shard, or one per run of a stacked
     engine) or the reducer's per-shard states (streaming mode,
     ``params.window`` set).  ``environments`` holds one environment per
-    run of ``engines[0]`` (a sharded group runs one run); each resolves its
-    own run's switching delays with its own networks — stochastic delays
-    through its RNG (:func:`_switching_delays`), stream-free ones through
-    a delay table with one cell per run and network, indexed like the
-    occupancy (``row_base[rows] + cols``).
+    run of ``engines[0]`` (a sharded group runs one run); each run's
+    switching delays come from its own networks — stochastic ones from its
+    own environment generator, a slot's switchers of every stacked run in
+    one :meth:`DelayModel.sample_many <repro.sim.delay.DelayModel.sample_many>`
+    call over a (run × network) :class:`~repro.sim.delay.SwitchCells`
+    table, stream-free ones from a delay table with one cell per run and
+    network; both are indexed like the occupancy (``row_base[rows] +
+    cols``).
     ``start_slot``/``window_start``/``states`` carry a restored checkpoint's
     cursors; a fresh run starts at slot 1 with empty state.  ``tag`` names
     a standalone in-process run (the vectorized backend), which reports
@@ -285,6 +270,19 @@ def run_lockstep(
     net_ids = engine.net_ids
     environment = environments[0]
     delay_table = None
+    if params.coupled and single:
+        # Stochastic delays: one sampler call per slot for the whole stack.
+        # The generators are read from the live environments (a restored
+        # run brings its own), never cached on the checkpointed engine.
+        switch_cells = SwitchCells(
+            [
+                [run.scenario.network_map[int(k)] for k in net_ids]
+                for run in engine.runs
+            ]
+        )
+        delay_model = engine.scenario.delay_model
+        delay_rngs = [run_environment.rng for run_environment in environments]
+        slot_duration_s = engine.scenario.slot_duration_s
     if not params.coupled:
         # Stream-free delay models are pure per-network constants: sample
         # each run's networks once (consuming nothing) and resolve a slot's
@@ -382,7 +380,12 @@ def run_lockstep(
             elif delay_table is not None:
                 delays = delay_table[engine.row_base[rows] + cols]
             else:
-                delays = _switching_delays(engine, environments, rows, net_ids[cols])
+                delays = delay_model.sample_many(
+                    switch_cells,
+                    engine.row_base[rows] + cols,
+                    delay_rngs,
+                    slot_duration_s,
+                )
             if prof is not None:
                 t = prof.add("delays", t)
             engine.complete(slot, delays)
@@ -417,10 +420,9 @@ def run_lockstep(
                 )
                 delays = _NO_DELAYS
                 if all_nets.size:
-                    delays = np.asarray(
-                        environment.switching_delays(all_nets.tolist()),
-                        dtype=float,
-                    )[offset : offset + cols.size]
+                    delays = environment.switching_delays(all_nets)[
+                        offset : offset + cols.size
+                    ]
             else:
                 # Stream-free delay model: sampling consumes no RNG, so the
                 # group resolves its own switchers without any exchange.

@@ -58,7 +58,7 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
     "one_shard_fallback": ("gain_model", "shards"),
     # -- phase timing (the REPRO_PROFILE payload, re-based on telemetry)
     "phase_profile": ("tag", "total_seconds", "seconds", "share"),
-    # -- kernel draw-window truncation reasons (aggregated per run/worker)
+    # -- draw-window truncation reasons (aggregated per run/worker)
     "fused_windows": ("tag", "windows", "reasons"),
     # -- durability
     "checkpoint_write": ("worker", "slot", "seconds"),

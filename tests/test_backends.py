@@ -94,6 +94,50 @@ def assert_results_identical(reference, candidate) -> None:
             )
 
 
+def assert_physical_invariants(result, scenario) -> None:
+    """Assert the physics every run obeys, whatever its backend.
+
+    * Each active device's choice is in its visible set at that slot (the
+      set is constant between the device's area moves and the outage
+      boundaries, so it is looked up once per such era).
+    * Under equal share, the rates of a network's clients sum to at most
+      its bandwidth (1e-9 relative).
+    * A delay is nonzero only on a switch and lies in ``[0, slot length]``.
+    """
+    choices, active = result.choices_2d, result.active_2d
+    net_ids = np.asarray(sorted(result.networks))
+    horizon = result.num_slots
+    coverage = scenario.coverage
+    outages = coverage.outage_boundary_slots()
+    devices = {spec.device.device_id: spec.device for spec in scenario.device_specs}
+    visible = np.zeros((len(result.device_ids), horizon, net_ids.size), dtype=bool)
+    for row, device_id in enumerate(result.device_ids):
+        device = devices[device_id]
+        starts = sorted(
+            slot for slot in {1, *outages, *device.area_schedule} if 1 <= slot <= horizon
+        )
+        for lo, hi in zip(starts, starts[1:] + [horizon + 1]):
+            cols = np.searchsorted(net_ids, sorted(coverage.visible_networks(device, lo)))
+            visible[row, lo - 1 : hi - 1, cols[:, None]] = True
+    rows, slots = np.nonzero(active)
+    chosen = choices[rows, slots]
+    assert np.isin(chosen, net_ids).all(), "an active device chose no network"
+    assert visible[rows, slots, np.searchsorted(net_ids, chosen)].all(), (
+        "an active device chose a network outside its visible set"
+    )
+    if type(scenario.gain_model) is EqualShareModel:
+        for network_id in net_ids.tolist():
+            clients = active & (choices == network_id)
+            load = np.where(clients, result.rates_2d, 0.0).sum(axis=0)
+            bandwidth = result.networks[network_id].bandwidth_mbps
+            assert (load <= bandwidth * (1 + 1e-9)).all(), (
+                f"network {network_id} carries more than its bandwidth"
+            )
+    delays = result.delays_2d
+    assert not delays[~result.switches_2d].any(), "a delay without a switch"
+    assert ((delays >= 0.0) & (delays <= scenario.slot_duration_s)).all()
+
+
 def run_both(scenario, seed):
     return (
         run_simulation(scenario, seed=seed, backend="event"),

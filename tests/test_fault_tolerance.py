@@ -20,10 +20,14 @@ from __future__ import annotations
 
 import json
 import pickle
+import tempfile
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.kernels import SmartEXP3Kernel
 from repro.analysis.reducers import DownloadReducer, SummaryReducer
@@ -54,8 +58,9 @@ from repro.sim.sharded.checkpoint import (
     MANIFEST_NAME,
     shard_file_name,
 )
+from repro.sim.sharded.engine import ShardEngine
 from repro.telemetry import read_events, set_telemetry_dir
-from tests.test_backends import assert_results_identical
+from tests.test_backends import assert_results_identical, dynamic_scenarios
 
 #: Test-speed supervision: tiny backoff, fast exit-code polling.
 FAST = SupervisionConfig(
@@ -292,6 +297,70 @@ class TestSerialCrashResume:
             executor.execute(scenario, seed=2)
 
 
+def _has_slot_drawing_rows(scenario) -> bool:
+    """Whether some device runs EXP3 or Full Information, whose uniforms
+    the engine draws ahead in windows."""
+    return any(
+        spec.policy in ("exp3", "full_information") for spec in scenario.device_specs
+    )
+
+
+class TestGeneratedKillResume:
+    """Kill-and-resume at a drawn slot, point, shard count and cadence."""
+
+    @settings(
+        deadline=None,
+        derandomize=True,
+        max_examples=12,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.data_too_large,
+            HealthCheck.filter_too_much,
+        ],
+    )
+    @given(
+        scenario=dynamic_scenarios().filter(_has_slot_drawing_rows),
+        shards=st.integers(1, 4),
+        every=st.integers(2, 10),
+        point=st.sampled_from(("begin", "mid", "end")),
+        seed=st.integers(0, 1000),
+        data=st.data(),
+    )
+    def test_resumed_run_equals_event(
+        self, scenario, shards, every, point, seed, data
+    ):
+        # Checkpoints land mid-churn, with EXP3 / Full Information rows live:
+        # a snapshot must hold no draw block (windows end at the barriers),
+        # and the restored engines draw their next windows afresh.
+        kill_slot = data.draw(st.integers(1, scenario.horizon_slots))
+        reference = run_simulation(scenario, seed=seed, backend="event")
+        snapshots = []
+        getstate = ShardEngine.__getstate__
+
+        def recorded(engine):
+            state = getstate(engine)
+            snapshots.append(state)
+            return state
+
+        with tempfile.TemporaryDirectory() as directory, mock.patch.object(
+            ShardEngine, "__getstate__", recorded
+        ):
+            executor = ShardedSlotExecutor(
+                shards=min(shards, scenario.num_devices),
+                checkpoint=CheckpointConfig(every_slots=every, dir=directory),
+                supervision=FAST,
+                fault_plan=FaultPlan(
+                    (KillWorker(worker=0, slot=kill_slot, point=point),)
+                ),
+            )
+            resumed = executor.execute(scenario, seed)
+        assert_results_identical(reference, resumed)
+        for name in ("choices_2d", "rates_2d", "delays_2d", "switches_2d", "active_2d"):
+            assert getattr(resumed, name).tobytes() == getattr(reference, name).tobytes()
+        assert all("_draws" not in state for state in snapshots)
+        assert len(snapshots) >= (kill_slot - 1) // every
+
+
 class TestExplicitResume:
     def test_resume_from_continues_bit_exact(self, tmp_path):
         scenario = setting1_scenario(
@@ -488,16 +557,19 @@ class TestCorruptionAndMismatch:
             ).execute(scenario, seed=3)
 
     def test_format_version_mismatch_refused(self, tmp_path):
+        # A later version and the previous one are both refused.
         scenario = setting1_scenario(num_devices=6, horizon_slots=30)
         durable_executor(tmp_path).execute(scenario, seed=3)
         found = latest_checkpoint(tmp_path / "ckpt")
         manifest = json.loads((found / MANIFEST_NAME).read_text())
-        manifest["format_version"] = 999
-        (found / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="format version"):
-            ShardedSlotExecutor(
-                shards=3, resume_from=tmp_path / "ckpt"
-            ).execute(scenario, seed=3)
+        assert CHECKPOINT_FORMAT_VERSION == 8
+        for version in (999, CHECKPOINT_FORMAT_VERSION - 1):
+            manifest["format_version"] = version
+            (found / MANIFEST_NAME).write_text(json.dumps(manifest))
+            with pytest.raises(CheckpointError, match="format version"):
+                ShardedSlotExecutor(
+                    shards=3, resume_from=tmp_path / "ckpt"
+                ).execute(scenario, seed=3)
 
     def test_uncommitted_checkpoint_invisible(self, tmp_path):
         (tmp_path / "ckpt" / "ckpt_00000010").mkdir(parents=True)

@@ -1,12 +1,12 @@
 """The kernels' per-slot churn path: EXP3's γ table, draw windows, row removal.
 
-Per-slot churn ends a draw window and edits kernel membership on every
-slot, and makes nearly every EXP3 row's round count distinct.  EXP3's γ
-comes from a per-kernel lookup table, windows are filled in place, and row
-removal deletes only the removed entries; each must leave the results
-bit-exact with the scalar policies.  The churn tests drive membership edits
-at a kernel size equal to the γ table's length, where the table could be
-mistaken for row state.
+Per-slot churn edits kernel membership on every slot and makes nearly every
+EXP3 row's round count distinct.  EXP3's γ comes from a per-kernel lookup
+table, the engine's draw windows span membership edits (one generator call
+per row per window), and row removal deletes only the removed entries; each
+must leave the results bit-exact with the scalar policies.  The churn tests
+drive membership edits at a kernel size equal to the γ table's length,
+where the table could be mistaken for row state.
 """
 
 from __future__ import annotations
@@ -23,15 +23,21 @@ from repro.algorithms.greedy import GreedyPolicy
 from repro.algorithms.kernels import EXP3Kernel, GreedyKernel
 from repro.algorithms.kernels.base import _TABLE_START
 from repro.sim.backends import VectorizedSlotExecutor
+from repro.sim.backends.base import derive_run_streams
 from repro.sim.mobility import NetworkDynamics
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import (
     DeviceSpec,
     TraceChurn,
     churn_scenario,
+    mobility_scenario,
     per_slot_churn_scenario,
     per_slot_churn_windows,
+    setting1_scenario,
 )
+from repro.sim.sharded.engine import ShardEngine
+from repro.sim.sharded.plan import ShardPlan
+from repro.telemetry import read_events, set_telemetry_dir
 
 from tests.conftest import make_context
 from tests.test_backends import assert_results_identical
@@ -159,33 +165,99 @@ class TestGammaTable:
         assert (_TABLE_START, _TABLE_START) in edits
 
 
+def exp3_engine(scenario) -> ShardEngine:
+    """The whole population of ``scenario`` as one engine, seed 0."""
+    plan = ShardPlan.from_scenario(scenario, 1)
+    _, policy_seeds, label = derive_run_streams(0, plan.num_devices)
+    return ShardEngine([(plan.specs[0], policy_seeds, label)], scenario.horizon_slots)
+
+
+def drive(engine: ShardEngine, slots) -> None:
+    """Run ``slots`` through the engine's phases, without delays."""
+    for slot in slots:
+        counts = engine.begin(slot)
+        rows, _ = engine.observe(slot, counts)
+        engine.complete(slot, np.zeros(rows.size))
+
+
 class TestDrawWindows:
+    """The engine's draw block: one generator call per row per window."""
+
     @pytest.mark.parametrize("n_slots", (1, 2, 7))
-    def test_window_rows_match_generator_stream(self, n_slots):
-        kernel = exp3_kernel((None, 0.3, None))
-        twins = [copy.deepcopy(rng) for rng in kernel.rngs]
-        kernel.prepare_window(n_slots)
-        draws = kernel._window_draws.copy()
+    def test_window_rows_match_generator_stream(self, n_slots, monkeypatch):
+        engine = exp3_engine(
+            setting1_scenario(policy="exp3", num_devices=3, horizon_slots=n_slots)
+        )
+        rngs = [p.rng for p in engine.membership.policies_by_row]
+        twins = [copy.deepcopy(rng) for rng in rngs]
+        engine._fill_draws(1)
+        draws = engine._draws.copy()
         assert draws.shape == (3, n_slots)
-        for row, twin, rng in zip(draws, twins, kernel.rngs):
+        for row, twin, rng in zip(draws, twins, rngs):
             assert row.tolist() == twin.random(n_slots).tolist()
             assert rng.bit_generator.state == twin.bit_generator.state
+        handed = []
+        begin_slot = EXP3Kernel.begin_slot
+
+        def recording(self, slot, draws=None):
+            handed.append(np.array(draws))
+            return begin_slot(self, slot, draws)
+
+        monkeypatch.setattr(EXP3Kernel, "begin_slot", recording)
         for column in range(n_slots):
-            assert not kernel.window_exhausted
-            assert kernel._take_draws().tolist() == draws[:, column].tolist()
-        assert kernel.window_exhausted
+            assert engine._draws is not None
+            drive(engine, [column + 1])
+            assert handed[column].tolist() == draws[:, column].tolist()
+        assert engine._draws is None
+        assert engine.window_truncations == {"horizon": 1}
 
     def test_zero_row_window_draws_nothing(self):
-        kernel = exp3_kernel((None,))
-        policy = kernel.policies[0]
-        kernel.remove_rows([0])
+        # The only EXP3 device is present in slots 1-2: a window opened at
+        # slot 3 has no row and leaves its generator untouched.
+        scenario = churn_scenario(
+            num_devices=1, policy="exp3", horizon_slots=6,
+            churn=TraceChurn(((1, 2),)),
+        )
+        engine = exp3_engine(scenario)
+        policy = engine.membership.policies_by_row[0]
         state = policy.rng.bit_generator.state
-        kernel.prepare_window(4)
-        assert kernel._window_draws.shape == (0, 4)
+        engine._fill_draws(3)
+        assert engine._draws.shape == (0, 4)
         assert policy.rng.bit_generator.state == state
-        for _ in range(4):
-            assert kernel._take_draws().shape == (0,)
-        assert kernel.window_exhausted
+        for column in range(4):
+            assert engine._draws[:, column].shape == (0,)
+
+    def test_joins_and_leaves_do_not_end_a_window(self, tmp_path):
+        # A join or leave every slot: one window over the whole horizon
+        # (fewer than _DRAW_SLOTS slots), not one per membership edit.
+        scenario = per_slot_churn_scenario(num_devices=30, policy="exp3")
+        assert scenario.horizon_slots <= 128
+        set_telemetry_dir(tmp_path)
+        try:
+            run_simulation(scenario, seed=2, backend="vectorized")
+        finally:
+            set_telemetry_dir(None)
+        (event,) = [e for e in read_events(tmp_path) if e["type"] == "fused_windows"]
+        assert event["reasons"] == {"horizon": 1}
+
+    def test_row_leaving_the_kernel_path_with_draws_raises(self, monkeypatch):
+        # A kernel that refuses a row's new visible set (devices 1-8 move
+        # at slot 401) sends it to the scalar path inside the window that
+        # opened at slot 385: its pre-drawn uniforms would be lost.
+        scenario = mobility_scenario(policy="exp3", horizon_slots=420)
+        accept = EXP3Kernel.group_key
+        first_seen = {}
+
+        def group_key(cls, policy):
+            first = first_seen.setdefault(id(policy), policy.available_networks)
+            return accept(policy) if policy.available_networks == first else None
+
+        monkeypatch.setattr(EXP3Kernel, "group_key", classmethod(group_key))
+        engine = exp3_engine(scenario)
+        drive(engine, range(1, 401))
+        assert engine._draw_start == 385
+        with pytest.raises(RuntimeError, match="left the kernel path at slot 401"):
+            drive(engine, [401])
 
 
 class TestRowRemoval:

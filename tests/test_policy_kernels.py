@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from repro.algorithms.kernels import (
 )
 from repro.game.network import Network, NetworkType
 from repro.sim.backends import VectorizedSlotExecutor
-from repro.sim.delay import DelayModel, EmpiricalDelayModel
+from repro.sim.delay import DelayModel, EmpiricalDelayModel, SwitchCells
 from repro.sim.environment import WirelessEnvironment
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import (
@@ -68,6 +69,53 @@ def run_scalar_and_kernel(scenario, seed):
     )
 
 
+def stack_networks(cellular_col: int) -> list[Network]:
+    """One run's three networks (ids 0-2); the one at ``cellular_col`` is
+    cellular, the others WiFi."""
+    return [
+        Network(
+            network_id=col,
+            bandwidth_mbps=(4.0, 7.0, 22.0)[col],
+            network_type=(
+                NetworkType.CELLULAR if col == cellular_col else NetworkType.WIFI
+            ),
+        )
+        for col in range(3)
+    ]
+
+
+def switch_columns(rng: np.random.Generator, length: int) -> np.ndarray:
+    """``length`` switch columns, from long same-column runs to alternation."""
+    flips = rng.random(length) < rng.random()
+    return (np.cumsum(flips) + rng.integers(0, 3)) % 3
+
+
+def assert_stack_matches_sequential(model, runs, cols, seed, duration):
+    """A stack's one sample_many call against each run's own sequential,
+    clamped sample() calls: the same bytes, and every generator left in
+    the same state (a run without a switch untouched)."""
+    per_run = len(runs[0])
+    table = SwitchCells(runs)
+    rngs = [np.random.default_rng(seed * 10 + run) for run in range(len(runs))]
+    twins = [np.random.default_rng(seed * 10 + run) for run in range(len(runs))]
+    untouched = [rng.bit_generator.state for rng in rngs]
+    expected = [
+        min(max(model.sample(networks[int(col)], twin), 0.0), duration)
+        for networks, run_cols, twin in zip(runs, cols, twins)
+        for col in run_cols
+    ]
+    cells = np.concatenate(
+        [per_run * run + np.asarray(run_cols, dtype=np.intp) for run, run_cols in enumerate(cols)]
+    ).astype(np.intp)
+    got = model.sample_many(table, cells, rngs, duration)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.asarray(expected, dtype=float).tobytes()
+    for run, (rng, twin) in enumerate(zip(rngs, twins)):
+        assert rng.bit_generator.state == twin.bit_generator.state
+        if not len(cols[run]):
+            assert rng.bit_generator.state == untouched[run]
+
+
 class TestKernelRegistry:
     def test_builtin_resolution(self):
         from tests.conftest import make_context
@@ -76,6 +124,20 @@ class TestKernelRegistry:
         # Table-III variants resolve through the MRO to the Smart EXP3 kernel.
         assert kernel_for_policy(BlockEXP3Policy(make_context())) is SmartEXP3Kernel
         assert kernel_for_policy(FixedRandomPolicy(make_context())) is None
+
+    def test_pickled_variant_keeps_its_kernel(self):
+        # Pickling an instance makes copyreg cache __slotnames__ on its
+        # class (a checkpoint pickles its scalar rows' policies); that must
+        # not read as an override of the Smart EXP3 kernel.
+        from tests.conftest import make_context
+
+        class PickledVariant(BlockEXP3Policy):
+            pass
+
+        policy = PickledVariant(make_context())
+        policy.__reduce_ex__(pickle.HIGHEST_PROTOCOL)  # what pickle.dumps calls
+        assert "__slotnames__" in vars(PickledVariant)
+        assert kernel_for_policy(policy) is SmartEXP3Kernel
 
     def test_overriding_subclass_falls_back(self):
         from tests.conftest import make_context
@@ -163,8 +225,37 @@ class TestReplicationPrimitives:
         assert got.tolist() == expected
 
     def test_batched_switching_delays_are_stream_stable(self):
+        # One sample_many call for a stack of 1-4 runs over three network
+        # ids whose cellular network differs per run (id 2 in setting 1, id
+        # 0 in setting 2), some run without a switch: each run's delays,
+        # and its generator afterwards, must equal that run's own
+        # sequential sample() calls, clamped to the slot.  The empirical
+        # model batches its draws; a model overriding only sample() takes
+        # the base class's per-switch loop.
+        class SampleOnlyDelayModel(DelayModel):
+            def sample(self, network, rng):
+                return float(network.network_id) + 2.0 * rng.random()
+
+        picks = np.random.default_rng(12)
+        for model in (EmpiricalDelayModel(), SampleOnlyDelayModel()):
+            for seed in range(40):
+                num_runs = 1 + seed % 4
+                runs = [
+                    stack_networks(cellular_col=(2, 0, 1)[(seed + run) % 3])
+                    for run in range(num_runs)
+                ]
+                lengths = picks.integers(0, 120, size=num_runs)
+                lengths[seed % num_runs] = max(lengths[seed % num_runs], 1)
+                if num_runs > 1 and seed % 5 == 0:
+                    lengths[(seed + 1) % num_runs] = 0
+                cols = [switch_columns(picks, int(length)) for length in lengths]
+                duration = (15.0, 2.0, 0.5)[seed % 3]
+                assert_stack_matches_sequential(model, runs, cols, seed, duration)
+        # One run: forty networks, batches from long same-type runs to near
+        # alternation, and WiFi runs of every length from 1 to 70 between
+        # cellular switches (each WiFi run is one random(out=...) call).
         model = EmpiricalDelayModel()
-        networks = [
+        forty = [
             Network(
                 network_id=i,
                 bandwidth_mbps=5.0,
@@ -174,38 +265,37 @@ class TestReplicationPrimitives:
             )
             for i in range(40)
         ]
-        wifi, cellular = (
-            Network(network_id=i, bandwidth_mbps=5.0, network_type=kind)
-            for i, kind in enumerate((NetworkType.WIFI, NetworkType.CELLULAR))
+        for seed in range(10):
+            assert_stack_matches_sequential(
+                model, [forty], [np.arange(40)], seed, 15.0
+            )
+        pair = stack_networks(cellular_col=1)[:2]
+        every_length = np.concatenate(
+            [np.r_[np.zeros(length, dtype=np.intp), 1] for length in range(1, 71)]
         )
-        batches = [networks] * 10 + [
-            [],
-            [wifi],
-            [cellular],
-            [wifi] * 300,
-            [cellular] * 300,
-            [(wifi, cellular)[i % 2] for i in range(300)],
-            [(cellular, wifi)[i % 2] for i in range(299)],
+        batches = [
+            np.empty(0, dtype=np.intp),
+            np.asarray([0]),
+            np.asarray([1]),
+            np.zeros(300, dtype=np.intp),
+            np.ones(300, dtype=np.intp),
+            np.arange(300) % 2,
+            1 - np.arange(299) % 2,
+            every_length,
+            every_length[::-1].copy(),
         ]
-        # Random type sequences from long same-type runs to near alternation.
-        shapes = np.random.default_rng(12)
-        for length in shapes.integers(0, 301, size=10):
-            flips = shapes.random(length) < shapes.random()
-            kinds = np.cumsum(flips) % 2
-            batches.append([(wifi, cellular)[kind] for kind in kinds])
+        for length in picks.integers(0, 301, size=10):
+            flips = picks.random(length) < picks.random()
+            batches.append(np.cumsum(flips) % 2)
         for seed, batch in enumerate(batches):
-            seq_rng = np.random.default_rng(seed)
-            batch_rng = np.random.default_rng(seed)
-            sequential = [model.sample(n, seq_rng) for n in batch]
-            batched = model.sample_many(batch, batch_rng)
-            assert sequential == batched
-            assert seq_rng.bit_generator.state == batch_rng.bit_generator.state
+            assert_stack_matches_sequential(model, [pair], [batch], seed, 15.0)
 
     def test_switching_delays_clamp_like_scalar(self):
         # A stochastic model whose raw delays need the clamp: signed zeros,
         # negatives and values past the slot.  The batch must match the
         # per-device clamp byte for byte (a plain np.maximum turns -0.0
-        # into 0.0).
+        # into 0.0), for one environment and for stacks of runs of both
+        # settings, whose cellular networks are ids 2 and 0.
         class UnclampedDelayModel(DelayModel):
             def sample(self, network, rng):
                 u = rng.random()
@@ -219,22 +309,54 @@ class TestReplicationPrimitives:
                     return 15.0
                 return 14.0 * u
 
-        scenario = dataclasses.replace(
-            setting1_scenario(num_devices=3, horizon_slots=10),
-            delay_model=UnclampedDelayModel(),
-        )
-        assert scenario.slot_duration_s == 15.0
-        network_ids = np.random.default_rng(0).integers(0, 3, size=200).tolist()
+        model = UnclampedDelayModel()
+        scenarios = [
+            dataclasses.replace(
+                factory(num_devices=3, horizon_slots=10), delay_model=model
+            )
+            for factory in (setting1_scenario, setting2_scenario)
+        ]
+        assert all(s.slot_duration_s == 15.0 for s in scenarios)
+        picks = np.random.default_rng(0)
+        network_ids = picks.integers(0, 3, size=200).tolist()
         for seed in range(5):
-            single = WirelessEnvironment(scenario, np.random.default_rng(seed))
-            batch = WirelessEnvironment(scenario, np.random.default_rng(seed))
+            single = WirelessEnvironment(scenarios[0], np.random.default_rng(seed))
+            batch = WirelessEnvironment(scenarios[0], np.random.default_rng(seed))
             expected = [single.switching_delay(n) for n in network_ids]
             got = batch.switching_delays(network_ids)
-            assert all(type(delay) is float for delay in got)
-            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.asarray(expected).tobytes()
             assert single.rng.bit_generator.state == batch.rng.bit_generator.state
             assert {-0.0, 15.0} <= set(expected)
             assert any(math.copysign(1.0, d) < 0 for d in expected)
+        for seed in range(8):
+            stack = [scenarios[(seed + run) % 2] for run in range(1 + seed % 4)]
+            singles = [
+                WirelessEnvironment(s, np.random.default_rng(seed * 10 + r))
+                for r, s in enumerate(stack)
+            ]
+            batches = [
+                WirelessEnvironment(s, np.random.default_rng(seed * 10 + r))
+                for r, s in enumerate(stack)
+            ]
+            ids = [picks.integers(0, 3, size=picks.integers(0, 40)) for _ in stack]
+            expected = [
+                single.switching_delay(int(n))
+                for single, run_ids in zip(singles, ids)
+                for n in run_ids
+            ]
+            table = SwitchCells(
+                [[s.network_map[k] for k in (0, 1, 2)] for s in stack]
+            )
+            cells = np.concatenate(
+                [3 * run + run_ids for run, run_ids in enumerate(ids)]
+            ).astype(np.intp)
+            got = model.sample_many(
+                table, cells, [env.rng for env in batches], 15.0
+            )
+            assert got.tobytes() == np.asarray(expected, dtype=float).tobytes()
+            for single, other in zip(singles, batches):
+                assert single.rng.bit_generator.state == other.rng.bit_generator.state
 
 
 class TestBitExactKernels:

@@ -7,11 +7,12 @@ The generated properties hold every stacked run to its solo event run bit
 for bit, and a sweep over cases of mixed physics and per-run network
 values to a cold ``run_many`` per case; the event tests pin which path
 each cell took and why, and the grid-shape tests count the stacks and
-kernel calls of two paper drivers.
+kernel calls of two paper drivers and the process pools of a pooled one.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -37,6 +38,7 @@ from repro.telemetry import read_events, set_telemetry_dir
 from repro.telemetry.__main__ import build_report
 from tests.test_backends import (
     SLOT_DURATIONS_S,
+    assert_physical_invariants,
     assert_results_identical,
     dynamic_scenarios,
 )
@@ -91,6 +93,7 @@ def test_stacked_runs_equal_solo_event_runs(scenario, runs, base_seed, record):
     )
     for reference, candidate in zip(solo, stacked):
         assert_results_identical(reference, candidate)
+        assert_physical_invariants(candidate, scenario)
 
 
 @st.composite
@@ -262,9 +265,9 @@ def _kernel_calls(monkeypatch) -> list[int]:
     for kernel_cls in BatchKernel.__subclasses__():
         begin_slot = kernel_cls.begin_slot
 
-        def counted(self, slot, begin_slot=begin_slot):
+        def counted(self, slot, *draws, begin_slot=begin_slot):
             calls.append(slot)
-            return begin_slot(self, slot)
+            return begin_slot(self, slot, *draws)
 
         monkeypatch.setattr(kernel_cls, "begin_slot", counted)
     return calls
@@ -286,3 +289,30 @@ def test_fig07_policies_are_one_stack():
     with _stack_spy() as spy:
         fig07_dynamic_join.run(ExperimentConfig(runs=1, horizon_slots=20))
     assert _stack_sizes(spy) == [4]
+
+
+def test_a_pooled_grid_opens_one_pool(monkeypatch):
+    # fig04's 18 setting x policy cells on two workers: every cell runs
+    # solo, all on one process pool for the run loop's one call, with the
+    # serial outputs.
+    config = ExperimentConfig(runs=2, horizon_slots=20)
+    serial = fig04_distance_static.run(config)
+    pools = []
+    real_pool = runner.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", counting_pool)
+    pooled = fig04_distance_static.run(replace(config, workers=2))
+    assert pools == [2]
+    assert _canonical(pooled) == _canonical(serial)
+
+
+def _canonical(output) -> str:
+    return json.dumps(
+        output,
+        sort_keys=True,
+        default=lambda value: value.tolist() if hasattr(value, "tolist") else repr(value),
+    )

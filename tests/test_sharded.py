@@ -45,6 +45,7 @@ from repro.sim.sharded import (
     shard_boundaries,
 )
 from tests.test_backends import (
+    assert_physical_invariants,
     assert_results_identical,
     dynamic_scenarios,
     random_churn_scenario,
@@ -196,7 +197,8 @@ class TestShardInvariance:
 class TestGeneratedScenarios:
     """Generated dynamic scenarios (churn, mobility, outages, mixed policies,
     drawn gain models) on 1-4 shards against the event oracle; physics that
-    cannot be split runs on the one-shard fallback."""
+    cannot be split runs on the one-shard fallback.  Every run also obeys
+    the physical invariants (:func:`assert_physical_invariants`)."""
 
     @settings(
         deadline=None,
@@ -220,7 +222,9 @@ class TestGeneratedScenarios:
         ).execute(scenario, seed, record_probabilities=record)
         if dtype == "float64":
             assert_results_identical(event, sharded)
+            assert_physical_invariants(sharded, scenario)
             return
+        assert_physical_invariants(event, scenario)
         # float32 storage: the dynamics are identical, and every float
         # block is the event run's value rounded to float32.
         assert sharded.device_ids == event.device_ids
