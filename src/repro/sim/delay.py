@@ -7,6 +7,12 @@ have the measured delays, so the distribution families are kept and their
 parameters are chosen to produce realistic delays of a few seconds, truncated
 to ``[min_delay, max_delay]`` (the slot duration of 15 s upper-bounds any
 delay the algorithm can observe).
+
+The event backend draws one switch at a time (:meth:`DelayModel.sample`).
+The batched backends resolve all of a slot's switches in one
+:meth:`DelayModel.sample_many` call over a :class:`SwitchCells` table,
+whatever the model: the stream-free models look their delays up per
+network type, the empirical model batches its generator draws.
 """
 
 from __future__ import annotations
@@ -63,12 +69,13 @@ class DelayModel(ABC):
     """Samples the delay (seconds) incurred when switching to a network."""
 
     #: True when :meth:`sample` never consumes the generator AND is a pure
-    #: function of the network (equal calls, equal delays).  The sharded
-    #: engine relies on both halves: it skips the per-slot switcher exchange
-    #: (no RNG replica can diverge) and resolves a slot's switchers through
-    #: a per-network delay table sampled once at run start.  A model whose
-    #: delays vary per call — via the generator or any internal state —
-    #: must leave this False.
+    #: function of the network (equal calls, equal delays).  Such a model
+    #: still resolves a slot's switches through :meth:`sample_many` like
+    #: any other, but the shards of a run skip the per-slot switcher
+    #: exchange and each resolves only its own switchers, which is exact
+    #: only when no call depends on another.  A model whose delays vary per
+    #: call — via the generator or any internal state — must leave this
+    #: False.
     stream_free: bool = False
 
     @abstractmethod
@@ -82,7 +89,8 @@ class DelayModel(ABC):
         rngs: Sequence[np.random.Generator],
         slot_duration_s: float,
     ) -> np.ndarray:
-        """One slot's switching delays for a whole stack, clamped to the slot.
+        """One slot's switching delays for a whole engine group, clamped to
+        the slot.
 
         ``cells`` holds each switch's cell of ``table`` (its run and
         network), ascending by run and, within a run, in ascending device
@@ -92,10 +100,11 @@ class DelayModel(ABC):
         ``[0, slot_duration_s]`` as
         :meth:`~repro.sim.environment.WirelessEnvironment.switching_delay`
         does (the event backend draws switch by switch; the batched backends
-        resolve a slot's switches of every stacked run in this one call).
-        Returns a float64 array.  This default calls :meth:`sample` per
-        switch; subclasses may batch draws when their sampler is
-        stream-stable under batching.
+        resolve a slot's switches of every stacked run, or of every shard of
+        a run, in this one call).  Returns a float64 array.  This default
+        calls :meth:`sample` per switch; subclasses may batch draws when
+        their sampler is stream-stable under batching, or look the delays
+        up when it is stream-free.
         """
         networks = table.networks
         per_run = table.per_run
@@ -119,6 +128,15 @@ class NoDelayModel(DelayModel):
     def sample(self, network: Network, rng: np.random.Generator) -> float:
         return 0.0
 
+    def sample_many(
+        self,
+        table: SwitchCells,
+        cells: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        slot_duration_s: float,
+    ) -> np.ndarray:
+        return np.zeros(cells.size)
+
 
 @dataclass
 class ConstantDelayModel(DelayModel):
@@ -137,6 +155,19 @@ class ConstantDelayModel(DelayModel):
         if network.network_type is NetworkType.CELLULAR:
             return self.cellular_delay_s
         return self.wifi_delay_s
+
+    def sample_many(
+        self,
+        table: SwitchCells,
+        cells: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        slot_duration_s: float,
+    ) -> np.ndarray:
+        """Each cell's delay by network type, clamped, then one gather."""
+        per_cell = np.where(
+            table.cellular, float(self.cellular_delay_s), float(self.wifi_delay_s)
+        )
+        return clamp_to_slot(per_cell, slot_duration_s)[cells]
 
 
 @dataclass

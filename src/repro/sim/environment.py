@@ -4,10 +4,14 @@
 the associations chosen by the devices in a slot it computes the realised
 per-device bit rates (through the scenario's gain model), the switching delays
 (through the delay model) and, when needed, the idealised counterfactual
-feedback used by the Full Information baseline.  The runner drives it once per
-slot; keeping it separate from the runner makes the environment directly
-testable and reusable (the trace-driven and testbed scenarios only differ in
-the gain model they plug in).
+feedback used by the Full Information baseline.  The event backend drives it
+once per slot, one switch at a time (:meth:`WirelessEnvironment.switching_delay`);
+the batched backends keep it for its generator, which their one
+:meth:`DelayModel.sample_many <repro.sim.delay.DelayModel.sample_many>` call
+per slot draws from, and for the rates of gain models other than equal share.
+Keeping it separate from the runner makes the environment directly testable
+and reusable (the trace-driven and testbed scenarios only differ in the gain
+model they plug in).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import numpy as np
 
 from repro.game.gain import scale_gain
 from repro.game.network import Network
-from repro.sim.delay import SwitchCells
 from repro.sim.scenario import Scenario
 
 
@@ -28,12 +31,6 @@ class WirelessEnvironment:
         self.rng = rng
         self.networks: dict[int, Network] = scenario.network_map
         self.scale_reference_mbps = scenario.scale_reference_mbps
-        #: The run's network ids, ascending, and their cells: the one-run
-        #: table :meth:`switching_delays` hands the delay model.
-        self.network_ids = np.asarray(sorted(self.networks), dtype=np.int64)
-        self.switch_cells = SwitchCells(
-            [[self.networks[int(k)] for k in self.network_ids]]
-        )
 
     def client_groups(self, associations: dict[int, int]) -> dict[int, list[int]]:
         """Device ids grouped per network, in first-appearance network order.
@@ -72,21 +69,6 @@ class WirelessEnvironment:
         """Delay (seconds) for switching onto ``network_id``, capped at one slot."""
         delay = self.scenario.delay_model.sample(self.networks[network_id], self.rng)
         return float(min(max(delay, 0.0), self.scenario.slot_duration_s))
-
-    def switching_delays(self, network_ids) -> np.ndarray:
-        """Delays for one slot's switching devices, in ascending device order.
-
-        The one-run case of :meth:`DelayModel.sample_many
-        <repro.sim.delay.DelayModel.sample_many>`, on this run's generator:
-        bit-identical to calling :meth:`switching_delay` per device, clamp
-        included, in one call (a float64 array).
-        """
-        cells = np.searchsorted(
-            self.network_ids, np.asarray(network_ids, dtype=np.int64)
-        )
-        return self.scenario.delay_model.sample_many(
-            self.switch_cells, cells, (self.rng,), self.scenario.slot_duration_s
-        )
 
     def scaled_gain(self, bit_rate_mbps: float) -> float:
         """Scale a bit rate into the [0, 1] bandit reward."""

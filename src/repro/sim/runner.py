@@ -83,7 +83,6 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.game.gain import EqualShareModel
 from repro.sim.backends import (
     DEFAULT_BACKEND,
     RunSeed,
@@ -361,11 +360,14 @@ def _recorder_bytes(scenario: Scenario, record_probabilities: bool) -> int:
 
 def _solo_reason(scenario: Scenario, executor, pool: bool, size: int) -> str | None:
     """Why ``scenario``'s cells cannot stack, or ``None`` when they can."""
+    # Imported lazily: the sharded package imports the backends package.
+    from repro.sim.sharded.engine import closed_form_rates
+
     if pool:
         return "pool"
     if not hasattr(executor, "execute_stack"):
         return "backend"
-    if type(scenario.gain_model) is not EqualShareModel:
+    if not closed_form_rates(scenario):
         return "gain_model"
     if size > STACK_BUDGET_BYTES:
         return "budget"

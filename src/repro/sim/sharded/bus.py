@@ -3,9 +3,10 @@
 The sharded run advances all shards in lockstep: once per slot every shard
 publishes its ``(networks,)`` occupancy vector and reads back the global sum
 (the all-reduce the congestion game's structure permits), and — only for
-stochastic delay models — a second exchange publishes the slot's switching
-devices so every worker can replay the global ascending-device-order delay
-draw on its own environment-RNG replica.  Checkpointing adds a third,
+stochastic delay models — a second exchange publishes the occupancy cells
+(the network columns) the slot's switching devices land on, so every worker
+can replay the global ascending-device-order delay draw on its own
+environment-RNG replica.  Checkpointing adds a third,
 occasional barrier: a commit fence confirming every worker finished writing
 its shard snapshots before worker 0 seals the manifest.
 
@@ -55,9 +56,9 @@ class SerialBus:
         return local_counts
 
     def exchange_switchers(
-        self, slot: int, rows: np.ndarray, nets: np.ndarray
+        self, slot: int, cells: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        return nets, 0
+        return cells, 0
 
     def checkpoint_sync(self, slot: int) -> None:
         """Commit fence: trivially satisfied with a single driver."""
@@ -87,7 +88,7 @@ class SharedMemoryBus:
         #: Global device-row offset of each worker's first shard.
         self.worker_device_offsets = worker_device_offsets
         self.counts = counts_view  # (2, workers, networks) int64
-        self.switchers = switcher_view  # (2, total_devices, 2) int64 | None
+        self.switchers = switcher_view  # (2, total_devices) int64 | None
         self.switcher_counts = switcher_counts_view  # (2, workers) int64 | None
         self.barrier = barrier
         self.timeout_s = timeout_s
@@ -176,23 +177,24 @@ class SharedMemoryBus:
         return self.counts[bank].sum(axis=0)
 
     def exchange_switchers(
-        self, slot: int, rows: np.ndarray, nets: np.ndarray
+        self, slot: int, cells: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Publish this worker's switchers; read back the global list.
+        """Publish this worker's switchers' cells; read back the global list.
 
-        ``rows`` are global device rows in ascending order; worker slices
-        are disjoint ascending ranges, so concatenating per-worker segments
-        in worker order reproduces the global ascending-device order the
-        delay draw must follow.  Returns the global network-id sequence and
-        this worker's offset into it.
+        ``cells`` follow the worker's switching devices in ascending order;
+        worker slices are disjoint ascending device ranges, so
+        concatenating per-worker segments in worker order reproduces the
+        global ascending-device order the delay draw must follow.  A worker
+        has at most as many switchers as devices, so its segment fits the
+        ring from its first device's offset on.  Returns the global cell
+        sequence and this worker's offset into it.
         """
         bank = slot % 2
-        count = int(rows.size)
+        count = int(cells.size)
         self.switcher_counts[bank, self.worker_index] = count
         lo = self.worker_device_offsets[self.worker_index]
         if count:
-            self.switchers[bank, lo : lo + count, 0] = rows
-            self.switchers[bank, lo : lo + count, 1] = nets
+            self.switchers[bank, lo : lo + count] = cells
         self._wait(slot, PHASE_SWITCHERS)
         counts = self.switcher_counts[bank]
         segments = []
@@ -204,7 +206,7 @@ class SharedMemoryBus:
             if worker_count:
                 worker_lo = self.worker_device_offsets[worker]
                 segments.append(
-                    self.switchers[bank, worker_lo : worker_lo + worker_count, 1]
+                    self.switchers[bank, worker_lo : worker_lo + worker_count]
                 )
         if not segments:
             return np.empty(0, dtype=np.int64), 0

@@ -56,7 +56,7 @@ from repro.sim.backends.base import DeviceRuntime
 
 #: Bump when the checkpoint layout or pickle payload shape changes; resume
 #: refuses manifests with a different version.
-CHECKPOINT_FORMAT_VERSION = 8
+CHECKPOINT_FORMAT_VERSION = 9
 
 MANIFEST_NAME = "MANIFEST.json"
 _CKPT_PREFIX = "ckpt_"
@@ -129,67 +129,36 @@ class ResumeState:
 def run_fingerprint(plan, **fields) -> tuple[str, dict]:
     """Fingerprint of everything a checkpoint must match to be resumable.
 
-    Covers the device population (digested — per-device identity for
-    explicit scenarios, the generative parameters for populations), the
-    shard layout, the horizon, the run's derived RNG seeds, and every
-    execution knob that shapes the state being pickled.  Deliberately
-    excludes the *worker* count: shard files are per shard, so a run
-    checkpointed under ``workers=4`` resumes bit-exact under ``workers=1``
-    or ``workers=8``.
+    Covers the run's whole configuration — the canonical description
+    (:func:`repro.registry.fingerprint.describe`) of every shard's
+    scenario together with its rows' seed positions and policy ranks
+    (a shard's specs are sorted by device id, so only these carry the
+    scenario's device order, which picks each device's policy seed), or
+    of the generative population: networks, devices and their policy
+    parameters, coverage, gain and delay models with their parameters,
+    horizon and slot length — plus the shard layout, the run's derived RNG
+    seeds, and every execution knob that shapes the state being pickled.
+    Deliberately excludes the *worker* count: shard files are per shard,
+    so a run checkpointed under ``workers=4`` resumes bit-exact under
+    ``workers=1`` or ``workers=8``.
     """
+    # Imported lazily: the registry package imports the run loop.
+    from repro.registry.fingerprint import describe
+
     spec = plan.specs[0]
+    described = (
+        [spec.population]
+        if spec.population is not None
+        else [
+            [shard.scenario, shard.seed_positions, np.asarray(shard.policy_ranks)]
+            for shard in plan.specs
+        ]
+    )
     digest = hashlib.sha256()
-    if spec.population is not None:
-        population = spec.population
-        digest.update(
-            repr(
-                (
-                    population.num_devices,
-                    population.policy,
-                    population.bandwidths,
-                    population.horizon_slots,
-                    population.slot_duration_s,
-                    type(population.delay_model).__name__,
-                    sorted(population.policy_kwargs.items()),
-                    population.name,
-                )
-            ).encode()
-        )
-    else:
-        scenario = spec.scenario
-        digest.update(
-            repr(
-                (
-                    scenario.name,
-                    tuple(
-                        (network_id, network.bandwidth_mbps)
-                        for network_id, network in sorted(
-                            scenario.network_map.items()
-                        )
-                    ),
-                    type(scenario.delay_model).__name__,
-                    type(scenario.gain_model).__name__,
-                )
-            ).encode()
-        )
-        for shard in plan.specs:
-            for device_spec in shard.scenario.device_specs:
-                device = device_spec.device
-                digest.update(
-                    repr(
-                        (
-                            device.device_id,
-                            device_spec.policy,
-                            device.join_slot,
-                            device.leave_slot,
-                            sorted(device.area_schedule.items())
-                            if device.area_schedule
-                            else (),
-                        )
-                    ).encode()
-                )
+    for part in described:
+        digest.update(json.dumps(describe(part), sort_keys=True).encode())
     config = {
-        "population_digest": digest.hexdigest(),
+        "scenario_digest": digest.hexdigest(),
         "shards": plan.shards,
         "num_devices": plan.num_devices,
         **fields,

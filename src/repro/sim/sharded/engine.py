@@ -24,16 +24,17 @@ base (:attr:`ShardEngine.row_base`).  A sharded engine holds one run.
    policy selection and return the shard's *local* occupancy counts.
 2. *(all-reduce outside the engine: local counts sum to global counts)*
 3. :meth:`observe` — consume the **global** counts: rates, recording and
-   switch detection for the shard's active rows; returns the switching
-   rows so the caller can resolve switching delays (locally for
-   stream-free delay models, via the replicated global-order draw for
-   stochastic ones — see :mod:`repro.sim.sharded.executor`).
+   switch detection for the shard's active rows; returns the occupancy
+   cells the switchers land on, so the caller can resolve the switching
+   delays of every engine of its group in one delay-model call (see
+   :func:`repro.sim.sharded.executor.run_lockstep`).
 4. :meth:`complete` — charge the delays, feed realised gains back into the
    kernels / scalar policies.
 
 The congestion game makes this exchange sufficient: equal-share rates (and
 the Full Information counterfactuals) depend on other devices only through
-the ``(networks,)``-sized occupancy vector.  Other gain models draw their
+the ``(networks,)``-sized occupancy vector (:func:`closed_form_rates`
+decides which scenarios have them).  Other gain models draw their
 rates from the environment RNG over the *global* association grouping, so
 only an engine holding the whole population runs them, taking the rates
 through :meth:`WirelessEnvironment.realized_rates` with the event backend's
@@ -100,6 +101,18 @@ _DRAW_BUDGET = 4_000_000
 _DRAW_SLOTS = 128
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def closed_form_rates(scenario) -> bool:
+    """Whether ``scenario``'s rates are a closed-form function of the
+    occupancy counts (the equal-share gain model).
+
+    The one place this is decided: only such runs stack, split into shards
+    and fast-forward frozen spans.  Any other gain model draws its rates
+    over the global association grouping, so its run needs the whole
+    population in one engine of its own.
+    """
+    return type(scenario.gain_model) is EqualShareModel
 
 
 def _pack_rng_states(policies) -> tuple:
@@ -274,8 +287,6 @@ class ShardEngine:
         self.spec = first.spec
         self.scenario = scenario
         self.num_slots = num_slots
-        #: Offset of this shard's row 0 in its run's global row order.
-        self.row_offset = first.spec.lo
         #: Row -> device id (ids repeat across stacked runs).
         self.device_ids = tuple(d for run in self.runs for d in run.device_ids)
         num_devices = len(self.device_ids)
@@ -332,7 +343,7 @@ class ShardEngine:
         )
         #: Rates are a closed-form function of the occupancy counts; any
         #: other gain model needs the environment (whole population only).
-        self.closed_form = type(scenario.gain_model) is EqualShareModel
+        self.closed_form = closed_form_rates(scenario)
         self.choice_col = np.zeros(num_devices, dtype=np.intp)
         self.prev_col = np.full(num_devices, -1, dtype=np.intp)
         #: Checkpoint cadence in slots (set by the executor when durability
@@ -766,24 +777,25 @@ class ShardEngine:
 
     def observe(
         self, slot: int, counts: np.ndarray, environment=None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """Phase 2: global counts in, rates recorded, switchers out.
 
         ``counts`` is the all-reduced global occupancy.  ``environment``
         (the run's :class:`~repro.sim.environment.WirelessEnvironment`) is
         given only for gain models other than equal share, which the whole
-        population's only shard resolves through it.  Returns the shard's
-        switching rows (ascending, local) and the network columns they
-        switch onto; the caller resolves the delays and hands them to
+        population's only shard resolves through it.  Returns the
+        occupancy cells (``run * num_networks + column``; the column in a
+        one-run engine) the shard's switchers land on, in ascending row
+        order; the caller resolves their delays and hands them to
         :meth:`complete`.
         """
         act_rows = self._act_rows
         act_cols = self._act_cols
+        cells = act_cols if self._act_base is None else self._act_cells
         col = slot - 1 - self.col_base
         recorder = self.recorder
         bandwidths = self._cell_bandwidths
         if environment is None:
-            cells = act_cols if self._act_base is None else self._act_cells
             rates_act = (bandwidths / np.maximum(counts, 1))[cells]
         else:
             rates_act = self._environment_rates(slot, environment)
@@ -816,9 +828,9 @@ class ShardEngine:
         switched = switched.nonzero()[0]
         if not switched.size:
             self._switch_rows = _NO_ROWS
-            return _NO_ROWS, _NO_ROWS
-        self._switch_rows = switch_rows = act_rows[switched]
-        return switch_rows, act_cols[switched]
+            return _NO_ROWS
+        self._switch_rows = act_rows[switched]
+        return cells[switched]
 
     def _environment_rates(self, slot: int, environment) -> np.ndarray:
         """Realised rates of the active rows through the environment.
@@ -842,7 +854,7 @@ class ShardEngine:
     def complete(self, slot: int, delays) -> None:
         """Phase 3: charge delays and feed the realised gains back.
 
-        ``delays`` aligns with the rows :meth:`observe` returned (float64 —
+        ``delays`` aligns with the cells :meth:`observe` returned (float64 —
         policies see full precision even when the recorder stores float32).
         """
         col = slot - 1 - self.col_base

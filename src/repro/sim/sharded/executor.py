@@ -47,18 +47,22 @@ diagnostics when retries are exhausted.  A
 checkpoint corruption so tests and the ``--suite faults`` benchmark prove
 recovery works rather than assume it.
 
-Physics support: the closed-form equal-share gain model shards freely.
+Physics support: the closed-form equal-share gain model
+(:func:`~repro.sim.sharded.engine.closed_form_rates`) shards freely.
 Other gain models consume the environment RNG per network over the *global*
 association grouping, which a device-partitioned execution cannot replay
 without shipping every choice; such scenarios run as one shard on the same
 engine — checkpointing and resume included — and the fallback is recorded
 as a ``one_shard_fallback`` telemetry event
 (:meth:`ShardedSlotExecutor.supports_scenario` tells in advance).  Delay
-models need no such restriction: stream-free models
-(:class:`~repro.sim.delay.NoDelayModel` / ``ConstantDelayModel``) sample
-shard-locally, and stochastic ones replay the global ascending-device-order
-draw on every worker's environment-RNG replica via the per-slot switcher
-exchange.
+models need no such restriction: every engine group resolves a slot's
+switching delays in one
+:meth:`DelayModel.sample_many <repro.sim.delay.DelayModel.sample_many>`
+call.  Under a stochastic model the shards of a run first exchange their
+switchers' cells, so that every worker replays the global
+ascending-device-order draw on its environment-RNG replica; stream-free
+models (:class:`~repro.sim.delay.NoDelayModel` / ``ConstantDelayModel``)
+skip the exchange and resolve each group's own switchers.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.game.gain import EqualShareModel
 from repro.profiling import profile_run
 from repro.sim.backends.base import SlotExecutor, derive_run_streams
 from repro.sim.delay import SwitchCells
@@ -92,7 +95,7 @@ from repro.sim.sharded.checkpoint import (
     write_environment,
     write_shard_states,
 )
-from repro.sim.sharded.engine import ShardEngine
+from repro.sim.sharded.engine import ShardEngine, closed_form_rates
 from repro.sim.sharded.faults import (
     BusTimeoutError,
     FaultPlan,
@@ -118,7 +121,6 @@ DEFAULT_WINDOW_SLOTS = 256
 #: run from its last checkpoint.
 RECOVERABLE_FAILURES = (InjectedFault, BusTimeoutError, WorkerCrashError)
 
-_NO_ROWS = np.empty(0, dtype=np.intp)
 _NO_DELAYS = np.empty(0, dtype=float)
 
 
@@ -233,14 +235,16 @@ def run_lockstep(
     full results (gather mode; one per shard, or one per run of a stacked
     engine) or the reducer's per-shard states (streaming mode,
     ``params.window`` set).  ``environments`` holds one environment per
-    run of ``engines[0]`` (a sharded group runs one run); each run's
-    switching delays come from its own networks — stochastic ones from its
-    own environment generator, a slot's switchers of every stacked run in
-    one :meth:`DelayModel.sample_many <repro.sim.delay.DelayModel.sample_many>`
+    run of ``engines[0]`` (a sharded group runs one run).  Every slot has
+    one body, whatever the group: each engine observes and returns its
+    switchers' occupancy cells, one
+    :meth:`DelayModel.sample_many <repro.sim.delay.DelayModel.sample_many>`
     call over a (run × network) :class:`~repro.sim.delay.SwitchCells`
-    table, stream-free ones from a delay table with one cell per run and
-    network; both are indexed like the occupancy (``row_base[rows] +
-    cols``).
+    table resolves them all — each run's delays from its own networks and,
+    under a stochastic model, its own environment generator — and each
+    engine completes with its slice.  The shards of a run under a
+    stochastic model first exchange their cells through ``bus``, so that
+    every worker draws the run's whole slot on its generator replica.
     ``start_slot``/``window_start``/``states`` carry a restored checkpoint's
     cursors; a fresh run starts at slot 1 with empty state.  ``tag`` names
     a standalone in-process run (the vectorized backend), which reports
@@ -250,11 +254,11 @@ def run_lockstep(
     ``params.heartbeat_seconds`` is set, a telemetry ``progress`` event
     about that often.
 
-    The run's only shard (``params.num_shards == 1``) needs no bus: its
-    counts are the global ones and its switchers need no exchange.  It is
-    also the only engine that can run gain models other than equal share,
-    and, unless faults are being injected, it broadcasts spans in which
-    every active row is frozen (:meth:`ShardEngine.fast_forward`).
+    The run's only shard (``params.num_shards == 1``) skips the all-reduce:
+    its counts are the global ones.  It is also the only engine that can
+    run gain models other than equal share, and, unless faults are being
+    injected, it broadcasts spans in which every active row is frozen
+    (:meth:`ShardEngine.fast_forward`).
 
     Throughput (``progress``, ``worker_end``, ``run_end`` and the phase
     profile) counts the slots this call executed, from ``start_slot`` on,
@@ -267,38 +271,19 @@ def run_lockstep(
     single = params.num_shards == 1
     engine = engines[0]
     peers = engines[1:]
-    net_ids = engine.net_ids
     environment = environments[0]
-    delay_table = None
-    if params.coupled and single:
-        # Stochastic delays: one sampler call per slot for the whole stack.
-        # The generators are read from the live environments (a restored
-        # run brings its own), never cached on the checkpointed engine.
-        switch_cells = SwitchCells(
-            [
-                [run.scenario.network_map[int(k)] for k in net_ids]
-                for run in engine.runs
-            ]
-        )
-        delay_model = engine.scenario.delay_model
-        delay_rngs = [run_environment.rng for run_environment in environments]
-        slot_duration_s = engine.scenario.slot_duration_s
-    if not params.coupled:
-        # Stream-free delay models are pure per-network constants: sample
-        # each run's networks once (consuming nothing) and resolve a slot's
-        # switchers with one vectorized table lookup instead of a Python
-        # call per switching device — at megascale the early learning phase
-        # switches most of the population every slot.  The table has one
-        # cell per run and network, as the occupancy has: each run's own
-        # network types decide its delays.
-        delay_table = np.asarray(
-            [
-                run_environment.switching_delay(int(network_id))
-                for run_environment in environments
-                for network_id in net_ids
-            ],
-            dtype=float,
-        )
+    # The delays of a slot: one sampler call for the whole group.  The
+    # generators are read from the live environments (a restored run
+    # brings its own), never cached on the checkpointed engine.
+    switch_cells = SwitchCells(
+        [
+            [run.scenario.network_map[int(k)] for k in engine.net_ids]
+            for run in engine.runs
+        ]
+    )
+    delay_model = engine.scenario.delay_model
+    delay_rngs = [run_environment.rng for run_environment in environments]
+    slot_duration_s = engine.scenario.slot_duration_s
     physics = None if engine.closed_form else environment
     if physics is not None and not single:
         raise ValueError(
@@ -352,9 +337,8 @@ def run_lockstep(
             _maybe_inject_kill(params, worker_index, slot, "begin", allow_hard_exit)
         t = prof.now() if prof is not None else 0.0
         counts = engine.begin(slot)
-        if not single:
-            for peer in peers:
-                counts = counts + peer.begin(slot)
+        for peer in peers:
+            counts = counts + peer.begin(slot)
         if prof is not None:
             t = prof.add("sampling", t)
         if fault_plan is not None:
@@ -371,70 +355,35 @@ def run_lockstep(
         if fault_plan is not None:
             _maybe_inject_kill(params, worker_index, slot, "mid", allow_hard_exit)
 
-        if single:
-            rows, cols = engine.observe(slot, counts, physics)
-            if prof is not None:
-                t = prof.add("physics", t)
-            if not rows.size:
-                delays = _NO_DELAYS
-            elif delay_table is not None:
-                delays = delay_table[engine.row_base[rows] + cols]
-            else:
-                delays = delay_model.sample_many(
-                    switch_cells,
-                    engine.row_base[rows] + cols,
-                    delay_rngs,
-                    slot_duration_s,
-                )
-            if prof is not None:
-                t = prof.add("delays", t)
-            engine.complete(slot, delays)
-            if prof is not None:
-                t = prof.add("reward", t)
-            if forward:
-                last = engine.fast_forward(slot)
-                if last > slot:
-                    slot = last
-                    if prof is not None:
-                        t = prof.add("fused_window", t)
-        else:
-            per_engine: list[int] = []
-            group_rows: list[np.ndarray] = []
-            group_cols: list[np.ndarray] = []
-            for shard in engines:
-                rows, cols = shard.observe(slot, counts)
-                per_engine.append(rows.size)
-                if rows.size:
-                    group_rows.append(rows + shard.row_offset)
-                    group_cols.append(cols)
-            rows = np.concatenate(group_rows) if group_rows else _NO_ROWS
-            cols = np.concatenate(group_cols) if group_cols else _NO_ROWS
-            if prof is not None:
-                t = prof.add("physics", t)
-            if params.coupled:
-                # Stochastic delay model: every worker replays the *global*
-                # ascending-device-order draw on its own RNG replica, keeping
-                # the environment streams in lockstep across shard counts.
-                all_nets, offset = bus.exchange_switchers(
-                    slot, rows, net_ids[cols]
-                )
-                delays = _NO_DELAYS
-                if all_nets.size:
-                    delays = environment.switching_delays(all_nets)[
-                        offset : offset + cols.size
-                    ]
-            else:
-                # Stream-free delay model: sampling consumes no RNG, so the
-                # group resolves its own switchers without any exchange.
-                delays = delay_table[cols]
-            if prof is not None:
-                t = prof.add("delays", t)
-            position = 0
-            for shard, count in zip(engines, per_engine):
-                shard.complete(slot, delays[position : position + count])
-                position += count
-            if prof is not None:
-                t = prof.add("reward", t)
+        switchers = [shard.observe(slot, counts, physics) for shard in engines]
+        cells = switchers[0] if not peers else np.concatenate(switchers)
+        if prof is not None:
+            t = prof.add("physics", t)
+        position = 0
+        if params.coupled:
+            # A stochastic model: every worker draws the run's whole slot,
+            # in ascending device order, on its own generator replica.
+            cells, position = bus.exchange_switchers(slot, cells)
+        delays = (
+            delay_model.sample_many(
+                switch_cells, cells, delay_rngs, slot_duration_s
+            )
+            if cells.size
+            else _NO_DELAYS
+        )
+        if prof is not None:
+            t = prof.add("delays", t)
+        for shard, local in zip(engines, switchers):
+            shard.complete(slot, delays[position : position + local.size])
+            position += local.size
+        if prof is not None:
+            t = prof.add("reward", t)
+        if forward:
+            last = engine.fast_forward(slot)
+            if last > slot:
+                slot = last
+                if prof is not None:
+                    t = prof.add("fused_window", t)
 
         if reducer is not None and (
             slot - window_start == window or slot == num_slots
@@ -643,7 +592,7 @@ def _shard_worker(
         if switcher_array is not None:
             switcher_view = np.frombuffer(
                 switcher_array, dtype=np.int64
-            ).reshape(2, params.total_devices, 2)
+            ).reshape(2, params.total_devices)
             switcher_counts_view = np.frombuffer(
                 switcher_counts_array, dtype=np.int64
             ).reshape(2, num_workers)
@@ -734,9 +683,10 @@ def stack_physics(scenario: Scenario) -> tuple:
     kernel columns), the delay model (one sampler each run calls with its
     own RNG and its own networks), the slot length and the horizon.  Each
     run keeps its own network values — bandwidths, gain-scaling reference
-    and network types (:class:`~repro.sim.sharded.engine.ShardEngine` holds
-    them per occupancy cell, :func:`run_lockstep` per delay-table cell) —
-    and its own devices, policies, topology and environment RNG.  Runs
+    and network types (:class:`~repro.sim.sharded.engine.ShardEngine` and
+    the :class:`~repro.sim.delay.SwitchCells` of :func:`run_lockstep` hold
+    them per occupancy cell) — and its own devices, policies, topology and
+    environment RNG.  Runs
     whose scenarios compare equal here, on the equal-share gain model,
     stack bit-exactly: settings 1 and 2 of the paper share one engine.
     """
@@ -763,10 +713,7 @@ def run_stacked(
     if len(cells) > 1:
         physics = stack_physics(cells[0][0])
         for scenario, _ in cells:
-            if (
-                type(scenario.gain_model) is not EqualShareModel
-                or stack_physics(scenario) != physics
-            ):
+            if not closed_form_rates(scenario) or stack_physics(scenario) != physics:
                 raise ValueError(
                     f"scenario {scenario.name!r} cannot join this stack: "
                     "stacked runs need the equal-share gain model and "
@@ -914,9 +861,10 @@ class ShardedSlotExecutor(SlotExecutor):
         Equal-share rates depend on peers only through the per-network
         occupancy counts — the quantity the all-reduce exchanges.  Any other
         gain model consumes the environment RNG over the global association
-        grouping, which sharded execution cannot replay.
+        grouping, which sharded execution cannot replay
+        (:func:`~repro.sim.sharded.engine.closed_form_rates`).
         """
-        return type(scenario.gain_model) is EqualShareModel
+        return closed_form_rates(scenario)
 
     def _one_shard_fallback(self, scenario: Scenario) -> int:
         """Shard count for ``scenario``: one shard if its physics needs it.
@@ -1049,7 +997,6 @@ class ShardedSlotExecutor(SlotExecutor):
                 dtype=self.dtype,
                 window=window,
                 use_kernels=True,
-                coupled=params.coupled,
                 reducer=type(reducer).__name__ if reducer is not None else "gather",
             )
         params = replace(
@@ -1205,7 +1152,7 @@ class ShardedSlotExecutor(SlotExecutor):
         counts_array = ctx.RawArray("q", 2 * workers * params.num_networks)
         switcher_array = switcher_counts_array = None
         if params.coupled:
-            switcher_array = ctx.RawArray("q", 2 * params.total_devices * 2)
+            switcher_array = ctx.RawArray("q", 2 * params.total_devices)
             switcher_counts_array = ctx.RawArray("q", 2 * workers)
         progress_array = ctx.RawArray("q", workers * 2)
         barrier = ctx.Barrier(workers)

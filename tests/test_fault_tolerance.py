@@ -33,6 +33,7 @@ from repro.algorithms.kernels import SmartEXP3Kernel
 from repro.analysis.reducers import DownloadReducer, SummaryReducer
 from repro.experiments.common import ExperimentConfig
 from repro.game.gain import NoisyShareModel
+from repro.sim.delay import EmpiricalDelayModel
 from repro.sim.runner import run_many, run_simulation
 from repro.sim.scenario import (
     mobility_scenario,
@@ -556,13 +557,62 @@ class TestCorruptionAndMismatch:
                 shards=2, resume_from=tmp_path / "ckpt"
             ).execute(scenario, seed=3)
 
+    @pytest.mark.parametrize(
+        "change",
+        (
+            lambda scenario: replace(
+                scenario,
+                device_specs=[
+                    replace(spec, policy_kwargs={"gamma": 0.5})
+                    for spec in scenario.device_specs
+                ],
+            ),
+            lambda scenario: replace(scenario, slot_duration_s=5.0),
+            lambda scenario: replace(
+                scenario,
+                delay_model=EmpiricalDelayModel(wifi_loc=5.0, cellular_loc=7.0),
+            ),
+            lambda scenario: replace(
+                scenario,
+                device_specs=[
+                    *scenario.device_specs[:-1],
+                    replace(scenario.device_specs[-1], policy_kwargs={"gamma": 0.5}),
+                ],
+            ),
+            lambda scenario: replace(
+                scenario, device_specs=scenario.device_specs[::-1]
+            ),
+        ),
+        ids=(
+            "policy_kwargs",
+            "slot_duration",
+            "delay_parameters",
+            "last_shard",
+            "reordered",
+        ),
+    )
+    def test_changed_scenario_refused(self, tmp_path, change):
+        # Any scenario field that changes a result changes the
+        # fingerprint, not only the ones a hand-picked digest names, in
+        # whichever shard it lands; so does the device order, which picks
+        # each device's policy seed although every shard sorts its specs.
+        scenario = setting1_scenario(policy="exp3", num_devices=6, horizon_slots=40)
+        ShardedSlotExecutor(
+            shards=2,
+            checkpoint=CheckpointConfig(every_slots=10, dir=tmp_path / "ckpt"),
+        ).execute(scenario, seed=3)
+        with pytest.raises(CheckpointError, match="scenario_digest"):
+            ShardedSlotExecutor(
+                shards=2, resume_from=tmp_path / "ckpt"
+            ).execute(change(scenario), seed=3)
+
     def test_format_version_mismatch_refused(self, tmp_path):
         # A later version and the previous one are both refused.
         scenario = setting1_scenario(num_devices=6, horizon_slots=30)
         durable_executor(tmp_path).execute(scenario, seed=3)
         found = latest_checkpoint(tmp_path / "ckpt")
         manifest = json.loads((found / MANIFEST_NAME).read_text())
-        assert CHECKPOINT_FORMAT_VERSION == 8
+        assert CHECKPOINT_FORMAT_VERSION == 9
         for version in (999, CHECKPOINT_FORMAT_VERSION - 1):
             manifest["format_version"] = version
             (found / MANIFEST_NAME).write_text(json.dumps(manifest))

@@ -176,8 +176,8 @@ def drive(engine: ShardEngine, slots) -> None:
     """Run ``slots`` through the engine's phases, without delays."""
     for slot in slots:
         counts = engine.begin(slot)
-        rows, _ = engine.observe(slot, counts)
-        engine.complete(slot, np.zeros(rows.size))
+        cells = engine.observe(slot, counts)
+        engine.complete(slot, np.zeros(cells.size))
 
 
 class TestDrawWindows:

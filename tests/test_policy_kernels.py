@@ -38,7 +38,13 @@ from repro.algorithms.kernels import (
 )
 from repro.game.network import Network, NetworkType
 from repro.sim.backends import VectorizedSlotExecutor
-from repro.sim.delay import DelayModel, EmpiricalDelayModel, SwitchCells
+from repro.sim.delay import (
+    ConstantDelayModel,
+    DelayModel,
+    EmpiricalDelayModel,
+    NoDelayModel,
+    SwitchCells,
+)
 from repro.sim.environment import WirelessEnvironment
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import (
@@ -230,14 +236,21 @@ class TestReplicationPrimitives:
         # 0 in setting 2), some run without a switch: each run's delays,
         # and its generator afterwards, must equal that run's own
         # sequential sample() calls, clamped to the slot.  The empirical
-        # model batches its draws; a model overriding only sample() takes
-        # the base class's per-switch loop.
+        # model batches its draws; the stream-free models look theirs up
+        # per network type (a 2.5 s or shorter slot clamps the constant
+        # model's 3 s cellular delay, 2 s ties its WiFi delay); a model
+        # overriding only sample() takes the base class's per-switch loop.
         class SampleOnlyDelayModel(DelayModel):
             def sample(self, network, rng):
                 return float(network.network_id) + 2.0 * rng.random()
 
         picks = np.random.default_rng(12)
-        for model in (EmpiricalDelayModel(), SampleOnlyDelayModel()):
+        for model in (
+            EmpiricalDelayModel(),
+            SampleOnlyDelayModel(),
+            NoDelayModel(),
+            ConstantDelayModel(),
+        ):
             for seed in range(40):
                 num_runs = 1 + seed % 4
                 runs = [
@@ -249,7 +262,7 @@ class TestReplicationPrimitives:
                 if num_runs > 1 and seed % 5 == 0:
                     lengths[(seed + 1) % num_runs] = 0
                 cols = [switch_columns(picks, int(length)) for length in lengths]
-                duration = (15.0, 2.0, 0.5)[seed % 3]
+                duration = (15.0, 2.5, 2.0, 0.5)[seed // 10]
                 assert_stack_matches_sequential(model, runs, cols, seed, duration)
         # One run: forty networks, batches from long same-type runs to near
         # alternation, and WiFi runs of every length from 1 to 70 between
@@ -294,8 +307,8 @@ class TestReplicationPrimitives:
         # A stochastic model whose raw delays need the clamp: signed zeros,
         # negatives and values past the slot.  The batch must match the
         # per-device clamp byte for byte (a plain np.maximum turns -0.0
-        # into 0.0), for one environment and for stacks of runs of both
-        # settings, whose cellular networks are ids 2 and 0.
+        # into 0.0), for stacks of one to four runs of both settings, whose
+        # cellular networks are ids 2 and 0.
         class UnclampedDelayModel(DelayModel):
             def sample(self, network, rng):
                 u = rng.random()
@@ -318,17 +331,7 @@ class TestReplicationPrimitives:
         ]
         assert all(s.slot_duration_s == 15.0 for s in scenarios)
         picks = np.random.default_rng(0)
-        network_ids = picks.integers(0, 3, size=200).tolist()
-        for seed in range(5):
-            single = WirelessEnvironment(scenarios[0], np.random.default_rng(seed))
-            batch = WirelessEnvironment(scenarios[0], np.random.default_rng(seed))
-            expected = [single.switching_delay(n) for n in network_ids]
-            got = batch.switching_delays(network_ids)
-            assert got.dtype == np.float64
-            assert got.tobytes() == np.asarray(expected).tobytes()
-            assert single.rng.bit_generator.state == batch.rng.bit_generator.state
-            assert {-0.0, 15.0} <= set(expected)
-            assert any(math.copysign(1.0, d) < 0 for d in expected)
+        seen: list[float] = []
         for seed in range(8):
             stack = [scenarios[(seed + run) % 2] for run in range(1 + seed % 4)]
             singles = [
@@ -354,9 +357,13 @@ class TestReplicationPrimitives:
             got = model.sample_many(
                 table, cells, [env.rng for env in batches], 15.0
             )
+            assert got.dtype == np.float64
             assert got.tobytes() == np.asarray(expected, dtype=float).tobytes()
             for single, other in zip(singles, batches):
                 assert single.rng.bit_generator.state == other.rng.bit_generator.state
+            seen += expected
+        assert {-0.0, 15.0} <= set(seen)
+        assert any(math.copysign(1.0, d) < 0 for d in seen)
 
 
 class TestBitExactKernels:

@@ -28,6 +28,7 @@ from repro.analysis.reducers import (
 )
 from repro.experiments.common import ExperimentConfig
 from repro.game.gain import NoisyShareModel
+from repro.game.network import NetworkType
 from repro.sim.backends import available_backends, get_backend
 from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel
 from repro.sim.runner import run_many, run_simulation
@@ -168,7 +169,8 @@ class TestShardInvariance:
 
     def test_stream_free_delay_model(self):
         # Constant delays never touch the environment RNG, so shards sample
-        # locally with no switcher exchange; results must still match.
+        # locally with no switcher exchange, in one process or in worker
+        # processes; results must still match.
         base = setting1_scenario(policy="exp3", num_devices=8, horizon_slots=80)
         scenario = Scenario(
             name="constant_delay",
@@ -180,7 +182,10 @@ class TestShardInvariance:
         )
         assert scenario.delay_model.stream_free
         reference = run_simulation(scenario, seed=6, backend="event")
-        assert_results_identical(reference, run_sharded(scenario, 6, 3))
+        for workers in (1, 2):
+            assert_results_identical(
+                reference, run_sharded(scenario, 6, 3, workers=workers)
+            )
 
     def test_coupled_delay_model_draws_globally(self):
         # The default empirical model is stochastic: shard workers must
@@ -253,6 +258,32 @@ class TestMultiprocessPath:
         reference = run_simulation(scenario, seed=1, backend="vectorized")
         parallel = run_sharded(scenario, 1, shards=4, workers=2)
         assert_results_identical(reference, parallel)
+
+    def test_exchanged_switchers_match_event(self):
+        # Empirical delays under mobility: the workers exchange their
+        # switchers' cells and each draws the whole slot on its replica of
+        # the environment generator.  Some slot's switchers span both
+        # workers (shards 0-1 and shard 2) and both network types.
+        scenario = mobility_scenario(policy="exp3", horizon_slots=450)
+        assert isinstance(scenario.delay_model, EmpiricalDelayModel)
+        reference = run_simulation(scenario, seed=4, backend="event")
+        split = ShardPlan.from_scenario(scenario, 3).specs[2].lo
+        cellular = [
+            network_id
+            for network_id, network in reference.networks.items()
+            if network.network_type is NetworkType.CELLULAR
+        ]
+        switches = reference.switches_2d
+        onto_cellular = switches & np.isin(reference.choices_2d, cellular)
+        assert (
+            switches[:split].any(axis=0)
+            & switches[split:].any(axis=0)
+            & onto_cellular.any(axis=0)
+            & (switches & ~onto_cellular).any(axis=0)
+        ).any()
+        assert_results_identical(
+            reference, run_sharded(scenario, 4, shards=3, workers=2)
+        )
 
 
 class TestDtypeOption:
