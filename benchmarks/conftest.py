@@ -15,7 +15,8 @@ Environment variables:
   any name from ``repro.sim.backends.available_backends()``; all backends
   produce bit-identical results).
 * ``REPRO_BENCH_WORKERS`` — process-pool width for multi-run experiments
-  (default unset = serial; parallel results are bit-identical to serial).
+  (default unset = serial; a driver's grid then runs as one stack per
+  worker, and parallel results are bit-identical to serial).
   With ``REPRO_BENCH_SHARDS`` set the width applies *inside* each run
   (shard worker processes) instead of across runs.
 * ``REPRO_BENCH_SHARDS`` — device-axis shard count per run; setting it

@@ -69,9 +69,11 @@ class ExperimentConfig:
         experiments layer defaults to the vectorized backend.
     workers:
         Process-pool width for multi-run experiments; ``None`` (default),
-        ``0`` or ``1`` runs serially.  Parallel results are bit-identical to
-        serial ones.  With ``shards`` set the budget moves inside each run
-        (shard worker processes) and the run loop goes serial.
+        ``0`` or ``1`` runs serially.  On a pool the run loop's stacks are
+        split so that each worker gets one, and parallel results are
+        bit-identical to serial ones.  With ``shards`` set the budget moves
+        inside each run (shard worker processes) and the run loop goes
+        serial.
     shards:
         Device-axis shard count per run; requires a backend that supports
         it, i.e. ``backend="sharded"`` (see :mod:`repro.sim.sharded`).

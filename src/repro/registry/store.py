@@ -204,8 +204,9 @@ class RunStore:
         recorded by the profiling layer is attached under the ``telemetry``
         meta key, so ``python -m repro.registry inspect`` shows where a
         cached run spent its time.  Entries of a stack of several runs carry
-        none, because its one profile covers the whole stack; nor do pool
-        runs, which store parent-side, where no profile ran.
+        none, because its one profile covers the whole stack; nor do runs
+        or stacks of a pool worker, which store parent-side, where no
+        profile ran.
         """
         from repro.telemetry import take_run_summary
 

@@ -8,11 +8,12 @@ feeds **only the missing cells of all its cases** into the one run loop
 (:func:`~repro.sim.runner.run_cells`, the loop ``run_many`` uses): missing
 cells of different cases with identical physics — one network map, delay
 model, slot length and horizon, e.g. every policy and device count of one
-network count — advance as row blocks of one engine, or run solo on a pool
-or a backend without stacking.  Fresh payloads are committed as they land,
-and cached and fresh reducer states merge with the associative ``merge`` —
-in run-index order, so the per-case output is bit-identical to a fully
-cold sweep, or to a cold ``run_many`` per case.
+network count — advance as row blocks of one engine (split into one stack
+per worker on a pool), or run solo on a backend without stacking.  Fresh
+payloads are committed as they land, and cached and fresh reducer states
+merge with the associative ``merge`` — in run-index order, so the
+per-case output is bit-identical to a fully cold sweep, or to a cold
+``run_many`` per case.
 
 A fully warm case never constructs a process pool: its cells load straight
 from the store and the sweep degenerates to a directory read.

@@ -3,9 +3,10 @@
 ``run_simulation`` performs a single run through a pluggable execution
 backend (see :mod:`repro.sim.backends`) and returns a
 :class:`repro.sim.metrics.SimulationResult`; ``run_many`` repeats it with
-independent seeds — stacked into one engine, one at a time or on a process
-pool — which is how every multi-run experiment of the paper is produced,
-and ``run_many_scenarios`` does so for several scenarios in one run loop.
+independent seeds — stacked into one engine or one at a time, in process
+or on a process pool — which is how every multi-run experiment of the
+paper is produced, and ``run_many_scenarios`` does so for several
+scenarios in one run loop.
 
 Every backend is bit-exact: for a fixed seed, ``backend="event"``,
 ``backend="vectorized"`` and ``backend="sharded"`` return identical
@@ -33,40 +34,47 @@ A cell is one (scenario, run index) pair.  ``run_many`` hands its cells,
 driver's whole setting × policy grid), and
 :func:`~repro.registry.sweep.run_sweep` the cells of all its cases, to one
 loop, :func:`run_cells`.  Registry hits (with ``cache="reuse"``) are
-loaded first.  The missing cells then execute: cells whose scenarios share
-their physics (:func:`~repro.sim.sharded.executor.stack_physics`: one set
-of network ids, equal-share rates, one delay model, slot length and
-horizon; each run keeps its own bandwidths, gain scale and network types)
-advance together as row blocks of one engine
+loaded first.  The missing cells are then planned once into batches.
+Cells whose scenarios share their physics
+(:func:`~repro.sim.sharded.executor.stack_physics`: one set of network
+ids, equal-share rates, one delay model, slot length and horizon; each run
+keeps its own bandwidths, gain scale and network types) form stacks that
+advance as row blocks of one engine
 (:meth:`~repro.sim.backends.vectorized.VectorizedSlotExecutor.execute_stack`),
-in stacks of at most :data:`STACK_BUDGET_BYTES` of records, so each kernel
-call serves every stacked run of its policy family (the four Smart EXP3
-variants of Table III share one kernel group).  A cell stays solo, through
-:func:`_run_one`, on a process pool, on a backend without stacking
-(``event``, ``sharded``), on another gain model, or above the budget; the
-reason is a ``run_solo`` telemetry event, and each stack a ``run_stack``
-event.  Stacking is decided from the cells alone — there is no option —
-and every stacked run's result is bit-identical to its solo result.  Each
-fresh payload is stored in the registry as it arrives, and one left fold
-in run-index order produces each case's output.  A payload is the full
+of at most :data:`STACK_BUDGET_BYTES` of records, so each kernel call
+serves every stacked run of its policy family (the four Smart EXP3
+variants of Table III share one kernel group).  A cell on a backend
+without stacking (``event``, ``sharded``), on another gain model, or above
+the budget is a batch of one; the reason is a ``run_solo`` telemetry
+event, and each stack a ``run_stack`` event.  One loop runs the batches,
+in process or on a process pool (``workers > 1``), where a stack holds at
+most ``ceil(N / workers)`` of the call's ``N`` stackable cells, so every
+worker gets a stack.  Batching is decided from the cells and the worker
+count alone — there is no option — and every stacked run's result is
+bit-identical to its solo result.  Each fresh payload is stored in the
+registry as it arrives, and one left fold in run-index order produces
+each case's output.  A payload is the full
 :class:`~repro.sim.metrics.SimulationResult`, or — when ``reduce=`` is
 given — only the reducer's kilobyte payload (:meth:`Reducer.map
-<repro.analysis.reducers.Reducer.map>` runs where the run executes), so a
-reduced experiment holds one stack of records at a time regardless of
-``runs``.
+<repro.analysis.reducers.Reducer.map>` runs where the batch executes), so
+a reduced experiment holds one stack of records at a time per process
+regardless of ``runs``.
 
 IPC contract of the parallel path
 ---------------------------------
 
 One :func:`run_cells` call opens at most one process pool, whatever the
-number of scenarios.  The run context — every scenario of the call with its
-base seed, the resolved executor instance, the reducer and the
-probability-recording flag — is pickled **once per worker process**
-through the pool initializer, not once per job.  A job is a batch of
+number of scenarios, and none for a single batch.  The run context —
+every scenario of the call with its base seed, the resolved executor
+instance, the reducer and the probability-recording flag — is pickled
+**once per worker process** through the pool initializer, not once per
+job.  A batch travels as its solo reason (``None`` for a stack) and its
 ``(scenario number, run index)`` pairs of small integers (the worker
-reconstructs the spawned seeds locally), about four batches per worker, so
-submitting 500 runs costs 500 pairs over the pipe instead of 500 copies of
-the scenario.
+reconstructs the spawned seeds locally).  Each stack is one job, queued
+ahead of the solo cells, which go out in chunks, about four per worker,
+so submitting 500 solo runs costs 500 pairs over the pipe instead of 500
+copies of the scenario.  A job returns its batches' payloads in one
+message: with full results, a whole stack of records.
 Shipping the resolved executor (rather than the backend name) means custom
 backends registered via ``register_backend`` do not depend on the worker's
 freshly imported registry; on spawn/forkserver platforms this still
@@ -77,6 +85,7 @@ in the worker (a class defined in a REPL is not).
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Hashable, Mapping, Sequence
@@ -208,42 +217,6 @@ def validate_execution(
     return resolve_cache(cache)
 
 
-def _run_one(
-    index: int,
-    scenario: Scenario,
-    executor: SlotExecutor,
-    reducer,
-    record_probabilities: bool,
-    base_seed: int,
-):
-    """Run ``index`` as ``(index, payload, wall_seconds)``.
-
-    The payload is the full result, or its reduction.  Executors that can
-    reduce *inside* their execution (the sharded backend's windowed
-    in-shard reduction) expose ``map_reduced``; the payload is identical to
-    ``reducer.map(full_result)`` either way.  Failures are wrapped into
-    :class:`RunFailure`; the wall time lets the registry record how
-    expensive the artifact was to produce.
-    """
-    run_seed = _spawned_run_seed(base_seed, index)
-    started = time.perf_counter()
-    try:
-        mapper = getattr(executor, "map_reduced", None)
-        if reducer is not None and mapper is not None:
-            payload = mapper(scenario, run_seed, reducer, record_probabilities)
-        else:
-            payload = executor.execute(
-                scenario, run_seed, record_probabilities=record_probabilities
-            )
-            if reducer is not None:
-                payload = reducer.map(payload)
-    except RunFailure:
-        raise
-    except Exception as exc:
-        raise _cell_failure(exc, index, run_seed, scenario) from exc
-    return index, payload, time.perf_counter() - started
-
-
 def _cell_failure(
     exc: Exception, index: int, run_seed: RunSeed, scenario: Scenario
 ) -> RunFailure:
@@ -256,6 +229,72 @@ def _cell_failure(
     )
 
 
+def _run_batch(batch, groups, executor, reducer, record_probabilities) -> list:
+    """One batch's ``(payload, wall_seconds)`` per cell, in batch order.
+
+    ``batch`` is ``(reason, cells)``: ``cells`` lists ``(group number, run
+    index)`` pairs into ``groups``' ``(scenario, base seed)`` pairs, and
+    ``reason`` is ``None`` for a stack, which executes as row blocks of one
+    engine (:meth:`execute_stack`), or why its one cell runs solo.  The
+    payload is the full result, or its reduction; executors that can reduce
+    *inside* their execution (the sharded backend's windowed in-shard
+    reduction) expose ``map_reduced``, and the payload is identical to
+    ``reducer.map(full_result)`` either way.  Failures are wrapped into
+    :class:`RunFailure` naming the cell; the wall time (a stack's is shared
+    equally by its runs) lets the registry record how expensive the
+    artifact was to produce.
+    """
+    reason, pairs = batch
+    cells = [
+        (groups[number][0], _spawned_run_seed(groups[number][1], index), index)
+        for number, index in pairs
+    ]
+    mapper = None
+    started = time.perf_counter()
+    if reason is None:
+        try:
+            results = iter(
+                executor.execute_stack(
+                    [(scenario, run_seed) for scenario, run_seed, _ in cells],
+                    record_probabilities,
+                )
+            )
+        except Exception:
+            # Name the failing cell: replayed alone, it raises its RunFailure.
+            for pair in pairs:
+                _run_batch(
+                    ("replay", [pair]), groups, executor, None, record_probabilities
+                )
+            raise
+        if len(cells) > 1:
+            # The stack's phase profile covers every stacked run, so it
+            # belongs to none of the cells' registry entries.
+            take_run_summary()
+    else:
+        if reducer is not None:
+            mapper = getattr(executor, "map_reduced", None)
+        # Lazy: the solo run executes at ``next`` below, where its failure
+        # is named.
+        results = (
+            executor.execute(scenario, seed, record_probabilities=record_probabilities)
+            for scenario, seed, _ in cells
+        )
+    payloads = []
+    for scenario, run_seed, index in cells:
+        try:
+            if mapper is not None:
+                payload = mapper(scenario, run_seed, reducer, record_probabilities)
+            else:
+                payload = next(results)
+                if reducer is not None:
+                    payload = reducer.map(payload)
+        except Exception as exc:
+            raise _cell_failure(exc, index, run_seed, scenario) from exc
+        payloads.append(payload)
+    seconds = (time.perf_counter() - started) / len(cells)
+    return [(payload, seconds) for payload in payloads]
+
+
 #: Per-worker run context, installed once per process by :func:`_init_worker`.
 _WORKER_CONTEXT: dict = {}
 
@@ -265,55 +304,9 @@ def _init_worker(context: dict) -> None:
     _WORKER_CONTEXT.update(context)
 
 
-def _run_job(cells: list[tuple[int, int]]) -> list:
-    """Pool job: :func:`_run_one` over a batch of ``(group number, run
-    index)`` cells, in order, on the worker-resident context."""
-    context = dict(_WORKER_CONTEXT)
-    groups = context.pop("groups")
-    finished = []
-    for number, index in cells:
-        scenario, base_seed = groups[number]
-        finished.append(_run_one(index, scenario, base_seed=base_seed, **context))
-    return finished
-
-
-def _batches(indices: list, pool_width: int) -> list[list]:
-    """``indices`` in consecutive pool jobs: ~4 jobs per worker, like
-    ``Pool.map``'s default chunking."""
-    size, extra = divmod(len(indices), pool_width * 4)
-    size = size + 1 if extra else max(size, 1)
-    return [indices[lo : lo + size] for lo in range(0, len(indices), size)]
-
-
-def _run_pooled(
-    cells: list, executor, reducer, record_probabilities: bool, workers: int, store
-) -> None:
-    """Every solo cell of one :func:`run_cells` call, on one process pool.
-
-    ``cells`` lists ``(group, run index)``.  The context — each group's
-    scenario and base seed, the executor, the reducer and the
-    probability-recording flag — reaches each worker once, through the pool
-    initializer; a job is a batch of ``(group number, run index)`` pairs
-    (:func:`_batches`).  Each cell is finished as its batch lands, in cell
-    order.
-    """
-    groups = list({id(group): group for group, _ in cells}.values())
-    number = {id(group): position for position, group in enumerate(groups)}
-    jobs = [(number[id(group)], index) for group, index in cells]
-    context = {
-        "groups": [(group.scenario, group.base_seed) for group in groups],
-        "executor": executor,
-        "reducer": reducer,
-        "record_probabilities": record_probabilities,
-    }
-    pool_width = min(workers, len(jobs))
-    with ProcessPoolExecutor(
-        max_workers=pool_width, initializer=_init_worker, initargs=(context,)
-    ) as pool:
-        batches = pool.map(_run_job, _batches(jobs, pool_width))
-        finished = (run for batch in batches for run in batch)
-        for (group, _), (index, payload, seconds) in zip(cells, finished):
-            group.finish(index, payload, seconds, store)
+def _run_job(batch) -> list:
+    """Pool job: :func:`_run_batch` on the worker-resident context."""
+    return _run_batch(batch, **_WORKER_CONTEXT)
 
 
 class RunCells:
@@ -358,13 +351,11 @@ def _recorder_bytes(scenario: Scenario, record_probabilities: bool) -> int:
     return scenario.num_devices * scenario.horizon_slots * per_cell
 
 
-def _solo_reason(scenario: Scenario, executor, pool: bool, size: int) -> str | None:
+def _solo_reason(scenario: Scenario, executor, size: int) -> str | None:
     """Why ``scenario``'s cells cannot stack, or ``None`` when they can."""
     # Imported lazily: the sharded package imports the backends package.
     from repro.sim.sharded.engine import closed_form_rates
 
-    if pool:
-        return "pool"
     if not hasattr(executor, "execute_stack"):
         return "backend"
     if not closed_form_rates(scenario):
@@ -374,58 +365,68 @@ def _solo_reason(scenario: Scenario, executor, pool: bool, size: int) -> str | N
     return None
 
 
-class _Stack:
-    """Cells of one physics waiting to run as one engine."""
+def _plan(pending, executor, record_probabilities: bool, width: int) -> list:
+    """The missing cells of ``pending`` as batches ``(reason, cells)``.
 
-    def __init__(self, physics) -> None:
-        self.physics = physics
-        self.cells: list[tuple[RunCells, int]] = []
-        self.bytes = 0
+    A cell that cannot stack (:func:`_solo_reason`) is a batch of one with
+    its reason.  The others, grouped by
+    :func:`~repro.sim.sharded.executor.stack_physics`, are cut in order into
+    stacks (reason ``None``) of at most :data:`STACK_BUDGET_BYTES` of records
+    and at most ``ceil(N / width)`` of the call's ``N`` stackable cells, so
+    each of ``width`` pool workers gets a stack.  The stacks come first.
+    Each batch is recorded as a ``run_solo`` or ``run_stack`` telemetry
+    event.
+    """
+    # Imported lazily: the sharded package imports the backends package.
+    from repro.sim.sharded.executor import stack_physics
 
+    solo: list = []
+    by_physics: list[tuple[tuple, list]] = []
+    for number, group in enumerate(pending):
+        size = _recorder_bytes(group.scenario, record_probabilities)
+        reason = _solo_reason(group.scenario, executor, size)
+        if reason is not None:
+            solo += [(reason, [(number, index)]) for index in group.missing()]
+            continue
+        physics = stack_physics(group.scenario)
+        cells = next((cells for known, cells in by_physics if known == physics), None)
+        if cells is None:
+            cells = []
+            by_physics.append((physics, cells))
+        cells += [(number, index, size) for index in group.missing()]
+    cap = -(-sum(len(cells) for _, cells in by_physics) // width)
+    batches: list = []
+    for _, cells in by_physics:
+        stack, filled = [], 0
+        for number, index, size in cells:
+            if stack and (filled + size > STACK_BUDGET_BYTES or len(stack) == cap):
+                batches.append((None, stack))
+                stack, filled = [], 0
+            stack.append((number, index))
+            filled += size
+        batches.append((None, stack))
+    batches += solo
 
-def _run_stack(stack: _Stack, executor, reducer, record_probabilities, store):
-    """Execute one stack and finish each of its cells in stack order."""
-    cells = [
-        (group.scenario, _spawned_run_seed(group.base_seed, index))
-        for group, index in stack.cells
-    ]
     telemetry = get_telemetry()
     if telemetry is not None:
-        telemetry.event(
-            "run_stack",
-            runs=len(cells),
-            rows=sum(scenario.num_devices for scenario, _ in cells),
-            scenarios=len({id(group) for group, _ in stack.cells}),
-        )
-    started = time.perf_counter()
-    try:
-        results = executor.execute_stack(cells, record_probabilities)
-    except Exception:
-        # Name the failing cell: replayed alone, it raises its RunFailure.
-        for group, index in stack.cells:
-            _run_one(
-                index,
-                group.scenario,
-                executor,
-                reducer=None,
-                record_probabilities=record_probabilities,
-                base_seed=group.base_seed,
-            )
-        raise
-    seconds = (time.perf_counter() - started) / len(cells)
-    if len(cells) > 1:
-        # The stack's phase profile covers every stacked run, so it belongs
-        # to none of the cells' registry entries.
-        take_run_summary()
-    for (group, index), (scenario, run_seed), payload in zip(
-        stack.cells, cells, results
-    ):
-        if reducer is not None:
-            try:
-                payload = reducer.map(payload)
-            except Exception as exc:
-                raise _cell_failure(exc, index, run_seed, scenario) from exc
-        group.finish(index, payload, seconds, store)
+        for reason, cells in batches:
+            if reason is None:
+                numbers = [number for number, _ in cells]
+                telemetry.event(
+                    "run_stack",
+                    runs=len(cells),
+                    rows=sum(pending[n].scenario.num_devices for n in numbers),
+                    scenarios=len(set(numbers)),
+                )
+            else:
+                ((number, index),) = cells
+                telemetry.event(
+                    "run_solo",
+                    reason=reason,
+                    scenario=pending[number].scenario.name,
+                    run_index=index,
+                )
+    return batches
 
 
 def run_cells(
@@ -437,25 +438,16 @@ def run_cells(
     store=None,
     reuse: bool = False,
 ) -> None:
-    """The run loop: every missing cell of ``groups``, solo or stacked.
+    """The run loop: every missing cell of ``groups``, in batches.
 
     With a ``store``, each group's cells are fingerprinted and, when
     ``reuse``, loaded from it first; fresh payloads are stored as they
-    land (a stack of several runs stores them without its phase profile,
-    which covers the whole stack).  The missing cells of groups whose
-    physics match (:func:`~repro.sim.sharded.executor.stack_physics`)
-    execute as row blocks of one engine (:meth:`execute_stack`), in stacks
-    of at most :data:`STACK_BUDGET_BYTES` of records; every payload equals
-    the cell's solo payload.  Cells stay solo on a process pool, on a backend
-    without stacking (``event``, ``sharded``), on another gain model than
-    equal share, or above the budget — each one recorded as a ``run_solo``
-    telemetry event with its reason, each stack as a ``run_stack`` event.
-    With ``workers > 1`` every solo cell of every group goes to one process
-    pool (:func:`_run_pooled`).
+    land (a stack of several runs, and a pool, store them without a phase
+    profile).  The missing cells are planned once into stacks and solo
+    cells (:func:`_plan`), and one loop finishes them in batch order, run
+    in process or, with ``workers > 1`` and more than one batch, on one
+    process pool; every payload equals the cell's solo payload.
     """
-    # Imported lazily: the sharded package imports the backends package.
-    from repro.sim.sharded.executor import stack_physics
-
     if store is not None:
         from repro.registry.fingerprint import grid_keys
         from repro.registry.store import MISS
@@ -477,55 +469,38 @@ def run_cells(
                     if hit is not MISS:
                         group.payloads[index] = hit
 
-    telemetry = get_telemetry()
-    pool = workers is not None and workers > 1
-    solo: list[tuple[RunCells, int]] = []
-    stacks: list[_Stack] = []
-    for group in groups:
-        missing = group.missing()
-        if not missing:
-            continue
-        size = _recorder_bytes(group.scenario, record_probabilities)
-        reason = _solo_reason(group.scenario, executor, pool, size)
-        if reason is not None:
-            if telemetry is not None:
-                for index in missing:
-                    telemetry.event(
-                        "run_solo",
-                        reason=reason,
-                        scenario=group.scenario.name,
-                        run_index=index,
-                    )
-            solo.extend((group, index) for index in missing)
-            continue
-        physics = stack_physics(group.scenario)
-        stack = next((s for s in stacks if s.physics == physics), None)
-        for index in missing:
-            if stack is None or stack.bytes + size > STACK_BUDGET_BYTES:
-                if stack is not None:
-                    stacks.remove(stack)
-                    _run_stack(stack, executor, reducer, record_probabilities, store)
-                stack = _Stack(physics)
-                stacks.append(stack)
-            stack.cells.append((group, index))
-            stack.bytes += size
-    if pool and len(solo) > 1:
-        _run_pooled(solo, executor, reducer, record_probabilities, workers, store)
+    pending = [group for group in groups if group.missing()]
+    batches = _plan(pending, executor, record_probabilities, workers or 1)
+    context = {
+        "groups": [(group.scenario, group.base_seed) for group in pending],
+        "executor": executor,
+        "reducer": reducer,
+        "record_probabilities": record_probabilities,
+    }
+    width = min(workers or 1, len(batches))
+    if width > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=width, initializer=_init_worker, initargs=(context,)
+        )
+        # One job per stack, queued first so that each worker starts on
+        # one; the solo cells after them go out about four jobs per worker.
+        stacks = sum(reason is None for reason, _ in batches)
+        chunk = -(-(len(batches) - stacks) // (4 * width))
+        finished = itertools.chain(
+            pool.map(_run_job, batches[:stacks]),
+            pool.map(_run_job, batches[stacks:], chunksize=max(chunk, 1)),
+        )
     else:
-        for group, index in solo:
-            group.finish(
-                *_run_one(
-                    index,
-                    group.scenario,
-                    executor,
-                    reducer,
-                    record_probabilities,
-                    group.base_seed,
-                ),
-                store,
-            )
-    for stack in stacks:
-        _run_stack(stack, executor, reducer, record_probabilities, store)
+        pool = None
+        finished = map(functools.partial(_run_batch, **context), batches)
+    try:
+        for (_, cells), payloads in zip(batches, finished):
+            for (number, index), (payload, seconds) in zip(cells, payloads):
+                pending[number].finish(index, payload, seconds, store)
+    finally:
+        if pool is not None:
+            # After a failure, jobs not yet started would only delay it.
+            pool.shutdown(cancel_futures=True)
 
 
 def run_many(
@@ -549,20 +524,23 @@ def run_many(
         ``None``, ``0`` or ``1`` runs in-process: on the ``vectorized``
         backend, equal-share runs advance stacked as row blocks of one
         engine (see "One run loop, over cells" above), otherwise one at a
-        time.  Any larger value fans the *runs* out over a
-        ``ProcessPoolExecutor`` with up to that many workers, each run
-        solo; results come back in run order and are bit-identical to a
-        serial run.  With ``shards=`` set, the budget moves *inside* each
-        run instead: runs execute serially and ``workers`` becomes the
-        sharded backend's worker-process count.
+        time.  Any larger value runs the same batches on a
+        ``ProcessPoolExecutor`` with up to that many workers, the stacks
+        split so that each worker gets one; results come back in run
+        order and are bit-identical to a serial run.  With ``shards=``
+        set, the budget moves *inside* each run instead: runs execute
+        serially and ``workers`` becomes the sharded backend's
+        worker-process count.
     reduce:
         ``None`` returns the full per-run results as a list.  A
         :class:`~repro.analysis.reducers.Reducer` instance (or built-in
         reducer name, e.g. ``"summary"``) is applied to each run *where it
-        executes* — inside the pool worker, inside the sharded engine's
-        shards (shard-capable reducers), or right after a serial run — and
-        ``run_many`` returns the reducer's finalized merge instead of a
-        list, keeping peak memory at O(one run) plus kilobyte payloads.
+        executes* — inside the sharded engine's shards (shard-capable
+        reducers), or right after its run or stack, in process or in the
+        pool worker — and ``run_many`` returns the reducer's finalized
+        merge instead of a list, keeping peak memory at one stack of
+        records (at most :data:`STACK_BUDGET_BYTES`) per process plus
+        kilobyte payloads.
     record_probabilities:
         Whether runs record the per-slot probability tensor.  Defaults to
         ``True`` for full results and to the reducer's

@@ -50,7 +50,7 @@ EVENT_TYPES: dict[str, tuple[str, ...]] = {
     "progress": ("worker", "slot", "num_slots", "device_slots_per_second"),
     "worker_restart": ("attempt", "error", "backoff_s"),
     # -- execution paths: runs stacked into one engine, a cell kept solo
-    # (pool, backend, gain_model or budget), and fallbacks
+    # (backend, gain_model or budget), and fallbacks
     "run_stack": ("runs", "rows"),
     "run_solo": ("reason",),
     "path_fallback": ("kind", "reason"),

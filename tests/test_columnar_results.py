@@ -22,7 +22,6 @@ import pytest
 
 from test_backends import assert_results_identical, run_both
 
-import repro.sim.runner as runner
 from repro.analysis.aggregate import downloads_over_runs, switch_counts_over_runs
 from repro.analysis.fairness import download_jains_index, jains_index
 from repro.analysis.reducers import (
@@ -363,8 +362,8 @@ class TestRunManyReduce:
         assert [row["seed"] for row in parallel] == [1, 2, 3, 4]
 
     def test_parallel_full_results_with_chunksize(self, tiny_setting1):
-        # Nine runs on two workers go out in pool jobs of two runs each.
-        assert runner._batches(list(range(9)), 2)[0] == [0, 1]
+        # Nine solo event-backend runs on two workers go out in pool jobs
+        # (chunks) of two runs each.
         serial = run_many(tiny_setting1, runs=9, base_seed=5)
         parallel = run_many(tiny_setting1, runs=9, base_seed=5, workers=2)
         assert [result.seed for result in parallel] == list(range(5, 14))

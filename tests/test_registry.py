@@ -471,7 +471,7 @@ class TestSweep:
         def no_simulation(*args, **kwargs):
             raise AssertionError("a cached cell was simulated")
 
-        monkeypatch.setattr(runner, "_run_one", no_simulation)
+        monkeypatch.setattr(runner, "_run_batch", no_simulation)
         second = run_sweep(cases, reduce="summary", cache="reuse")
         assert second.cells_cached == 4 and second.cells_computed == 0
         for name in ("devices=4", "devices=6"):

@@ -7,7 +7,7 @@ The generated properties hold every stacked run to its solo event run bit
 for bit, and a sweep over cases of mixed physics and per-run network
 values to a cold ``run_many`` per case; the event tests pin which path
 each cell took and why, and the grid-shape tests count the stacks and
-kernel calls of two paper drivers and the process pools of a pooled one.
+kernel calls of two paper drivers and the pool and stacks of a pooled one.
 """
 
 from __future__ import annotations
@@ -31,8 +31,12 @@ from repro.sim.delay import ConstantDelayModel, EmpiricalDelayModel
 from repro.experiments import fig04_distance_static, fig07_dynamic_join
 from repro.experiments.common import ExperimentConfig
 from repro.game.network import NetworkType
-from repro.sim.runner import run_many
-from repro.sim.scenario import setting1_scenario, setting2_scenario
+from repro.sim.runner import run_many, run_simulation
+from repro.sim.scenario import (
+    mobility_scenario,
+    setting1_scenario,
+    setting2_scenario,
+)
 from repro.sim.sharded.executor import stack_physics
 from repro.telemetry import read_events, set_telemetry_dir
 from repro.telemetry.__main__ import build_report
@@ -51,12 +55,14 @@ GENERATED = settings(
 
 
 def _stack_spy():
-    """Record each stack the run loop executes, still executing it."""
-    return mock.patch.object(runner, "_run_stack", wraps=runner._run_stack)
+    """Record each batch the run loop executes, still executing it."""
+    return mock.patch.object(runner, "_run_batch", wraps=runner._run_batch)
 
 
 def _stack_sizes(spy) -> list[int]:
-    return [len(call.args[0].cells) for call in spy.call_args_list]
+    """The run count of each stack among the recorded batches."""
+    batches = [call.args[0] for call in spy.call_args_list]
+    return [len(cells) for reason, cells in batches if reason is None]
 
 
 class _Records(Reducer):
@@ -157,7 +163,7 @@ def test_sweep_of_mixed_physics_equals_cold_run_many_per_case(cases, record):
     for case in stackable:
         if stack_physics(case.scenario) not in physics:
             physics.append(stack_physics(case.scenario))
-    assert len(spy.call_args_list) == len(physics)
+    assert len(_stack_sizes(spy)) == len(physics)
     for case in cases:
         cold = run_many(
             case.scenario, case.runs, case.base_seed, backend="vectorized",
@@ -191,8 +197,9 @@ def test_stacks_and_solo_cells_are_recorded_with_their_reason(tmp_path, tiny):
     run_many(tiny, 2, backend="vectorized", workers=2, reduce="summary")
     set_telemetry_dir(None)
     paths = _paths(tmp_path)
-    assert paths["run_stack"] == {"rows": 12, "runs": 3, "stacks": 1}
-    assert paths["run_solo"] == {"backend": 4, "gain_model": 2, "pool": 2}
+    # The pooled runs are two stacks of one, one per worker.
+    assert paths["run_stack"] == {"rows": 20, "runs": 5, "stacks": 3}
+    assert paths["run_solo"] == {"backend": 4, "gain_model": 2}
 
 
 def test_stacks_stop_at_the_recorder_budget(tmp_path, tiny, monkeypatch):
@@ -210,6 +217,24 @@ def test_stacks_stop_at_the_recorder_budget(tmp_path, tiny, monkeypatch):
     set_telemetry_dir(None)
     assert _stack_sizes(spy) == []
     assert _paths(tmp_path)["run_solo"] == {"budget": 2}
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        setting1_scenario(policy="exp3", num_devices=6, horizon_slots=30),
+        mobility_scenario(policy="exp3", horizon_slots=60),
+    ],
+    ids=["setting1", "mobility"],
+)
+def test_the_stack_budget_counts_what_a_run_records(scenario, record):
+    # A pooled stack's results come back in one message, so the budget
+    # bounds that message too.
+    result = run_simulation(
+        scenario, 1, backend="vectorized", record_probabilities=record
+    )
+    assert runner._recorder_bytes(scenario, record) == result.nbytes
 
 
 def test_kernel_rows_sent_to_the_scalar_path_are_recorded(
@@ -291,10 +316,10 @@ def test_fig07_policies_are_one_stack():
     assert _stack_sizes(spy) == [4]
 
 
-def test_a_pooled_grid_opens_one_pool(monkeypatch):
-    # fig04's 18 setting x policy cells on two workers: every cell runs
-    # solo, all on one process pool for the run loop's one call, with the
-    # serial outputs.
+def test_a_pooled_grid_opens_one_pool(tmp_path, monkeypatch):
+    # fig04's 18 setting x policy cells of two runs each on two workers:
+    # two stacks of 18 runs, one per worker, on one process pool for the
+    # run loop's one call, with the serial outputs.
     config = ExperimentConfig(runs=2, horizon_slots=20)
     serial = fig04_distance_static.run(config)
     pools = []
@@ -305,8 +330,13 @@ def test_a_pooled_grid_opens_one_pool(monkeypatch):
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", counting_pool)
+    set_telemetry_dir(tmp_path)
     pooled = fig04_distance_static.run(replace(config, workers=2))
+    set_telemetry_dir(None)
     assert pools == [2]
+    events = read_events(tmp_path)
+    assert [e["runs"] for e in events if e["type"] == "run_stack"] == [18, 18]
+    assert not [e for e in events if e["type"] == "run_solo"]
     assert _canonical(pooled) == _canonical(serial)
 
 

@@ -1,13 +1,19 @@
 """Integration-style tests of the simulation runner and the result container."""
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis.reducers import RowsReducer
 from repro.sim.metrics import NO_NETWORK
-from repro.sim.runner import RunFailure, run_many, run_simulation
+from repro.sim.runner import (
+    RunFailure,
+    run_many,
+    run_many_scenarios,
+    run_simulation,
+)
 from repro.sim.scenario import (
     dynamic_join_leave_scenario,
     mobility_scenario,
@@ -167,6 +173,31 @@ class TestRunFailure:
     def test_serial_failure_names_the_cell(self, tiny_setting1):
         err = self._failure(tiny_setting1, workers=None)
         assert type(err.__cause__) is RuntimeError
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_failing_stack_names_its_cell(self, workers):
+        # EXP3 rejects gamma=5 only when the engine builds its policies, so
+        # the stack that holds "bad" fails as a whole; replayed alone, its
+        # first cell raises the RunFailure.
+        good = setting1_scenario(policy="exp3", num_devices=4, horizon_slots=20)
+        bad = replace(
+            good,
+            name="bad",
+            device_specs=[
+                replace(spec, policy_kwargs={"gamma": 5.0})
+                for spec in good.device_specs
+            ],
+        )
+        with pytest.raises(RunFailure) as excinfo:
+            run_many_scenarios(
+                {"good": good, "bad": bad},
+                3,
+                backend="vectorized",
+                workers=workers,
+                reduce="summary",
+            )
+        err = excinfo.value
+        assert (err.scenario_name, err.run_index, err.seed_label) == ("bad", 0, 0)
 
     def test_run_failure_survives_pool_pickling(self):
         err = RunFailure(
