@@ -15,7 +15,8 @@ membership instead of tearing the group down):
 1. ``__init__`` *gathers* the scalar policies' state into arrays.
 2. ``begin_slot`` returns the global network-column choice for every row.
 3. ``end_slot`` consumes the realised gains, updates the batched state and
-   writes the per-slot mixed strategies into the recorder as one block write.
+   writes the per-slot mixed strategies into the recorder as one block write
+   (a run that records no probabilities skips building them too).
 4. ``remove_rows`` / ``absorb`` apply topology edits in place: a departing or
    coverage-changed device is scattered back to its scalar policy and its
    rows deleted; joining devices are gathered by constructing a small kernel

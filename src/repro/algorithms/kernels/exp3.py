@@ -110,6 +110,8 @@ class EXP3Kernel(BatchKernel):
         needs_scaling = (row_max > 1e100) | (row_max < 1e-100)
         if needs_scaling.any():
             self.weights[needs_scaling] /= row_max[needs_scaling, None]
+        if self.recorder.probabilities is None:
+            return
         # EXP3Policy.probabilities renormalises by a Python sum() — replicate
         # the left-to-right accumulation before the block write.
         probs = self._probs

@@ -80,6 +80,8 @@ class FullInformationKernel(BatchKernel):
         needs_scaling = (row_max > 1e100) | (row_max < 1e-100)
         if needs_scaling.any():
             self.weights[needs_scaling] /= row_max[needs_scaling, None]
+        if self.recorder.probabilities is None:
+            return
         total = np.sum(self.weights, axis=1)
         self.record_probability_block(slot_index, self.weights / total[:, None])
 

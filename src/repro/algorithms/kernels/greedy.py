@@ -96,6 +96,8 @@ class GreedyKernel(BatchKernel):
     ) -> None:
         self.gain_sum[self._arange, self.last_local] += gains
         self.gain_count[self._arange, self.last_local] += 1
+        if self.recorder.probabilities is None:
+            return
         # Recorded strategy: uniform while still exploring, otherwise the
         # degenerate distribution on the (post-update) best network.
         probs = np.zeros((self.size, self.num_networks), dtype=float)

@@ -43,6 +43,7 @@ from repro.analysis.reducers import (
     DownloadReducer,
     Reducer,
     RunSummaries,
+    SeriesReducer,
     StabilityReducer,
     SummaryReducer,
     TimeSeriesReducer,
@@ -56,6 +57,7 @@ __all__ = [
     "DownloadReducer",
     "Reducer",
     "RunSummaries",
+    "SeriesReducer",
     "StabilityReducer",
     "StabilityReport",
     "SummaryReducer",

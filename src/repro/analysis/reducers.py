@@ -48,6 +48,9 @@ Built-in vocabulary (also addressable by name through ``run_many``):
   (Table V / Fig. 5 reproductions).
 * :class:`TimeSeriesReducer` — downsampled per-slot series, merged as a
   running element-wise mean across runs.
+* :class:`SeriesReducer` — each run's whole per-slot series, kept in run
+  order for a driver to aggregate with its own expressions (Figs. 4, 7, 8
+  and 13).
 """
 
 from __future__ import annotations
@@ -434,6 +437,35 @@ class TimeSeriesReducer(Reducer):
             where=counts > 0,
         )
         return {"count": 1, "series": downsample_series(series, self.points)}
+
+
+class SeriesReducer(Reducer):
+    """Each run's ``series_fn(result)``, kept whole and in run order.
+
+    The finalized output is the list ``[series_fn(r) for r in results]``:
+    payloads merge by list concatenation, as :class:`RowsReducer` rows do,
+    so a driver aggregates the per-run series with exactly the float
+    expressions it would apply to full results (``mean_of_series`` over
+    the runs, say), which a running mean would not reproduce.  ``series_fn``
+    must not read the probability tensor, and belongs in
+    :mod:`repro.analysis`, whose source the registry's code fingerprint
+    covers.  A series function reads the whole record, so sharded runs
+    gather then map.
+    """
+
+    name = "series"
+    needs_probabilities = False
+
+    def __init__(
+        self, series_fn: Callable[[SimulationResult], np.ndarray]
+    ) -> None:
+        self.series_fn = series_fn
+
+    def map(self, result: SimulationResult) -> list[np.ndarray]:
+        return [self.series_fn(result)]
+
+    def merge(self, a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
+        return a + b
 
 
 #: Built-in reducers addressable by name through ``run_many(reduce="...")``.

@@ -85,8 +85,11 @@ class ExperimentConfig:
         is also how an interrupted experiment resumes — and ``"refresh"``
         recomputes and overwrites.  A :class:`~repro.registry.CacheSpec`
         selects an explicit store root.  Validated eagerly; only applies to
-        reduced runs (``reduce=``) — a driver that keeps full results
-        simulates every run.
+        reduced runs (``reduce=``).  fig02, fig04–fig08, fig13, tab05 and
+        ``churn_stress`` reduce every run, so they store and resume; the
+        drivers that keep full results (fig03, fig09–fig12, fig14, fig15,
+        tab04, tab06, tab07, ``theory_validation``, ``unutilized``)
+        simulate every run.
 
     Telemetry is not a field: set ``REPRO_TELEMETRY_DIR``, or wrap the
     driver call in :func:`repro.telemetry.scoped_telemetry_dir`, to record
@@ -144,9 +147,11 @@ def run_with_config(scenario: Scenario, config: ExperimentConfig, reduce=None):
     reducer name) streams each run through the reducer where it executes —
     multi-run experiments then hold kilobyte payloads instead of full
     slot-by-slot records, and the return value is the reducer's finalized
-    output instead of a result list.  ``config.cache`` applies to reduced
-    calls only: the registry stores reducer payloads, so a call that keeps
-    full results always simulates.
+    output instead of a result list.  A driver whose analysis reads one
+    series per run keeps just that series with
+    :class:`~repro.analysis.reducers.SeriesReducer`.  ``config.cache``
+    applies to reduced calls only: the registry stores reducer payloads, so
+    a call that keeps full results always simulates.
     """
     return run_scenarios({0: scenario}, config, reduce=reduce)[0]
 

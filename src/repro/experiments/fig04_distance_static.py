@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.analysis.aggregate import downsample_series, mean_of_series
 from repro.analysis.distance import distance_to_nash_series, fraction_of_time_at_equilibrium
+from repro.analysis.reducers import SeriesReducer
 from repro.experiments.common import (
     ALL_POLICIES,
     STATIC_SETTINGS,
@@ -27,14 +28,20 @@ def run(
     policies: tuple[str, ...] = ALL_POLICIES,
     series_points: int = 40,
 ) -> dict:
-    """Return mean distance series (downsampled) and time-at-equilibrium fractions."""
+    """Return mean distance series (downsampled) and time-at-equilibrium fractions.
+
+    Each run is reduced to its distance series where it executes, so no
+    run's record outlives its stack and ``config.cache`` applies.
+    """
     config = config or ExperimentConfig.default()
     output: dict = {"epsilon_percent": EPSILON_PERCENT, "settings": {}}
-    grids = run_policy_grid(STATIC_SETTINGS, policies, config)
+    grids = run_policy_grid(
+        STATIC_SETTINGS, policies, config, reduce=SeriesReducer(distance_to_nash_series)
+    )
     for setting_name, grid in grids.items():
         setting_entry: dict = {"series": {}, "fraction_at_equilibrium": {}, "final_distance": {}}
         for policy in policies:
-            series = [distance_to_nash_series(r) for r in grid[policy]]
+            series = grid[policy]
             mean_series = mean_of_series(series)
             setting_entry["series"][policy] = downsample_series(mean_series, series_points).tolist()
             setting_entry["fraction_at_equilibrium"][policy] = float(

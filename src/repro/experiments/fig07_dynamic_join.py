@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.analysis.aggregate import downsample_series, mean_of_series
 from repro.analysis.distance import distance_to_nash_series
+from repro.analysis.reducers import SeriesReducer
 from repro.experiments.common import DYNAMIC_POLICIES, ExperimentConfig, run_scenarios
 from repro.sim.scenario import dynamic_join_leave_scenario
 
@@ -30,9 +31,10 @@ def run(
         if config.horizon_slots is not None and config.horizon_slots >= scenario.horizon_slots:
             scenario = scenario.with_horizon(config.horizon_slots)
         scenarios[policy] = scenario
-    grid = run_scenarios(scenarios, config)
-    for policy, results in grid.items():
-        series = mean_of_series([distance_to_nash_series(r) for r in results])
+    reducer = SeriesReducer(distance_to_nash_series)
+    grid = run_scenarios(scenarios, config, reduce=reducer)
+    for policy, runs in grid.items():
+        series = mean_of_series(runs)
         output["series"][policy] = downsample_series(series, series_points).tolist()
         output["phase_means"][policy] = {
             "before_join (1-400)": float(np.mean(series[:400])),

@@ -15,6 +15,7 @@ from repro.analysis.distance import (
     distance_from_average_rate_series,
     optimal_distance_from_average_rate,
 )
+from repro.analysis.reducers import SeriesReducer
 from repro.experiments.common import ExperimentConfig, run_with_config
 from repro.sim.testbed import controlled_static_scenario
 
@@ -25,6 +26,7 @@ def run(config: ExperimentConfig | None = None, series_points: int = 48) -> dict
     """Return mean distance-from-average-rate series per policy plus the optimum."""
     config = config or ExperimentConfig(runs=3, horizon_slots=240)
     output: dict = {"series": {}, "mean_last_quarter": {}}
+    reducer = SeriesReducer(distance_from_average_rate_series)
     optimal = None
     for policy in POLICIES:
         scenario = controlled_static_scenario(
@@ -34,10 +36,7 @@ def run(config: ExperimentConfig | None = None, series_points: int = 48) -> dict
             optimal = optimal_distance_from_average_rate(
                 scenario.network_map, scenario.num_devices
             )
-        results = run_with_config(scenario, config)
-        series = mean_of_series(
-            [distance_from_average_rate_series(r) for r in results]
-        )
+        series = mean_of_series(run_with_config(scenario, config, reduce=reducer))
         output["series"][policy] = downsample_series(series, series_points).tolist()
         tail = max(len(series) // 4, 1)
         output["mean_last_quarter"][policy] = float(np.mean(series[-tail:]))

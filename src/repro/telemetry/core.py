@@ -55,13 +55,11 @@ def set_telemetry_dir(directory: str | os.PathLike | None) -> None:
     workers, sharded shard workers — inherit the setting, and resets the
     process-local instance so the change takes effect immediately.
     """
-    global _INSTANCE, _INSTANCE_KEY
     if directory is None:
         os.environ.pop(TELEMETRY_DIR_ENV, None)
     else:
         os.environ[TELEMETRY_DIR_ENV] = str(directory)
-    _INSTANCE = None
-    _INSTANCE_KEY = None
+    _replace_instance(None, None)
 
 
 @contextlib.contextmanager
@@ -178,15 +176,26 @@ def get_telemetry() -> Telemetry | None:
     Keyed by ``(pid, directory)`` so forked workers open their own stream
     instead of inheriting the parent's file handle and sequence counter.
     """
-    global _INSTANCE, _INSTANCE_KEY
     directory = os.environ.get(TELEMETRY_DIR_ENV)
     if not directory:
         return None
     key = (os.getpid(), directory)
     if _INSTANCE_KEY != key:
-        _INSTANCE = Telemetry(directory)
-        _INSTANCE_KEY = key
+        _replace_instance(Telemetry(directory), key)
     return _INSTANCE
+
+
+def _replace_instance(instance: Telemetry | None, key) -> None:
+    """Install ``instance``, closing the event log of the one it replaces.
+
+    Only a log this process opened is closed: a forked worker's inherited
+    instance holds its parent's handle, which the parent still writes to.
+    """
+    global _INSTANCE, _INSTANCE_KEY
+    if _INSTANCE is not None and _INSTANCE_KEY[0] == os.getpid():
+        _INSTANCE.log.close()
+    _INSTANCE = instance
+    _INSTANCE_KEY = key
 
 
 def set_proc_label(label: str) -> None:

@@ -26,6 +26,7 @@ from repro.analysis.aggregate import downloads_over_runs, switch_counts_over_run
 from repro.analysis.fairness import download_jains_index, jains_index
 from repro.analysis.reducers import (
     RunSummaries,
+    SeriesReducer,
     StabilityReducer,
     SummaryReducer,
     TimeSeriesReducer,
@@ -39,6 +40,8 @@ from repro.analysis.distance import (
     distance_to_nash_series,
 )
 from repro.game.nash import distance_to_nash
+from repro.registry import CacheSpec, RunStore
+from repro.registry.fingerprint import cell_key, describe
 from repro.sim.metrics import NO_NETWORK, DeviceAxisView, SimulationResult
 from repro.sim.runner import run_many, run_simulation
 from repro.sim.scenario import (
@@ -393,6 +396,72 @@ class TestRunManyReduce:
             run_many(tiny_setting1, runs=2, reduce="nope")
         with pytest.raises(TypeError, match="reduce"):
             run_many(tiny_setting1, runs=2, reduce=42)
+
+
+class TestSeriesReducer:
+    """Each run's series kept whole equals the series of its full result,
+    array for array, on every run path."""
+
+    @pytest.fixture
+    def expected(self, tiny_setting1):
+        return [distance_to_nash_series(r) for r in run_many(tiny_setting1, 3)]
+
+    @staticmethod
+    def assert_same_series(reduced, expected):
+        assert len(reduced) == len(expected)
+        for got, want in zip(reduced, expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"backend": "vectorized"},
+            {"backend": "vectorized", "workers": 2},
+            {"backend": "event"},
+            {"backend": "sharded", "shards": 2},
+        ],
+        ids=["stack", "pool", "event", "sharded"],
+    )
+    def test_equals_the_series_of_full_results(self, tiny_setting1, expected, options):
+        reducer = SeriesReducer(distance_to_nash_series)
+        reduced = run_many(tiny_setting1, 3, reduce=reducer, **options)
+        self.assert_same_series(reduced, expected)
+
+    def test_a_warm_call_loads_every_run(self, tiny_setting1, expected, tmp_path):
+        reducer = SeriesReducer(distance_to_nash_series)
+        cold = CacheSpec(mode="reuse", store=RunStore(tmp_path))
+        run_many(tiny_setting1, 3, backend="vectorized", reduce=reducer, cache=cold)
+        store = RunStore(tmp_path)
+        warm = run_many(
+            tiny_setting1,
+            3,
+            backend="vectorized",
+            reduce=reducer,
+            cache=CacheSpec(mode="reuse", store=store),
+        )
+        assert store.hits == 3 and store.stored == 0
+        self.assert_same_series(warm, expected)
+
+    def test_the_series_function_is_part_of_the_cell_key(self, tiny_setting1):
+        reducers = [
+            SeriesReducer(distance_to_nash_series),
+            SeriesReducer(distance_from_average_rate_series),
+        ]
+        assert "repro.analysis.distance.distance_to_nash_series" in str(
+            describe(reducers[0])
+        )
+        keys = {
+            cell_key(
+                tiny_setting1,
+                base_seed=0,
+                run_index=0,
+                record_probabilities=False,
+                reducer=reducer,
+            ).fingerprint
+            for reducer in reducers
+        }
+        assert len(keys) == 2
 
 
 class TestReducerProperties:

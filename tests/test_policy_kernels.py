@@ -37,7 +37,9 @@ from repro.algorithms.kernels import (
     sequential_row_sum,
 )
 from repro.game.network import Network, NetworkType
-from repro.sim.backends import VectorizedSlotExecutor
+from repro.algorithms.kernels import exp3 as exp3_kernel
+from repro.algorithms.kernels.greedy import GreedyKernel
+from repro.sim.backends import VectorizedSlotExecutor, get_backend
 from repro.sim.delay import (
     ConstantDelayModel,
     DelayModel,
@@ -421,6 +423,50 @@ class TestBitExactKernels:
         scalar, kernel = run_scalar_and_kernel(scenario, 5)
         assert_results_identical(scalar, kernel)
         assert sum(kernel.resets.values()) > 0
+
+
+class TestUnrecordedStrategies:
+    @pytest.mark.parametrize(
+        "record, best_locals, row_sums", [(False, 1, 0), (True, 2, 1)]
+    )
+    def test_kernels_build_a_strategy_only_to_record_it(
+        self, monkeypatch, record, best_locals, row_sums
+    ):
+        # One stack of Greedy, EXP3 and Full Information runs: Greedy picks
+        # its networks once a slot and EXP3 renormalises its strategy only
+        # for the probability record, which the results stay exact without.
+        horizon = 30
+        cells = [
+            (setting1_scenario(policy=policy, num_devices=4, horizon_slots=horizon), seed)
+            for seed, policy in enumerate(("greedy", "exp3", "full_information"))
+        ]
+        calls = {"best_locals": 0, "row_sums": 0}
+
+        def counted(name, function):
+            def spy(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return spy
+
+        monkeypatch.setattr(
+            GreedyKernel, "_best_locals", counted("best_locals", GreedyKernel._best_locals)
+        )
+        monkeypatch.setattr(
+            exp3_kernel,
+            "sequential_row_sum",
+            counted("row_sums", exp3_kernel.sequential_row_sum),
+        )
+        stacked = get_backend("vectorized").execute_stack(cells, record)
+        assert calls == {
+            "best_locals": best_locals * horizon,
+            "row_sums": row_sums * horizon,
+        }
+        for (scenario, seed), result in zip(cells, stacked):
+            event = get_backend("event").execute(
+                scenario, seed, record_probabilities=record
+            )
+            assert_results_identical(event, result)
 
 
 class TestFallbackPolicies:

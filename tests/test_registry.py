@@ -510,21 +510,30 @@ class TestExperimentConfigCache:
 
     def test_full_result_drivers_run_under_a_cached_config(self, store):
         """The registry stores reducer payloads: a driver that keeps full
-        results simulates every run under a cached config, and a reduced
-        driver under the same config still stores its entries."""
-        from repro.experiments import fig02_switching, fig04_distance_static
+        results (tab04) simulates every run under a cached config, while
+        fig04, which reduces each run to its distance series, stores one
+        entry per cell and resumes from them."""
+        from repro.experiments import fig04_distance_static, tab04_time_to_stable
 
         cached = ExperimentConfig(
             runs=1, horizon_slots=20, cache=CacheSpec(mode="reuse", store=store)
         )
-        full = fig04_distance_static.run(cached, policies=("exp3",))
-        plain = fig04_distance_static.run(
-            cached.replace(cache="off"), policies=("exp3",)
-        )
+        full = tab04_time_to_stable.run(cached)
+        plain = tab04_time_to_stable.run(cached.replace(cache="off"))
         assert json.dumps(full, sort_keys=True) == json.dumps(plain, sort_keys=True)
         assert store.stored == 0
-        fig02_switching.run(cached)
-        assert store.stored == 2 * len(fig02_switching.FIG2_POLICIES)
+
+        policies = ("exp3", "greedy")
+        cold = fig04_distance_static.run(cached, policies=policies)
+        cells = len(fig04_distance_static.STATIC_SETTINGS) * len(policies)
+        assert store.stored == cells
+        warm_store = RunStore(store.root)
+        warm = fig04_distance_static.run(
+            cached.replace(cache=CacheSpec(mode="reuse", store=warm_store)),
+            policies=policies,
+        )
+        assert warm_store.hits == cells and warm_store.stored == 0
+        assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
 
 
 class TestRegistryCLI:

@@ -27,6 +27,7 @@ from repro.telemetry import (
     get_telemetry,
     merge_histogram_payloads,
     read_events,
+    scoped_telemetry_dir,
     set_telemetry_dir,
     take_run_summary,
     telemetry_enabled,
@@ -183,6 +184,23 @@ class TestGate:
         assert get_telemetry() is telemetry  # cached per (pid, dir)
         set_telemetry_dir(None)
         assert get_telemetry() is None
+
+    def test_a_replaced_instance_closes_its_event_log(self, tmp_path):
+        set_telemetry_dir(tmp_path / "a")
+        first = get_telemetry()
+        first.event("run_many_end", runs=1, seconds=0.0)
+        assert first.log._handle is not None
+        set_telemetry_dir(tmp_path / "b")
+        assert first.log._handle is None
+
+        second = get_telemetry()
+        second.event("run_many_end", runs=1, seconds=0.0)
+        with scoped_telemetry_dir(tmp_path / "c"):
+            assert second.log._handle is None
+            scoped = get_telemetry()
+            scoped.event("run_many_end", runs=1, seconds=0.0)
+        assert scoped.log._handle is None
+        set_telemetry_dir(None)
 
 
 # -------------------------------------------------------- instrumented runs
